@@ -116,33 +116,57 @@ def splitting(xi1: complex, xi2: complex, g: complex) -> complex:
     return principal_sqrt(0.25 * d * d + g * g)
 
 
-def eigvalues_grid(xi1, xi2, g):
-    """Vectorized (lambda_plus, lambda_minus) for arrays of matrix entries.
-
-    Same branch convention as :func:`splitting`; broadcasting follows numpy.
-    """
+def _mean_eta(xi1, xi2, g):
     xi1 = np.asarray(xi1, dtype=complex)
     xi2 = np.asarray(xi2, dtype=complex)
     g = np.asarray(g, dtype=complex)
     d = xi1 - xi2
     eta = np.sqrt(0.25 * d * d + g * g)
     flip = (eta.real < 0.0) | ((eta.real == 0.0) & (eta.imag < 0.0))
-    eta = np.where(flip, -eta, eta)
-    mean = 0.5 * (xi1 + xi2)
+    return 0.5 * (xi1 + xi2), np.where(flip, -eta, eta)
+
+
+def eigvalues_grid(xi1, xi2, g):
+    """Vectorized (lambda_plus, lambda_minus) for arrays of matrix entries.
+
+    Same branch convention as :func:`splitting`; broadcasting follows numpy.
+    """
+    mean, eta = _mean_eta(xi1, xi2, g)
     return mean + eta, mean - eta
 
 
-def _eigvector(h: Hamiltonian2, lam: complex) -> np.ndarray:
-    # (H - lam) v = 0 has solutions (g, lam - xi1) and (lam - xi2, g);
-    # pick the better-conditioned one.
-    u = np.array([h.g, lam - h.xi1], dtype=complex)
-    v = np.array([lam - h.xi2, h.g], dtype=complex)
-    cand = u if np.linalg.norm(u) >= np.linalg.norm(v) else v
-    n = np.linalg.norm(cand)
-    if n == 0.0:
-        # fully degenerate (diagonal with equal entries)
-        return np.array([1.0 + 0.0j, 0.0 + 0.0j])
-    return cand / n
+def _eigvectors(xi1, xi2, g, mean, eta):
+    # (H - lam) v = 0 has solutions (g, lam - xi1) and (lam - xi2, g); take
+    # the longer one. Within DEGENERACY_THRESHOLD of an EP both vectors are
+    # the coalesced one at the mean; a zero vector (diagonal with equal
+    # entries) becomes (1, 0).
+    g = np.asarray(g, dtype=complex)
+    g2 = g.real * g.real + g.imag * g.imag
+    coalesced = np.abs(eta) < DEGENERACY_THRESHOLD
+
+    def unit(lam):
+        lam = np.where(coalesced, mean, lam)
+        a, b = lam - xi1, lam - xi2
+        nu2 = g2 + (a.real * a.real + a.imag * a.imag)
+        nv2 = (b.real * b.real + b.imag * b.imag) + g2
+        take_u = nu2 >= nv2
+        n = np.sqrt(np.where(take_u, nu2, nv2))
+        zero = n == 0.0
+        n = np.where(zero, 1.0, n)
+        first = np.where(zero, 1.0, np.where(take_u, g, b) / n)
+        second = np.where(zero, 0.0, np.where(take_u, a, g) / n)
+        return np.stack([first, second], axis=-1)
+
+    return unit(mean + eta), unit(mean - eta)
+
+
+def eigvectors_grid(xi1, xi2, g):
+    """Vectorized unit eigenvectors (v_plus, v_minus), each of shape (..., 2).
+
+    They belong to the eigenvalues of :func:`eigvalues_grid`, with the rule
+    of :func:`diagonalize` (coalesced vectors below ``DEGENERACY_THRESHOLD``).
+    """
+    return _eigvectors(xi1, xi2, g, *_mean_eta(xi1, xi2, g))
 
 
 def diagonalize(h: Hamiltonian2) -> Spectrum2:
@@ -154,11 +178,9 @@ def diagonalize(h: Hamiltonian2) -> Spectrum2:
     """
     eta = splitting(h.xi1, h.xi2, h.g)
     mean = 0.5 * (h.xi1 + h.xi2)
-    lp, lm = mean + eta, mean - eta
-    if abs(eta) < DEGENERACY_THRESHOLD:
-        v = _eigvector(h, mean)
-        return Spectrum2(lp, lm, eta, v, v.copy(), degenerate=True)
-    return Spectrum2(lp, lm, eta, _eigvector(h, lp), _eigvector(h, lm))
+    v_plus, v_minus = _eigvectors(h.xi1, h.xi2, h.g, mean, eta)
+    return Spectrum2(mean + eta, mean - eta, eta, v_plus, v_minus,
+                     degenerate=abs(eta) < DEGENERACY_THRESHOLD)
 
 
 def overlap(f1: DiscreteField, f2: DiscreteField) -> float:

@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import diagonalize, overlap, DiscreteField
-from .toymodel import ToyParams, build_hamiltonian, eigvalues_scan
+from .core import eigvalues_grid, eigvectors_grid
+from .toymodel import ToyParams, scan_entries
 
 LZ = "LZ"
 WB = "WB"
@@ -78,99 +78,69 @@ def match_branches(ts, pairs, vectors=None) -> ScanTrajectory:
     At each step the pairing minimizing the summed jump is chosen; when
     both pairings agree within ``AMBIGUITY_TOL`` the previous ordering is
     kept and the point index is flagged. ``vectors`` (N, 2, 2), ordered
-    like ``pairs``, are permuted alongside when given.
+    like ``pairs``, are permuted alongside when given. Raises
+    ``ValueError`` on a pair that is not finite.
     """
     ts = np.asarray(ts, dtype=float)
     pairs = np.asarray(pairs, dtype=complex)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("pairs must have shape (N, 2)")
+    finite = np.isfinite(pairs).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"pairs row {k} is not finite: {pairs[k].tolist()}")
     if vectors is not None:
         vectors = np.asarray(vectors, dtype=complex)
         if vectors.shape != (pairs.shape[0], 2, 2):
             raise ValueError("vectors must have shape (N, 2, 2)")
 
-    n = pairs.shape[0]
-    a = np.empty(n, dtype=complex)
-    b = np.empty(n, dtype=complex)
-    va = np.empty((n, 2), dtype=complex) if vectors is not None else None
-    vb = np.empty((n, 2), dtype=complex) if vectors is not None else None
-    ambiguous: list[int] = []
-
-    a[0], b[0] = pairs[0]
+    # With s_k true when point k is stored swapped, keeping the previous
+    # ordering costs `straight` when s_(k-1) is false and `cross` when it
+    # is true, and swapping the other one; so the greedy choice is
+    # s_k = s_(k-1) XOR (cross < straight), restarting from "keep" at ties
+    # and where the two sums do not compare (overflowed jumps).
+    prev, cur = pairs[:-1], pairs[1:]
+    straight = np.abs(cur[:, 0] - prev[:, 0]) + np.abs(cur[:, 1] - prev[:, 1])
+    cross = np.abs(cur[:, 1] - prev[:, 0]) + np.abs(cur[:, 0] - prev[:, 1])
+    tie = np.abs(straight - cross) <= AMBIGUITY_TOL
+    restart = np.concatenate(([True], tie | np.isnan(straight - cross)))
+    flips = np.concatenate(([0], np.cumsum(cross < straight)))
+    last_restart = np.maximum.accumulate(np.where(restart, np.arange(restart.size), 0))
+    swapped = (flips - flips[last_restart]) % 2 == 1
+    a = np.where(swapped, pairs[:, 1], pairs[:, 0])
+    b = np.where(swapped, pairs[:, 0], pairs[:, 1])
+    va = vb = None
     if vectors is not None:
-        va[0], vb[0] = vectors[0]
-    for k in range(1, n):
-        lp, lm = pairs[k]
-        keep = abs(lp - a[k - 1]) + abs(lm - b[k - 1])
-        swap = abs(lm - a[k - 1]) + abs(lp - b[k - 1])
-        if abs(keep - swap) <= AMBIGUITY_TOL:
-            ambiguous.append(k)
-            chosen_swap = False
-        else:
-            chosen_swap = swap < keep
-        if chosen_swap:
-            a[k], b[k] = lm, lp
-        else:
-            a[k], b[k] = lp, lm
-        if vectors is not None:
-            if chosen_swap:
-                va[k], vb[k] = vectors[k][1], vectors[k][0]
-            else:
-                va[k], vb[k] = vectors[k][0], vectors[k][1]
-
+        va = np.where(swapped[:, None], vectors[:, 1], vectors[:, 0])
+        vb = np.where(swapped[:, None], vectors[:, 0], vectors[:, 1])
+    ambiguous = (np.flatnonzero(tie) + 1).tolist()
     return ScanTrajectory(ts, a, b, va, vb, ambiguous)
 
 
 def sweep_toy(p: ToyParams, alphas, with_vectors: bool = True) -> ScanTrajectory:
     """Scan the toy model over alpha and return matched branches."""
     alphas = np.asarray(alphas, dtype=float)
-    if with_vectors:
-        pairs = np.empty((alphas.size, 2), dtype=complex)
-        vectors = np.empty((alphas.size, 2, 2), dtype=complex)
-        for k, al in enumerate(alphas):
-            s = diagonalize(build_hamiltonian(float(al), p))
-            pairs[k] = (s.lambda_plus, s.lambda_minus)
-            vectors[k] = (s.v_plus, s.v_minus)
-        return match_branches(alphas, pairs, vectors)
-    lp, lm = eigvalues_scan(alphas, p)
-    return match_branches(alphas, np.stack([lp, lm], axis=1))
-
-
-def _contact_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    runs = []
-    k = 0
-    n = mask.size
-    while k < n:
-        if mask[k]:
-            start = k
-            while k + 1 < n and mask[k + 1]:
-                k += 1
-            runs.append((start, k))
-        k += 1
-    return runs
+    entries = scan_entries(alphas, p)
+    pairs = np.stack(eigvalues_grid(*entries), axis=1)
+    vectors = np.stack(eigvectors_grid(*entries), axis=1) if with_vectors else None
+    return match_branches(alphas, pairs, vectors)
 
 
 def _component_analysis(ts: np.ndarray, d: np.ndarray, gap_floor: float) -> dict:
     absd = np.abs(d)
     contact_mask = absd <= gap_floor
-    runs = _contact_runs(contact_mask)
-    interior_runs = [r for r in runs if r[0] > 0 and r[1] < d.size - 1]
 
     # transversal sign changes between adjacent separated points
-    cross_points: list[float] = []
-    sign_change = False
-    for k in range(d.size - 1):
-        if contact_mask[k] or contact_mask[k + 1]:
-            continue
-        if d[k] * d[k + 1] < 0:
-            sign_change = True
-            t0, t1 = ts[k], ts[k + 1]
-            cross_points.append(float(t0 - d[k] * (t1 - t0) / (d[k + 1] - d[k])))
+    k = np.flatnonzero(~contact_mask[:-1] & ~contact_mask[1:] & (d[:-1] * d[1:] < 0))
+    t0, t1 = ts[k], ts[k + 1]
+    cross_points = (t0 - d[k] * (t1 - t0) / (d[k + 1] - d[k])).tolist()
+    sign_change = k.size > 0
     # interior contact runs count as crossings (sticking or tangency at EPs)
-    for start, stop in interior_runs:
-        cross_points.append(float(ts[start]))
-        if stop != start:
-            cross_points.append(float(ts[stop]))
+    edges = np.diff(contact_mask.astype(np.int8), prepend=0, append=0)
+    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+    interior = (starts > 0) & (stops < d.size - 1)
+    starts, stops = starts[interior], stops[interior]
+    cross_points += ts[starts].tolist() + ts[stops[stops != starts]].tolist()
 
     contact = bool(contact_mask.any())
     ends_separated = absd[0] > gap_floor and absd[-1] > gap_floor
@@ -273,13 +243,13 @@ def beta_transition(p: ToyParams, beta_window: tuple[float, float], *,
 
 
 def overlap_curve(traj: ScanTrajectory) -> np.ndarray:
-    """Eigenstate overlap |<v_a, v_b>| along the scan (unit vectors)."""
+    """Eigenstate overlap |<v_a, v_b>| / (|v_a| |v_b|) along the scan."""
     if traj.vectors_a is None or traj.vectors_b is None:
         raise ValueError("trajectory carries no eigenvectors")
-    return np.array([
-        overlap(DiscreteField(va), DiscreteField(vb))
-        for va, vb in zip(traj.vectors_a, traj.vectors_b)
-    ])
+    va, vb = traj.vectors_a, traj.vectors_b
+    na = np.sqrt(np.sum(np.abs(va) ** 2, axis=1))
+    nb = np.sqrt(np.sum(np.abs(vb) ** 2, axis=1))
+    return np.abs(np.sum(np.conj(va) * vb, axis=1)) / (na * nb)
 
 
 def overlap_peaks(traj: ScanTrajectory, floor: float = 1e-6) -> list[float]:
@@ -289,9 +259,6 @@ def overlap_peaks(traj: ScanTrajectory, floor: float = 1e-6) -> list[float]:
     report no peaks.
     """
     o = overlap_curve(traj)
-    peaks = [
-        float(traj.ts[k])
-        for k in range(1, o.size - 1)
-        if o[k] > o[k - 1] and o[k] > o[k + 1] and o[k] > floor
-    ]
-    return peaks
+    mid = o[1:-1]
+    peak = (mid > o[:-2]) & (mid > o[2:]) & (mid > floor)
+    return traj.ts[1:-1][peak].tolist()

@@ -73,6 +73,8 @@ def _parse_float(text: str, line_num: int, column: str) -> float:
         ) from None
     if math.isnan(value):
         raise IngestError(f"line {line_num}: NaN in column {column!r}")
+    if math.isinf(value):
+        raise IngestError(f"line {line_num}: infinite value in column {column!r}")
     return value
 
 
@@ -148,13 +150,12 @@ def _fmt(x: float) -> str:
 
 def write_trajectory_csv(path, traj: ScanTrajectory) -> None:
     """Write a matched trajectory so it round-trips through ingest_csv."""
-    path = Path(path)
-    with path.open("w", newline="\n", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["scan", "re_1", "im_1", "re_2", "im_2"])
-        for t, a, b in zip(traj.ts, traj.branch_a, traj.branch_b):
-            writer.writerow([_fmt(t), _fmt(a.real), _fmt(a.imag),
-                             _fmt(b.real), _fmt(b.imag)])
+    columns = (traj.ts, traj.branch_a.real, traj.branch_a.imag,
+               traj.branch_b.real, traj.branch_b.imag)
+    rows = map("{!r},{!r},{!r},{!r},{!r}\n".format, *(c.tolist() for c in columns))
+    with Path(path).open("w", newline="\n", encoding="utf-8") as handle:
+        handle.write("scan,re_1,im_1,re_2,im_2\n")
+        handle.writelines(rows)
 
 
 def write_sheetgrid_csv(path, grid: SheetGrid) -> None:

@@ -12,6 +12,7 @@ difference or only its real part, selected by ``lambda_mode``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -35,6 +36,10 @@ class ToyParams:
     lambda_mode: str = FULL_COMPLEX
 
     def __post_init__(self):
+        for name in ("g_c", "gamma1", "gamma2"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.g_c > 0:
             raise ValueError(f"g_c must be positive, got {self.g_c}")
         if not 0.0 <= self.beta <= 1.0:
@@ -50,30 +55,18 @@ class ToyParams:
 
 def xi(alpha: float, p: ToyParams) -> tuple[complex, complex]:
     """Diagonal entries (xi1, xi2) at scan position alpha >= 0."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    xi1 = (1.0 - 0.5 * alpha) + 1j * p.gamma1
-    xi2 = np.sqrt(alpha) + 1j * p.gamma2
-    return complex(xi1), complex(xi2)
-
-
-def _coupling_from(xi1: complex, xi2: complex, beta: float, p: ToyParams) -> complex:
-    diff = xi1 - xi2
-    if p.lambda_mode == REAL_PART:
-        diff = diff.real
-    sensitivity = np.exp(-(diff * diff))
-    return complex(p.g_c * ((1.0 - beta) + 1j * beta) * sensitivity)
+    xi1, xi2, _ = scan_entries([alpha], p)
+    return complex(xi1[0]), complex(xi2[0])
 
 
 def coupling(alpha: float, p: ToyParams) -> complex:
     """Interpolated coupling g(alpha, beta) with exponential sensitivity."""
-    xi1, xi2 = xi(alpha, p)
-    return _coupling_from(xi1, xi2, p.beta, p)
+    return complex(scan_entries([alpha], p)[2][0])
 
 
 def build_hamiltonian(alpha: float, p: ToyParams) -> Hamiltonian2:
-    xi1, xi2 = xi(alpha, p)
-    return Hamiltonian2(xi1, xi2, _coupling_from(xi1, xi2, p.beta, p))
+    xi1, xi2, g = scan_entries([alpha], p)
+    return Hamiltonian2(xi1[0], xi2[0], g[0])
 
 
 def scan_entries(alphas, p: ToyParams, *, beta: float | None = None):

@@ -1,0 +1,145 @@
+"""Per-point loop implementations of the 1-D scan path, kept as references.
+
+The library computes these quantities with array operations; the tests in
+test_reference_oracles.py check it against the straightforward loops here.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from epkit.core import (DEGENERACY_THRESHOLD, DiscreteField, Hamiltonian2,
+                        overlap, splitting)
+from epkit.crossing import AMBIGUITY_TOL
+from epkit.toymodel import build_hamiltonian
+
+
+def eigvector(h: Hamiltonian2, lam: complex) -> np.ndarray:
+    """Unit null vector of H - lam: the longer of (g, lam - xi1), (lam - xi2, g)."""
+    u = np.array([h.g, lam - h.xi1], dtype=complex)
+    v = np.array([lam - h.xi2, h.g], dtype=complex)
+    cand = u if np.linalg.norm(u) >= np.linalg.norm(v) else v
+    n = np.linalg.norm(cand)
+    if n == 0.0:
+        return np.array([1.0 + 0.0j, 0.0 + 0.0j])
+    return cand / n
+
+
+def diagonalize(h: Hamiltonian2):
+    """(lambda_plus, lambda_minus, v_plus, v_minus, degenerate) of one matrix."""
+    eta = splitting(h.xi1, h.xi2, h.g)
+    mean = 0.5 * (h.xi1 + h.xi2)
+    lp, lm = mean + eta, mean - eta
+    if abs(eta) < DEGENERACY_THRESHOLD:
+        v = eigvector(h, mean)
+        return lp, lm, v, v.copy(), True
+    return lp, lm, eigvector(h, lp), eigvector(h, lm), False
+
+
+def sweep_pairs(p, alphas):
+    """Eigenvalue pairs (N, 2) and eigenvectors (N, 2, 2), one point at a time."""
+    pairs = np.empty((len(alphas), 2), dtype=complex)
+    vectors = np.empty((len(alphas), 2, 2), dtype=complex)
+    for k, alpha in enumerate(alphas):
+        lp, lm, vp, vm, _ = diagonalize(build_hamiltonian(float(alpha), p))
+        pairs[k] = (lp, lm)
+        vectors[k] = (vp, vm)
+    return pairs, vectors
+
+
+def match_branches(pairs, vectors=None):
+    """Greedy keep/swap matching.
+
+    Returns (branch_a, branch_b, vectors_a, vectors_b, ambiguous).
+    """
+    pairs = np.asarray(pairs, dtype=complex)
+    n = pairs.shape[0]
+    a = np.empty(n, dtype=complex)
+    b = np.empty(n, dtype=complex)
+    va = np.empty((n, 2), dtype=complex) if vectors is not None else None
+    vb = np.empty((n, 2), dtype=complex) if vectors is not None else None
+    ambiguous = []
+    a[0], b[0] = pairs[0]
+    if vectors is not None:
+        va[0], vb[0] = vectors[0]
+    for k in range(1, n):
+        lp, lm = pairs[k]
+        keep = abs(lp - a[k - 1]) + abs(lm - b[k - 1])
+        swap = abs(lm - a[k - 1]) + abs(lp - b[k - 1])
+        if abs(keep - swap) <= AMBIGUITY_TOL:
+            ambiguous.append(k)
+            chosen_swap = False
+        else:
+            chosen_swap = swap < keep
+        if chosen_swap:
+            a[k], b[k] = lm, lp
+        else:
+            a[k], b[k] = lp, lm
+        if vectors is not None:
+            if chosen_swap:
+                va[k], vb[k] = vectors[k][1], vectors[k][0]
+            else:
+                va[k], vb[k] = vectors[k][0], vectors[k][1]
+    return a, b, va, vb, ambiguous
+
+
+def overlap_curve(vectors_a, vectors_b) -> np.ndarray:
+    return np.array([
+        overlap(DiscreteField(va), DiscreteField(vb))
+        for va, vb in zip(vectors_a, vectors_b)
+    ])
+
+
+def overlap_peaks(ts, o, floor: float = 1e-6) -> list[float]:
+    return [
+        float(ts[k])
+        for k in range(1, o.size - 1)
+        if o[k] > o[k - 1] and o[k] > o[k + 1] and o[k] > floor
+    ]
+
+
+def contact_runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    runs = []
+    k = 0
+    n = mask.size
+    while k < n:
+        if mask[k]:
+            start = k
+            while k + 1 < n and mask[k + 1]:
+                k += 1
+            runs.append((start, k))
+        k += 1
+    return runs
+
+
+def component_analysis(ts: np.ndarray, d: np.ndarray, gap_floor: float) -> dict:
+    absd = np.abs(d)
+    contact_mask = absd <= gap_floor
+    runs = contact_runs(contact_mask)
+    interior_runs = [r for r in runs if r[0] > 0 and r[1] < d.size - 1]
+
+    cross_points: list[float] = []
+    sign_change = False
+    for k in range(d.size - 1):
+        if contact_mask[k] or contact_mask[k + 1]:
+            continue
+        if d[k] * d[k + 1] < 0:
+            sign_change = True
+            t0, t1 = ts[k], ts[k + 1]
+            cross_points.append(float(t0 - d[k] * (t1 - t0) / (d[k + 1] - d[k])))
+    for start, stop in interior_runs:
+        cross_points.append(float(ts[start]))
+        if stop != start:
+            cross_points.append(float(ts[stop]))
+
+    contact = bool(contact_mask.any())
+    ends_separated = absd[0] > gap_floor and absd[-1] > gap_floor
+    ends_coincide = absd[0] <= gap_floor and absd[-1] <= gap_floor
+    return {
+        "min_gap": float(absd.min()),
+        "max_gap": float(absd.max()),
+        "cross_points": sorted(cross_points),
+        "crossed": sign_change or (contact and ends_separated),
+        "avoided": (not sign_change) and (not contact),
+        "bifurcated": contact and ends_coincide and absd.max() > gap_floor,
+    }

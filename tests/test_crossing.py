@@ -52,6 +52,15 @@ class TestMatchBranches:
         traj = match_branches(ts, pairs)
         assert 1 in traj.ambiguous
 
+    @pytest.mark.parametrize("bad", [complex("nan"), complex(0, float("inf")),
+                                     complex(float("-inf"), 0)])
+    def test_nonfinite_row_named(self, bad):
+        pairs = np.tile([1.0 + 0j, 2j], (6, 1))
+        pairs[4, 1] = bad
+        pairs[5, 0] = bad
+        with pytest.raises(ValueError, match="row 4 is not finite"):
+            match_branches(np.arange(6.0), pairs)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             match_branches([0, 1], [[1, 2], [3, 4]])  # too short

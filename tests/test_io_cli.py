@@ -63,6 +63,18 @@ class TestIngest:
         with pytest.raises(IngestError, match="line 3"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "nan"])
+    def test_nonfinite_cell_names_line(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        write_lines(path, [
+            "scan,re_1,im_1,re_2,im_2",
+            "0.0,1,0,2,0",
+            "0.5,1,0,2,0",
+            f"1.0,1,{cell},2,0",
+        ])
+        with pytest.raises(IngestError, match="line 4: .* column 'im_1'"):
+            ingest_csv(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "hdr.csv"
         write_lines(path, ["scan,re_1,im_1,re_2", "0,1,0,2"])

@@ -26,6 +26,13 @@ class TestParams:
             ToyParams(g_c=0.05, beta=0.5, gamma1=1, gamma2=1,
                       lambda_mode="nonsense")
 
+    @pytest.mark.parametrize("field", ["g_c", "gamma1", "gamma2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_field_named(self, field, value):
+        fields = {"g_c": 0.05, "beta": 0.5, "gamma1": 1.0, "gamma2": 1.0}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ToyParams(**{**fields, field: value})
+
     def test_presets_match_reference_table(self):
         assert preset("class1").beta == 0.76
         assert preset("class2").beta == 0.78
