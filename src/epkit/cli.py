@@ -87,8 +87,6 @@ def _add_common(sub):
     sub.add_argument("--preset", choices=sorted(PRESETS),
                      help="named toy-model parameter set")
     sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads for grid sampling")
     sub.add_argument("--tolerance", type=float, default=None,
                      help="command tolerance (EP residual, beta_c step, ...)")
     sub.add_argument("--grid", default=None, metavar="N1xN2",
@@ -184,7 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve(args) -> dict:
     cfg = json.loads(json.dumps(_DEFAULTS[args.command]))  # deep copy
     if args.config:
-        cfg.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if isinstance(loaded.get("params"), dict) and "params" in cfg:
+            # a partial params dict overrides single defaults
+            loaded["params"] = {**cfg["params"], **loaded["params"]}
+        cfg.update(loaded)
     if getattr(args, "preset", None):
         cfg.setdefault("params", {})
         cfg["params"].update(PRESETS[args.preset]["params"])
@@ -217,7 +219,6 @@ def _resolve(args) -> dict:
             key, _, value = item.partition("=")
             meta[key] = value
     cfg["out"] = args.out
-    cfg["threads"] = args.threads
     cfg["command"] = args.command
     return cfg
 
@@ -287,9 +288,12 @@ def _cmd_find_eps(cfg) -> None:
     p = _params(cfg)
     if cfg.get("window"):
         a0, a1, b0, b1 = cfg["window"]
-        coarse_n = _parse_grid(cfg["grid"])[0]
+        coarse_n, n2 = _parse_grid(cfg["grid"])
+        if n2 != coarse_n:
+            raise ValueError(
+                f"find-eps needs a square grid, got {coarse_n}x{n2}")
         result = grid_ep_search(eigenpair_sampler(p), ((a0, a1), (b0, b1)),
-                                coarse_n, threads=cfg["threads"])
+                                coarse_n)
         payload = {
             "eps": _ep_payload(result.locations),
             "method": "grid-search",
@@ -304,21 +308,19 @@ def _cmd_find_eps(cfg) -> None:
     io_mod.write_json(_outdir(cfg) / "find_eps.json", payload)
 
 
-def _surface_payload(grid) -> dict:
+def _surface_manifest(grid, cfg) -> dict:
+    """Everything but the sheets, which the CSV beside it holds."""
     return {
         "axis1": grid.axis1,
         "axis2": grid.axis2,
         "delta_mode": grid.delta_mode,
-        "sheet1_re": grid.sheet1.real,
-        "sheet1_im": grid.sheet1.imag,
-        "sheet2_re": grid.sheet2.real,
-        "sheet2_im": grid.sheet2.imag,
         "cut_edges": {
             "matched": [[list(u), list(v)] for u, v in grid.cut_cells.matched],
             "re": [[list(u), list(v)] for u, v in grid.cut_cells.re],
             "im": [[list(u), list(v)] for u, v in grid.cut_cells.im],
         },
         "missing": [list(n) for n in grid.missing],
+        "config": cfg,
     }
 
 
@@ -327,12 +329,10 @@ def _cmd_surface(cfg) -> None:
     n1, n2 = _parse_grid(cfg["grid"])
     a0, a1, b0, b1 = cfg["window"]
     grid = build_surface(eigenpair_sampler(p), ((a0, a1), (b0, b1)), n1, n2,
-                         cfg["delta_mode"], threads=cfg["threads"])
+                         cfg["delta_mode"])
     out = _outdir(cfg)
     io_mod.write_sheetgrid_csv(out / "surface.csv", grid)
-    payload = _surface_payload(grid)
-    payload["config"] = cfg
-    io_mod.write_json(out / "surface.json", payload)
+    io_mod.write_json(out / "surface.json", _surface_manifest(grid, cfg))
 
 
 def _cmd_encircle(cfg) -> None:
@@ -421,11 +421,10 @@ def _cmd_oracle(cfg) -> None:
         n1, n2 = _parse_grid(cfg["grid"])
         a0, a1, b0, b1 = cfg["window"]
         grid = build_surface(oracle.sampler(), ((a0, a1), (b0, b1)), n1, n2,
-                             cfg["delta_mode"], threads=cfg["threads"])
+                             cfg["delta_mode"])
         io_mod.write_sheetgrid_csv(out / "oracle_surface.csv", grid)
-        payload = _surface_payload(grid)
-        payload["config"] = cfg
-        io_mod.write_json(out / "oracle_surface.json", payload)
+        io_mod.write_json(out / "oracle_surface.json",
+                          _surface_manifest(grid, cfg))
     else:
         result = encircle(oracle.sampler(), _loop_from(cfg["loop"]),
                           int(cfg["steps"]))

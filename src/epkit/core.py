@@ -116,14 +116,26 @@ def splitting(xi1: complex, xi2: complex, g: complex) -> complex:
     return principal_sqrt(0.25 * d * d + g * g)
 
 
+def abs_diff(u, v):
+    """|u - v| rounded like abs() of a Python complex (hypot), which np.abs
+    on complex arrays is not: it differs in the last bit for many inputs."""
+    d = np.subtract(u, v)
+    return np.hypot(d.real, d.imag)
+
+
+def principal_sqrt_grid(w):
+    """Vectorized :func:`principal_sqrt`; bitwise equal to it elementwise."""
+    s = np.sqrt(w)
+    flip = (s.real < 0.0) | ((s.real == 0.0) & (s.imag < 0.0))
+    return np.where(flip, -s, s)
+
+
 def _mean_eta(xi1, xi2, g):
     xi1 = np.asarray(xi1, dtype=complex)
     xi2 = np.asarray(xi2, dtype=complex)
     g = np.asarray(g, dtype=complex)
     d = xi1 - xi2
-    eta = np.sqrt(0.25 * d * d + g * g)
-    flip = (eta.real < 0.0) | ((eta.real == 0.0) & (eta.imag < 0.0))
-    return 0.5 * (xi1 + xi2), np.where(flip, -eta, eta)
+    return 0.5 * (xi1 + xi2), principal_sqrt_grid(0.25 * d * d + g * g)
 
 
 def eigvalues_grid(xi1, xi2, g):

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import eigvalues_grid, eigvectors_grid
+from .core import abs_diff, eigvalues_grid, eigvectors_grid
 from .toymodel import ToyParams, scan_entries
 
 LZ = "LZ"
@@ -72,6 +72,32 @@ class ClassReport:
     bifurcation_edges: Optional[tuple[float, float]] = None
 
 
+def pairing(ref_a, ref_b, a, b, tol: float):
+    """Greedy keep/swap rule of pairs (a, b) against reference pairs: where
+    swapping costs less, where the costs tie within ``tol``, and where the
+    rule keeps the order instead (ties, and costs that are NaN)."""
+    straight = abs_diff(a, ref_a) + abs_diff(b, ref_b)
+    cross = abs_diff(b, ref_a) + abs_diff(a, ref_b)
+    gap = np.abs(straight - cross)
+    return cross < straight, gap <= tol, ~(gap > tol)
+
+
+def parity_runs(flip, restart):
+    """The greedy keep/swap rule as a segmented cumulative parity.
+
+    Keeping the order of point k-1 costs `straight` if k-1 is stored as
+    sampled and `cross` if swapped, so the greedy choice is swapped_k =
+    swapped_(k-1) XOR flip_k with flip_k = (cross < straight), except where
+    ``restart`` is set (position 0 must be). Along the last axis, returns
+    the run start at or before each position and the parity of the flips
+    after it: swapped_k = swapped_(start_k) XOR odd_k.
+    """
+    start = np.maximum.accumulate(
+        np.where(restart, np.arange(restart.shape[-1]), 0), axis=-1)
+    flips = np.cumsum(flip, axis=-1)
+    return start, (flips - np.take_along_axis(flips, start, axis=-1)) % 2 == 1
+
+
 def match_branches(ts, pairs, vectors=None) -> ScanTrajectory:
     """Greedy continuity matching of per-point unordered eigenvalue pairs.
 
@@ -94,19 +120,10 @@ def match_branches(ts, pairs, vectors=None) -> ScanTrajectory:
         if vectors.shape != (pairs.shape[0], 2, 2):
             raise ValueError("vectors must have shape (N, 2, 2)")
 
-    # With s_k true when point k is stored swapped, keeping the previous
-    # ordering costs `straight` when s_(k-1) is false and `cross` when it
-    # is true, and swapping the other one; so the greedy choice is
-    # s_k = s_(k-1) XOR (cross < straight), restarting from "keep" at ties
-    # and where the two sums do not compare (overflowed jumps).
-    prev, cur = pairs[:-1], pairs[1:]
-    straight = np.abs(cur[:, 0] - prev[:, 0]) + np.abs(cur[:, 1] - prev[:, 1])
-    cross = np.abs(cur[:, 1] - prev[:, 0]) + np.abs(cur[:, 0] - prev[:, 1])
-    tie = np.abs(straight - cross) <= AMBIGUITY_TOL
-    restart = np.concatenate(([True], tie | np.isnan(straight - cross)))
-    flips = np.concatenate(([0], np.cumsum(cross < straight)))
-    last_restart = np.maximum.accumulate(np.where(restart, np.arange(restart.size), 0))
-    swapped = (flips - flips[last_restart]) % 2 == 1
+    flip, tie, restart = pairing(pairs[:-1, 0], pairs[:-1, 1], pairs[1:, 0],
+                                 pairs[1:, 1], AMBIGUITY_TOL)
+    _, swapped = parity_runs(np.concatenate(([False], flip)),
+                             np.concatenate(([True], restart)))
     a = np.where(swapped, pairs[:, 1], pairs[:, 0])
     b = np.where(swapped, pairs[:, 0], pairs[:, 1])
     va = vb = None

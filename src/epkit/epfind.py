@@ -10,13 +10,13 @@ square-root branch choice.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 from scipy import optimize
 
+from .core import abs_diff
 from .toymodel import ToyParams, scan_entries
 
 # refined candidates closer than DEDUP_FACTOR * tolerance collapse to one EP
@@ -129,64 +129,53 @@ def toy_ep_roots(p: ToyParams, alpha_bracket: tuple[float, float], *,
     return roots
 
 
-def _coarse_grid(sampler, p1s, p2s, threads):
-    gaps = np.full((p1s.size, p2s.size), np.nan)
-    failures = 0
+def sample_grid(sampler, axis1: np.ndarray, axis2: np.ndarray):
+    """Eigenvalue pairs (va, vb) of ``sampler`` on the grid axis1 x axis2.
 
-    def eval_row(i):
-        row = np.full(p2s.size, np.nan)
-        fails = 0
-        for j, q in enumerate(p2s):
+    One call with the two (n1, n2) coordinate arrays; if it raises or
+    returns another shape, one call per point with floats, where a cell
+    that raises is NaN and listed, row-major, in the returned ``missing``.
+    """
+    p1, p2 = np.meshgrid(axis1, axis2, indexing="ij")
+    try:
+        va, vb = sampler(p1, p2)
+        va = np.asarray(va, dtype=complex)
+        vb = np.asarray(vb, dtype=complex)
+        if va.shape == vb.shape == p1.shape:
+            return va, vb, []
+    except Exception:
+        pass
+    va = np.full(p1.shape, np.nan, dtype=complex)
+    vb = np.full(p1.shape, np.nan, dtype=complex)
+    missing: list[tuple[int, int]] = []
+    for i, x in enumerate(axis1.tolist()):
+        for j, y in enumerate(axis2.tolist()):
             try:
-                la, lb = sampler(float(p1s[i]), float(q))
-                row[j] = abs(la - lb)
+                va[i, j], vb[i, j] = sampler(x, y)
             except Exception:
-                fails += 1
-        return row, fails
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, (row, fails) in enumerate(pool.map(eval_row, range(p1s.size))):
-                gaps[i] = row
-                failures += fails
-    else:
-        for i in range(p1s.size):
-            gaps[i], fails = eval_row(i)
-            failures += fails
-    return gaps, failures
+                va[i, j] = vb[i, j] = np.nan
+                missing.append((i, j))
+    return va, vb, missing
 
 
 def _local_minima(gaps: np.ndarray) -> list[tuple[int, int]]:
+    """Finite cells with no finite 8-neighbour below them, row-major."""
+    finite = np.isfinite(gaps)
+    padded = np.pad(np.where(finite, gaps, np.nan), 1, constant_values=np.nan)
     n1, n2 = gaps.shape
-    out = []
-    for i in range(n1):
-        for j in range(n2):
-            v = gaps[i, j]
-            if not np.isfinite(v):
-                continue
-            ok = True
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    if di == 0 and dj == 0:
-                        continue
-                    a, b = i + di, j + dj
-                    if 0 <= a < n1 and 0 <= b < n2 and np.isfinite(gaps[a, b]):
-                        if gaps[a, b] < v:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
-                out.append((i, j))
-    return out
+    lower = np.zeros(gaps.shape, dtype=bool)
+    for di in (0, 1, 2):
+        for dj in (0, 1, 2):
+            if (di, dj) != (1, 1):
+                lower |= padded[di:di + n1, dj:dj + n2] < gaps
+    return list(map(tuple, np.argwhere(finite & ~lower).tolist()))
 
 
 def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
                    window: tuple[tuple[float, float], tuple[float, float]],
                    coarse_n: int = 48, *,
                    refine_tol: float | None = None,
-                   reject_rel: float = 1e-3,
-                   threads: int = 1) -> GridSearchResult:
+                   reject_rel: float = 1e-3) -> GridSearchResult:
     """Locate EPs of a generic eigenvalue-pair sampler in a rectangle.
 
     Coarse-scans the gap on a ``coarse_n`` x ``coarse_n`` grid, refines
@@ -205,7 +194,8 @@ def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
 
     p1s = np.linspace(p1lo, p1hi, coarse_n)
     p2s = np.linspace(p2lo, p2hi, coarse_n)
-    gaps, failures = _coarse_grid(sampler, p1s, p2s, threads)
+    va, vb, missing = sample_grid(sampler, p1s, p2s)
+    gaps, failures = abs_diff(va, vb), len(missing)
     finite = gaps[np.isfinite(gaps)]
     if finite.size == 0:
         raise RuntimeError("sampler failed on the entire coarse grid")

@@ -144,10 +144,6 @@ def ingest_csv(path, metadata: dict | None = None) -> TrajectoryDataset:
     )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_trajectory_csv(path, traj: ScanTrajectory) -> None:
     """Write a matched trajectory so it round-trips through ingest_csv."""
     columns = (traj.ts, traj.branch_a.real, traj.branch_a.imag,
@@ -160,32 +156,27 @@ def write_trajectory_csv(path, traj: ScanTrajectory) -> None:
 
 def write_sheetgrid_csv(path, grid: SheetGrid) -> None:
     """Long-format grid export: p1, p2, re1, im1, re2, im2, is_cut_edge."""
-    flagged = set()
-    for u, v in grid.cut_cells.all_edges():
-        flagged.add(u)
-        flagged.add(v)
-    path = Path(path)
-    with path.open("w", newline="\n", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["p1", "p2", "re1", "im1", "re2", "im2", "is_cut_edge"])
-        for i, p1 in enumerate(grid.axis1):
-            for j, p2 in enumerate(grid.axis2):
-                s1, s2 = grid.sheet1[i, j], grid.sheet2[i, j]
-                writer.writerow([
-                    _fmt(p1), _fmt(p2),
-                    _fmt(s1.real), _fmt(s1.imag),
-                    _fmt(s2.real), _fmt(s2.imag),
-                    int((i, j) in flagged),
-                ])
+    flagged = np.zeros(grid.sheet1.shape, dtype=int)
+    nodes = np.array(grid.cut_cells.all_edges(), dtype=int).reshape(-1, 2)
+    flagged[nodes[:, 0], nodes[:, 1]] = 1
+    # each axis value is formatted once; repr is most of the cost
+    p1 = [f"{x!r}," for x in grid.axis1.tolist()]
+    p2 = [f"{y!r}," for y in grid.axis2.tolist()]
+    columns = (grid.sheet1.real, grid.sheet1.imag,
+               grid.sheet2.real, grid.sheet2.imag, flagged)
+    rows = map("{}{!r},{!r},{!r},{!r},{}\n".format,
+               (a + b for a in p1 for b in p2),
+               *(np.ravel(c).tolist() for c in columns))
+    with Path(path).open("w", newline="\n", encoding="utf-8") as handle:
+        handle.write("p1,p2,re1,im1,re2,im2,is_cut_edge\n")
+        handle.writelines(rows)
 
 
 def write_sphere_csv(path, points: Sequence[SpherePoint]) -> None:
-    path = Path(path)
-    with path.open("w", newline="\n", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["tn", "tchi", "txi"])
-        for s in points:
-            writer.writerow([_fmt(s.tn), _fmt(s.tchi), _fmt(s.txi)])
+    with Path(path).open("w", newline="\n", encoding="utf-8") as handle:
+        handle.write("tn,tchi,txi\n")
+        handle.writelines(f"{float(s.tn)!r},{float(s.tchi)!r},{float(s.txi)!r}\n"
+                          for s in points)
 
 
 def _jsonable(obj):
@@ -194,17 +185,19 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
     return obj
 
 
 def write_json(path, payload: dict) -> None:
+    """Strict JSON with sorted keys; NaN and infinities are written as null."""
     path = Path(path)
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
+    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True,
+                      allow_nan=False)
     path.write_text(text + "\n", encoding="utf-8")

@@ -105,12 +105,3 @@ def plane_to_sphere_arrays(n, chi):
     r2 = n * n + chi * chi
     zeta = r2 + 1.0
     return 2.0 * n / zeta, 2.0 * chi / zeta, (r2 - 1.0) / zeta
-
-
-def sphere_to_plane_arrays(tn, tchi, txi):
-    """Vectorized projection; callers must keep txi away from 1."""
-    tn = np.asarray(tn, dtype=float)
-    tchi = np.asarray(tchi, dtype=float)
-    txi = np.asarray(txi, dtype=float)
-    denom = 1.0 - txi
-    return tn / denom, tchi / denom

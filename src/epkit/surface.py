@@ -1,11 +1,11 @@
 """Riemann-surface atlases over a 2-D parameter plane, and loop monodromy.
 
-Sheets are matched by row-major continuation: the first grid row left to
-right, then every cell to the one in the previous row. The continuation
-is deterministic and linear-time; the *position* of the resulting cuts is
-path dependent, exactly as a branch cut should be, so tests downstream
-assert topology (component counts, endpoints at the EPs, monodromy), not
-exact geometry.
+Sheets are matched by row-major continuation: each cell continues from
+its left neighbour, or from the one in the previous row where that is
+missing (first column, failed cell). The continuation is deterministic
+and linear-time; the *position* of the resulting cuts is path dependent,
+exactly as a branch cut should be, so tests downstream assert topology
+(component counts, endpoints at the EPs, monodromy), not exact geometry.
 
 Cut extraction distinguishes:
 
@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import principal_sqrt
-from .epfind import EPLocation
+from .core import abs_diff, principal_sqrt, principal_sqrt_grid
+from .crossing import pairing, parity_runs
+from .epfind import EPLocation, sample_grid
 
 Node = tuple[int, int]
 Edge = tuple[Node, Node]
@@ -121,85 +121,56 @@ def connected_components(edges: Sequence[Edge]) -> list[set[Node]]:
     return sorted(groups.values(), key=lambda s: sorted(s)[0])
 
 
-def _sample_grid(sampler, axis1, axis2, threads):
-    n1, n2 = axis1.size, axis2.size
-    va = np.full((n1, n2), np.nan, dtype=complex)
-    vb = np.full((n1, n2), np.nan, dtype=complex)
-    missing: list[Node] = []
-
-    def eval_row(i):
-        row = []
-        for j in range(n2):
-            try:
-                row.append(sampler(float(axis1[i]), float(axis2[j])))
-            except Exception:
-                row.append(None)
-        return row
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(eval_row, range(n1)))
-    else:
-        rows = [eval_row(i) for i in range(n1)]
-
-    for i in range(n1):
-        for j in range(n2):
-            got = rows[i][j]
-            if got is None:
-                missing.append((i, j))
-            else:
-                va[i, j], vb[i, j] = got
-    return va, vb, missing
-
-
 def _match_grid(va, vb, ok):
-    """Row-major continuation; returns matched (a, b) fields."""
-    n1, n2 = va.shape
-    a = va.copy()
-    b = vb.copy()
-    for j in range(n2):
-        for i in range(n1):
-            if not ok[i, j]:
-                continue
-            if j > 0 and ok[i, j - 1]:
-                ref_a, ref_b = a[i, j - 1], b[i, j - 1]
-            elif i > 0 and ok[i - 1, j]:
-                ref_a, ref_b = a[i - 1, j], b[i - 1, j]
-            else:
-                continue  # seed cell keeps sampler order
-            keep = abs(va[i, j] - ref_a) + abs(vb[i, j] - ref_b)
-            swap = abs(vb[i, j] - ref_a) + abs(va[i, j] - ref_b)
-            if swap < keep:
-                a[i, j], b[i, j] = vb[i, j], va[i, j]
-    return a, b
+    """Row-major continuation; returns matched (a, b) fields.
+
+    An ok cell continues from its left neighbour if that is ok, else from
+    the one above, else it is a seed and keeps the sampler order. Each row
+    is a segmented parity (:func:`~epkit.crossing.parity_runs`); only runs
+    that start from the cell above depend on the previous row.
+    """
+    left = np.zeros_like(ok)
+    left[:, 1:] = ok[:, 1:] & ok[:, :-1]
+    flip = np.zeros_like(ok)
+    restart = ~left
+    flip[:, 1:], _, tie = pairing(va[:, :-1], vb[:, :-1], va[:, 1:], vb[:, 1:], 0.0)
+    restart[:, 1:] |= tie
+    start, odd = parity_runs(flip, restart)
+
+    from_above = np.zeros_like(ok)
+    from_above[1:] = ok[1:] & ok[:-1] & ~left[1:]
+    i, j = np.nonzero(from_above)
+    up_flip = np.zeros_like(ok)
+    up_flip[i, j], _, tie = pairing(va[i - 1, j], vb[i - 1, j], va[i, j],
+                                    vb[i, j], 0.0)
+    from_above[i[tie], j[tie]] = False  # a tie keeps the sampler order
+
+    swapped = odd.copy()
+    for r in np.flatnonzero(from_above.any(axis=1)).tolist():
+        base = from_above[r] & (swapped[r - 1] ^ up_flip[r])
+        swapped[r] = base[start[r]] ^ odd[r]
+    return np.where(swapped, vb, va), np.where(swapped, va, vb)
 
 
-def _grid_edges(n1, n2):
-    for i in range(n1):
-        for j in range(n2):
-            if i + 1 < n1:
-                yield (i, j), (i + 1, j)
-            if j + 1 < n2:
-                yield (i, j), (i, j + 1)
+def _edges_where(ok, rule) -> list[Edge]:
+    """Edges between two ok nodes where ``rule(u, v)`` holds, in the order
+    of rows, then columns, then the axis-1 edge of a node before its axis-2
+    edge. ``rule`` gets the node slices of all edges along one axis."""
+    flags = np.zeros(ok.shape + (2,), dtype=bool)
+    for k, (u, v) in enumerate(((np.s_[:-1, :], np.s_[1:, :]),
+                                (np.s_[:, :-1], np.s_[:, 1:]))):
+        flags[u + (k,)] = ok[u] & ok[v] & rule(u, v)
+    return [((i, j), (i + 1, j)) if k == 0 else ((i, j), (i, j + 1))
+            for i, j, k in np.argwhere(flags).tolist()]
 
 
 def _matched_cut_edges(e, ok, theta):
-    n1, n2 = e.shape
-    jumps = {0: [], 1: []}  # orientation: 0 along axis1, 1 along axis2
-    per_edge = []
-    for u, v in _grid_edges(n1, n2):
-        if not (ok[u] and ok[v]):
-            continue
-        orient = 0 if u[0] != v[0] else 1
-        jump = abs(e[u] - e[v])
-        jumps[orient].append(jump)
-        per_edge.append((u, v, orient, jump))
-    med = {k: (float(np.median(js)) if js else 0.0) for k, js in jumps.items()}
-    out = []
-    for u, v, orient, jump in per_edge:
-        if med[orient] > 0 and jump > theta * med[orient]:
-            out.append((u, v))
-    return out
+    def jumps(u, v):
+        jump = abs_diff(e[u], e[v])
+        both = ok[u] & ok[v]
+        med = float(np.median(jump[both])) if both.any() else 0.0
+        return (jump > theta * med) & (med > 0)
+    return _edges_where(ok, jumps)
 
 
 def _component_seam_edges(d, ok, contact_rel, crossing_rel):
@@ -215,28 +186,25 @@ def _component_seam_edges(d, ok, contact_rel, crossing_rel):
         return []
     tau = contact_rel * scale
     veto = crossing_rel * scale
-    out = []
-    for u, v in _grid_edges(*d.shape):
-        if not (ok[u] and ok[v]):
-            continue
-        lo = min(abs(d[u]), abs(d[v]))
-        if lo <= tau:
-            out.append((u, v))
-        elif d[u] * d[v] < 0 and lo <= veto:
-            out.append((u, v))
-    return out
+
+    def seam(u, v):
+        lo = np.minimum(np.abs(d[u]), np.abs(d[v]))
+        return (lo <= tau) | ((d[u] * d[v] < 0) & (lo <= veto))
+    return _edges_where(ok, seam)
 
 
 def build_surface(sampler: Callable[[float, float], tuple[complex, complex]],
                   window: tuple[tuple[float, float], tuple[float, float]],
                   n1: int, n2: int, delta_mode: str = DELTA, *,
                   theta: float = 10.0, contact_rel: float = 1e-3,
-                  crossing_rel: float = 0.05, threads: int = 1,
+                  crossing_rel: float = 0.05,
                   max_missing_frac: float = 0.01) -> SheetGrid:
     """Sample, match, and cut-extract the two eigenvalue sheets.
 
-    Sampler failures mark cells missing (skipped by matching and cut
-    extraction); more than ``max_missing_frac`` missing cells aborts.
+    The sampler is called once on the whole grid (see
+    :func:`~epkit.epfind.sample_grid`). Sampler failures mark cells missing
+    (skipped by matching and cut extraction); more than
+    ``max_missing_frac`` missing cells aborts.
     """
     if n1 < 16 or n2 < 16:
         raise ValueError("grid must be at least 16 x 16")
@@ -246,7 +214,7 @@ def build_surface(sampler: Callable[[float, float], tuple[complex, complex]],
     axis1 = np.linspace(p1lo, p1hi, n1)
     axis2 = np.linspace(p2lo, p2hi, n2)
 
-    va, vb, missing = _sample_grid(sampler, axis1, axis2, threads)
+    va, vb, missing = sample_grid(sampler, axis1, axis2)
     if len(missing) > max_missing_frac * n1 * n2:
         raise RuntimeError(
             f"{len(missing)} of {n1 * n2} cells failed to sample"
@@ -443,7 +411,10 @@ class AnalyticOracle:
         return [self.z0]
 
     def sampler(self) -> Callable[[float, float], tuple[complex, complex]]:
+        """Sampler of the oracle pair; two equal-shape arrays give two arrays."""
         def sample(p1: float, p2: float) -> tuple[complex, complex]:
+            if isinstance(p1, np.ndarray):
+                return _oracle_grid(self, p1, p2)
             return oracle_eval(self, complex(p1, p2))
         return sample
 
@@ -464,3 +435,25 @@ def oracle_eval(o: AnalyticOracle, z: complex) -> tuple[complex, complex]:
     root = cmath.exp(cmath.log(w) / o.order)
     turn = cmath.exp(2j * cmath.pi / o.order)
     return root, root * turn
+
+
+def _complex(re, im):
+    return np.stack((re, im), axis=-1).view(complex)[..., 0]
+
+
+def _oracle_grid(o: AnalyticOracle, p1: np.ndarray, p2: np.ndarray):
+    """:func:`oracle_eval` at every p1 + i p2; bitwise equal for the
+    two-point kind, whose product is formed in real arithmetic as Python's
+    complex multiply does. numpy's complex log and exp round differently
+    from :mod:`cmath`, so single-point roots may differ in the last bit."""
+    if o.kind == "two-point":
+        ar, ai = p1 - o.z1.real, p2 - o.z1.imag
+        br, bi = p1 - o.z2.real, p2 - o.z2.imag
+        s = principal_sqrt_grid(_complex(ar * br - ai * bi, ar * bi + ai * br))
+        return s, -s
+    w = _complex(p1 - o.z0.real, p2 - o.z0.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.exp(np.log(w) / o.order)
+    at_z0 = w == 0
+    return (np.where(at_z0, 0j, root),
+            np.where(at_z0, 0j, root * cmath.exp(2j * cmath.pi / o.order)))

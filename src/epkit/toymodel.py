@@ -36,8 +36,11 @@ class ToyParams:
     lambda_mode: str = FULL_COMPLEX
 
     def __post_init__(self):
-        for name in ("g_c", "gamma1", "gamma2"):
+        for name in ("g_c", "beta", "gamma1", "gamma2"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if not self.g_c > 0:
@@ -88,18 +91,17 @@ def scan_entries(alphas, p: ToyParams, *, beta: float | None = None):
     return xi1, xi2, g
 
 
-def eigvalues_scan(alphas: np.ndarray, p: ToyParams) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized eigenvalue pair along an alpha scan (unmatched +/- labels)."""
-    return eigvalues_grid(*scan_entries(alphas, p))
-
-
 def eigenpair_sampler(p: ToyParams) -> Callable[[float, float], tuple[complex, complex]]:
     """Sampler over the (alpha, beta) plane for grids and loops.
 
-    beta is a free scan coordinate here (p.beta is ignored).
+    beta is a free scan coordinate here (p.beta is ignored). Called with two
+    equal-shape arrays it returns the two eigenvalue arrays in one pass,
+    bitwise equal to the point-by-point values.
     """
 
     def sample(alpha: float, beta: float) -> tuple[complex, complex]:
+        if isinstance(alpha, np.ndarray):
+            return eigvalues_grid(*scan_entries(alpha, p, beta=beta))
         lp, lm = eigvalues_grid(*scan_entries([alpha], p, beta=beta))
         return complex(lp[0]), complex(lm[0])
 

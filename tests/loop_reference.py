@@ -1,4 +1,4 @@
-"""Per-point loop implementations of the 1-D scan path, kept as references.
+"""Per-point loop implementations of the scan and grid paths, kept as references.
 
 The library computes these quantities with array operations; the tests in
 test_reference_oracles.py check it against the straightforward loops here.
@@ -143,3 +143,114 @@ def component_analysis(ts: np.ndarray, d: np.ndarray, gap_floor: float) -> dict:
         "avoided": (not sign_change) and (not contact),
         "bifurcated": contact and ends_coincide and absd.max() > gap_floor,
     }
+
+
+# ---- 2-D grids: sampling, row-major matching, cut edges, gap minima ----------
+
+def sample_grid(sampler, axis1, axis2):
+    """Point-by-point sampling; returns (va, vb, missing)."""
+    n1, n2 = axis1.size, axis2.size
+    va = np.full((n1, n2), np.nan, dtype=complex)
+    vb = np.full((n1, n2), np.nan, dtype=complex)
+    missing = []
+    for i in range(n1):
+        for j in range(n2):
+            try:
+                va[i, j], vb[i, j] = sampler(float(axis1[i]), float(axis2[j]))
+            except Exception:
+                va[i, j] = vb[i, j] = np.nan
+                missing.append((i, j))
+    return va, vb, missing
+
+
+def match_grid(va, vb, ok):
+    """Row-major continuation; returns matched (a, b) fields."""
+    n1, n2 = va.shape
+    a = va.copy()
+    b = vb.copy()
+    for j in range(n2):
+        for i in range(n1):
+            if not ok[i, j]:
+                continue
+            if j > 0 and ok[i, j - 1]:
+                ref_a, ref_b = a[i, j - 1], b[i, j - 1]
+            elif i > 0 and ok[i - 1, j]:
+                ref_a, ref_b = a[i - 1, j], b[i - 1, j]
+            else:
+                continue  # seed cell keeps sampler order
+            keep = abs(va[i, j] - ref_a) + abs(vb[i, j] - ref_b)
+            swap = abs(vb[i, j] - ref_a) + abs(va[i, j] - ref_b)
+            if swap < keep:
+                a[i, j], b[i, j] = vb[i, j], va[i, j]
+    return a, b
+
+
+def grid_edges(n1, n2):
+    for i in range(n1):
+        for j in range(n2):
+            if i + 1 < n1:
+                yield (i, j), (i + 1, j)
+            if j + 1 < n2:
+                yield (i, j), (i, j + 1)
+
+
+def matched_cut_edges(e, ok, theta):
+    n1, n2 = e.shape
+    jumps = {0: [], 1: []}  # orientation: 0 along axis1, 1 along axis2
+    per_edge = []
+    for u, v in grid_edges(n1, n2):
+        if not (ok[u] and ok[v]):
+            continue
+        orient = 0 if u[0] != v[0] else 1
+        jump = abs(e[u] - e[v])
+        jumps[orient].append(jump)
+        per_edge.append((u, v, orient, jump))
+    med = {k: (float(np.median(js)) if js else 0.0) for k, js in jumps.items()}
+    out = []
+    for u, v, orient, jump in per_edge:
+        if med[orient] > 0 and jump > theta * med[orient]:
+            out.append((u, v))
+    return out
+
+
+def component_seam_edges(d, ok, contact_rel, crossing_rel):
+    scale = float(np.max(np.abs(d[ok]))) if ok.any() else 0.0
+    if scale <= 0.0:
+        return []
+    tau = contact_rel * scale
+    veto = crossing_rel * scale
+    out = []
+    for u, v in grid_edges(*d.shape):
+        if not (ok[u] and ok[v]):
+            continue
+        lo = min(abs(d[u]), abs(d[v]))
+        if lo <= tau:
+            out.append((u, v))
+        elif d[u] * d[v] < 0 and lo <= veto:
+            out.append((u, v))
+    return out
+
+
+def local_minima(gaps):
+    n1, n2 = gaps.shape
+    out = []
+    for i in range(n1):
+        for j in range(n2):
+            v = gaps[i, j]
+            if not np.isfinite(v):
+                continue
+            ok = True
+            for di in (-1, 0, 1):
+                for dj in (-1, 0, 1):
+                    if di == 0 and dj == 0:
+                        continue
+                    a, b = i + di, j + dj
+                    if 0 <= a < n1 and 0 <= b < n2 and np.isfinite(gaps[a, b]):
+                        if gaps[a, b] < v:
+                            ok = False
+                            break
+                if not ok:
+                    break
+            if ok:
+                out.append((i, j))
+    return out

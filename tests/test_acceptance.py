@@ -17,7 +17,7 @@ from epkit.epfind import toy_ep_roots
 from epkit.sphere import PlanePoint, plane_to_sphere_arrays, to_plane, to_sphere
 from epkit.surface import (AnalyticOracle, CircleLoop, PolylineLoop,
                            build_surface, connected_components, encircle)
-from epkit.toymodel import ToyParams, eigenpair_sampler, eigvalues_scan
+from epkit.toymodel import ToyParams, eigenpair_sampler, scan_entries
 
 DOUBLE_EP = ToyParams(g_c=0.05, beta=1.0, gamma1=1.05, gamma2=1.05)
 
@@ -160,14 +160,14 @@ def test_criterion_6_width_bifurcation_structure():
         ep1, ep2 = roots[0].p1, roots[1].p1
 
         inside = np.linspace(ep1 + 1e-5, ep2 - 1e-5, 1000)
-        lp, lm = eigvalues_scan(inside, DOUBLE_EP)
+        lp, lm = eigvalues_grid(*scan_entries(inside, DOUBLE_EP))
         assert np.max(np.abs(lp.real - lm.real)) < 1e-10
 
         outside = np.concatenate([
             np.linspace(0.30, ep1 - 1e-5, 500),
             np.linspace(ep2 + 1e-5, 0.80, 500),
         ])
-        lp, lm = eigvalues_scan(outside, DOUBLE_EP)
+        lp, lm = eigvalues_grid(*scan_entries(outside, DOUBLE_EP))
         assert np.max(np.abs(lp.imag - lm.imag)) < 1e-10
 
         traj = sweep_toy(DOUBLE_EP, np.linspace(0.3, 0.8, 2001))

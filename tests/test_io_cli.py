@@ -252,15 +252,75 @@ class TestCli:
         payload = json.loads((tmp_path / "beta_scan.json").read_text())
         cfg = payload["config"]
         for key in ("params", "beta_window", "alpha_range", "points",
-                    "tolerance", "threads", "out", "command"):
+                    "tolerance", "out", "command"):
             assert key in cfg
         assert cfg["tolerance"] == 5e-3
 
-    def test_threads_flag_does_not_change_surface(self, tmp_path):
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        assert run_cli("surface", "--grid", "32x16", "--out", str(out1)) == 0
-        assert run_cli("surface", "--grid", "32x16", "--threads", "4",
-                       "--out", str(out2)) == 0
-        b1 = (out1 / "surface.csv").read_bytes()
-        b2 = (out2 / "surface.csv").read_bytes()
-        assert b1 == b2
+    def test_partial_params_config_merges_over_defaults(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {"g_c": 0.05}}))
+        assert run_cli("toy-sweep", "--config", str(cfg), "--points", "201",
+                       "--out", str(tmp_path)) == 0
+        params = json.loads((tmp_path / "toy_sweep_report.json").read_text())[
+            "config"]["params"]
+        assert params == {"g_c": 0.05, "beta": 0.76, "gamma1": 1.05,
+                          "gamma2": 1.07}
+
+    def test_non_number_param_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {"g_c": "0.05"}}))
+        assert run_cli("toy-sweep", "--config", str(cfg),
+                       "--out", str(tmp_path)) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValueError"
+        assert "g_c must be a real number" in err["message"]
+
+    def test_find_eps_rejects_non_square_grid(self, tmp_path, capsys):
+        assert run_cli("find-eps", "--window", "0.3", "0.8", "0.9", "1.0",
+                       "--grid", "8x400", "--out", str(tmp_path)) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValueError" and "8x400" in err["message"]
+        assert not (tmp_path / "find_eps.json").exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestStrictJson:
+    """Every command's JSON artifact parses without NaN/Infinity tokens."""
+
+    def run(self, tmp_path, *argv):
+        out = tmp_path / argv[0]
+        assert run_cli(*argv, "--out", str(out)) == 0
+        (artifact,) = out.glob("*.json")
+        return json.loads(artifact.read_text(), parse_constant=_reject_constant)
+
+    def test_all_commands(self, tmp_path):
+        sweep = tmp_path / "sweep"
+        assert run_cli("toy-sweep", "--points", "201", "--out", str(sweep)) == 0
+        runs = [
+            ("find-eps",),
+            ("encircle", "--steps", "64"),
+            ("beta-scan", "--points", "201", "--tolerance", "1e-2"),
+            ("ingest-classify", "--input", str(sweep / "toy_sweep.csv")),
+            ("oracle", "--grid", "32x16"),
+            ("surface", "--grid", "32x16"),
+            ("project", "--point", "2.9036", "0.5372", "--point", "inf", "inf"),
+        ]
+        for argv in runs:
+            payload = self.run(tmp_path, *argv)
+            assert payload["config"]["command"] == argv[0]
+        assert payload["config"]["points"] == [[2.9036, 0.5372], [None, None]]
+        json.loads((sweep / "toy_sweep_report.json").read_text(),
+                   parse_constant=_reject_constant)
+
+    def test_surface_with_missing_cells(self, tmp_path):
+        # alpha < 0 fails to sample, so the first row of nodes is missing
+        manifest = self.run(tmp_path, "surface", "--window", "-0.001", "0.8",
+                            "0.9", "1.0", "--grid", "128x16")
+        assert manifest["missing"] == [[0, j] for j in range(16)]
+        assert sorted(manifest) == ["axis1", "axis2", "config", "cut_edges",
+                                    "delta_mode", "missing"]
+        rows = (tmp_path / "surface" / "surface.csv").read_text().splitlines()
+        assert rows[1].split(",")[2:6] == ["nan"] * 4

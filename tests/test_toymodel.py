@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from epkit.core import diagonalize
+from epkit.core import diagonalize, eigvalues_grid
 from epkit.toymodel import (FULL_COMPLEX, REAL_PART, ToyParams,
                             build_hamiltonian, coupling, eigenpair_sampler,
-                            eigvalues_scan, preset, xi)
+                            preset, scan_entries, xi)
 
 # real-part crossing of the two level trajectories: 1 - a/2 = sqrt(a)
 ALPHA_CROSS = 0.5358983848622454  # (sqrt(3) - 1)^2
@@ -31,6 +31,13 @@ class TestParams:
     def test_nonfinite_field_named(self, field, value):
         fields = {"g_c": 0.05, "beta": 0.5, "gamma1": 1.0, "gamma2": 1.0}
         with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ToyParams(**{**fields, field: value})
+
+    @pytest.mark.parametrize("field", ["g_c", "beta", "gamma1", "gamma2"])
+    @pytest.mark.parametrize("value", ["0.05", None, True, [1.0]])
+    def test_non_number_field_named(self, field, value):
+        fields = {"g_c": 0.05, "beta": 0.5, "gamma1": 1.0, "gamma2": 1.0}
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
             ToyParams(**{**fields, field: value})
 
     def test_presets_match_reference_table(self):
@@ -135,19 +142,19 @@ class TestBuildHamiltonian:
 class TestScanStructure:
     def test_real_parts_locked_between_eps(self):
         alphas = np.linspace(EP1_ALPHA + 1e-6, EP2_ALPHA - 1e-6, 500)
-        lp, lm = eigvalues_scan(alphas, DOUBLE_EP)
+        lp, lm = eigvalues_grid(*scan_entries(alphas, DOUBLE_EP))
         assert np.max(np.abs(lp.real - lm.real)) < 1e-10
 
     def test_widths_locked_outside_eps(self):
         left = np.linspace(0.30, EP1_ALPHA - 1e-6, 250)
         right = np.linspace(EP2_ALPHA + 1e-6, 0.80, 250)
         for alphas in (left, right):
-            lp, lm = eigvalues_scan(alphas, DOUBLE_EP)
+            lp, lm = eigvalues_grid(*scan_entries(alphas, DOUBLE_EP))
             assert np.max(np.abs(lp.imag - lm.imag)) < 1e-10
 
     def test_width_split_peaks_near_midpoint(self):
         alphas = np.linspace(EP1_ALPHA, EP2_ALPHA, 2001)
-        lp, lm = eigvalues_scan(alphas, DOUBLE_EP)
+        lp, lm = eigvalues_grid(*scan_entries(alphas, DOUBLE_EP))
         split = np.abs(lp.imag - lm.imag)
         midpoint = 0.5 * (EP1_ALPHA + EP2_ALPHA)
         assert abs(alphas[np.argmax(split)] - midpoint) < 0.01
@@ -162,7 +169,7 @@ class TestScanStructure:
 
     def test_sampler_matches_scan_and_allows_beta_above_one(self):
         samp = eigenpair_sampler(DOUBLE_EP)
-        lp, lm = eigvalues_scan(np.array([0.5]), DOUBLE_EP)
+        lp, lm = eigvalues_grid(*scan_entries(np.array([0.5]), DOUBLE_EP))
         got = samp(0.5, 1.0)
         assert got[0] == complex(lp[0]) and got[1] == complex(lm[0])
         la, lb = samp(0.5, 1.05)  # loops around boundary EPs need this
