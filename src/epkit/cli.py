@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import io as io_mod
-from .crossing import ClassReport, beta_transition, classify, overlap_peaks, sweep_toy
+from .crossing import beta_transition, classify, overlap_peaks, sweep_toy
 from .epfind import grid_ep_search, toy_ep_roots
 from .sphere import PlanePoint, lift_cut
 from .surface import (AnalyticOracle, CircleLoop, PolylineLoop, build_surface,
@@ -82,18 +83,16 @@ _DEFAULTS = {
 }
 
 
-def _add_common(sub):
+def _add_common(sub, grid=False):
     sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--preset", choices=sorted(PRESETS),
-                     help="named toy-model parameter set")
     sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--tolerance", type=float, default=None,
-                     help="command tolerance (EP residual, beta_c step, ...)")
-    sub.add_argument("--grid", default=None, metavar="N1xN2",
-                     help="grid resolution, e.g. 256x64")
+    if grid:
+        sub.add_argument("--grid", metavar="N1xN2", help="grid resolution, e.g. 256x64")
 
 
 def _add_params(sub):
+    sub.add_argument("--preset", choices=sorted(PRESETS),
+                     help="named toy-model parameter set")
     sub.add_argument("--g-c", type=float, default=None, dest="g_c")
     sub.add_argument("--beta", type=float, default=None)
     sub.add_argument("--gamma1", type=float, default=None)
@@ -116,15 +115,17 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--points", type=int, default=None)
 
     find = subs.add_parser("find-eps", help="EP roots of the toy splitting")
-    _add_common(find)
+    _add_common(find, grid=True)
     _add_params(find)
+    find.add_argument("--tolerance", type=float, default=None,
+                      help="EP residual bound of the scan-roots search")
     find.add_argument("--alpha-bracket", type=float, nargs=2, default=None)
     find.add_argument("--window", type=float, nargs=4, default=None,
                       metavar=("P1LO", "P1HI", "P2LO", "P2HI"),
                       help="run the generic 2-D grid search over (alpha, beta)")
 
     surf = subs.add_parser("surface", help="sheet grid with branch cuts")
-    _add_common(surf)
+    _add_common(surf, grid=True)
     _add_params(surf)
     surf.add_argument("--window", type=float, nargs=4, default=None,
                       metavar=("P1LO", "P1HI", "P2LO", "P2HI"))
@@ -143,6 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     bscan = subs.add_parser("beta-scan", help="LZ-to-WB transition coefficient")
     _add_common(bscan)
     _add_params(bscan)
+    bscan.add_argument("--tolerance", type=float, default=None,
+                       help="beta_c bisection step")
     bscan.add_argument("--beta-window", type=float, nargs=2, default=None)
     bscan.add_argument("--alpha-range", type=float, nargs=2, default=None)
     bscan.add_argument("--points", type=int, default=None)
@@ -161,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     ing.add_argument("--meta", action="append", default=None, metavar="KEY=VALUE")
 
     orc = subs.add_parser("oracle", help="analytic-oracle surface or loop")
-    _add_common(orc)
+    _add_common(orc, grid=True)
     orc.add_argument("--kind", default=None,
                      choices=["two-point", "single-point"])
     orc.add_argument("--z1", type=float, nargs=2, default=None, metavar=("RE", "IM"))
@@ -198,14 +201,14 @@ def _resolve(args) -> dict:
                 cfg["params"][key] = val
     for key in ("alpha_range", "points", "alpha_bracket", "window",
                 "delta_mode", "steps", "beta_window", "kind", "z1", "z2",
-                "z0", "order", "mode", "input", "modes"):
+                "z0", "order", "mode", "input", "modes", "tolerance", "grid"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if args.tolerance is not None:
-        cfg["tolerance"] = args.tolerance
-    if args.grid is not None:
-        cfg["grid"] = args.grid
+    if (args.command == "find-eps" and cfg.get("window")
+            and args.tolerance is not None):
+        raise ValueError("find-eps: --tolerance bounds the scan-roots residual "
+                         "and does not apply to the --window grid search")
     if getattr(args, "circle", None) is not None:
         cfg["loop"] = {"kind": "circle", "center": list(args.circle[:2]),
                        "radius": args.circle[2]}
@@ -246,23 +249,6 @@ def _loop_from(cfg_loop):
     raise ValueError(f"unknown loop kind {cfg_loop['kind']!r}")
 
 
-def _report_payload(report: ClassReport) -> dict:
-    return {
-        "label": report.label,
-        "re_min_gap": report.re_min_gap,
-        "im_min_gap": report.im_min_gap,
-        "re_cross_points": report.re_cross_points,
-        "im_cross_points": report.im_cross_points,
-        "bifurcation_edges": list(report.bifurcation_edges)
-        if report.bifurcation_edges else None,
-    }
-
-
-def _ep_payload(eps) -> list[dict]:
-    return [{"p1": e.p1, "p2": e.p2, "residual": e.residual, "order": e.order}
-            for e in eps]
-
-
 def _outdir(cfg) -> Path:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -278,7 +264,7 @@ def _cmd_toy_sweep(cfg) -> None:
     out = _outdir(cfg)
     io_mod.write_trajectory_csv(out / "toy_sweep.csv", traj)
     io_mod.write_json(out / "toy_sweep_report.json", {
-        "report": _report_payload(report),
+        "report": asdict(report),
         "overlap_peaks": overlap_peaks(traj),
         "config": cfg,
     })
@@ -295,7 +281,7 @@ def _cmd_find_eps(cfg) -> None:
         result = grid_ep_search(eigenpair_sampler(p), ((a0, a1), (b0, b1)),
                                 coarse_n)
         payload = {
-            "eps": _ep_payload(result.locations),
+            "eps": [asdict(e) for e in result.locations],
             "method": "grid-search",
             "sampler_failures": result.sampler_failures,
             "config": cfg,
@@ -303,7 +289,7 @@ def _cmd_find_eps(cfg) -> None:
     else:
         roots = toy_ep_roots(p, tuple(cfg["alpha_bracket"]),
                              residual_tol=cfg["tolerance"])
-        payload = {"eps": _ep_payload(roots), "method": "scan-roots",
+        payload = {"eps": [asdict(e) for e in roots], "method": "scan-roots",
                    "config": cfg}
     io_mod.write_json(_outdir(cfg) / "find_eps.json", payload)
 
@@ -343,13 +329,8 @@ def _cmd_encircle(cfg) -> None:
         known = toy_ep_roots(p, (0.01, 4.0))
     result = encircle(eigenpair_sampler(p), loop, int(cfg["steps"]),
                       known_eps=known)
-    io_mod.write_json(_outdir(cfg) / "encircle.json", {
-        "permutation": result.permutation,
-        "n_steps": result.n_steps,
-        "max_step_jump": result.max_step_jump,
-        "enclosed_eps": _ep_payload(result.enclosed_eps),
-        "config": cfg,
-    })
+    io_mod.write_json(_outdir(cfg) / "encircle.json",
+                      {**asdict(result), "config": cfg})
 
 
 def _cmd_beta_scan(cfg) -> None:
@@ -401,7 +382,7 @@ def _cmd_ingest_classify(cfg) -> None:
     traj = dataset.to_trajectory(modes[0], modes[1])
     report = classify(traj)
     io_mod.write_json(_outdir(cfg) / "ingest_classify.json", {
-        "report": _report_payload(report),
+        "report": asdict(report),
         "scan_name": dataset.scan_name,
         "metadata": dataset.metadata,
         "config": cfg,
@@ -426,14 +407,10 @@ def _cmd_oracle(cfg) -> None:
         io_mod.write_json(out / "oracle_surface.json",
                           _surface_manifest(grid, cfg))
     else:
-        result = encircle(oracle.sampler(), _loop_from(cfg["loop"]),
-                          int(cfg["steps"]))
-        io_mod.write_json(out / "oracle_encircle.json", {
-            "permutation": result.permutation,
-            "n_steps": result.n_steps,
-            "max_step_jump": result.max_step_jump,
-            "config": cfg,
-        })
+        payload = asdict(encircle(oracle.sampler(), _loop_from(cfg["loop"]),
+                                  int(cfg["steps"])))
+        del payload["enclosed_eps"]  # the oracle has no known EPs
+        io_mod.write_json(out / "oracle_encircle.json", {**payload, "config": cfg})
 
 
 _RUNNERS = {
@@ -455,8 +432,9 @@ def main(argv=None) -> int:
         cfg = _resolve(args)
         _RUNNERS[args.command](cfg)
     except Exception as exc:
+        message = "; ".join([str(exc), *getattr(exc, "__notes__", ())])
         print(json.dumps({
-            "error": {"type": type(exc).__name__, "message": str(exc)},
+            "error": {"type": type(exc).__name__, "message": message},
         }, sort_keys=True))
         return 1
     return 0

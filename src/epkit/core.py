@@ -110,10 +110,16 @@ def principal_sqrt(w: complex) -> complex:
     return s
 
 
+def eta_squared(xi1, xi2, g):
+    """eta^2 = (xi1 - xi2)^2 / 4 + g^2, for scalars or arrays; zero
+    exactly at EPs."""
+    d = xi1 - xi2
+    return 0.25 * d * d + g * g
+
+
 def splitting(xi1: complex, xi2: complex, g: complex) -> complex:
     """eta = sqrt((xi1 - xi2)^2 / 4 + g^2) on the principal branch."""
-    d = xi1 - xi2
-    return principal_sqrt(0.25 * d * d + g * g)
+    return principal_sqrt(eta_squared(xi1, xi2, g))
 
 
 def abs_diff(u, v):
@@ -134,8 +140,7 @@ def _mean_eta(xi1, xi2, g):
     xi1 = np.asarray(xi1, dtype=complex)
     xi2 = np.asarray(xi2, dtype=complex)
     g = np.asarray(g, dtype=complex)
-    d = xi1 - xi2
-    return 0.5 * (xi1 + xi2), principal_sqrt_grid(0.25 * d * d + g * g)
+    return 0.5 * (xi1 + xi2), principal_sqrt_grid(eta_squared(xi1, xi2, g))
 
 
 def eigvalues_grid(xi1, xi2, g):

@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy import optimize
 
-from .core import abs_diff
+from .core import abs_diff, eta_squared
 from .toymodel import ToyParams, scan_entries
 
 # refined candidates closer than DEDUP_FACTOR * tolerance collapse to one EP
@@ -54,12 +54,7 @@ class GridSearchResult:
 
 def _eta_squared(alphas: np.ndarray, p: ToyParams) -> np.ndarray:
     """eta^2 along an alpha scan; zero exactly at EPs."""
-    xi1, xi2, g = scan_entries(alphas, p)
-    return 0.25 * (xi1 - xi2) ** 2 + g * g
-
-
-def _eta_squared_abs(alphas: np.ndarray, p: ToyParams) -> np.ndarray:
-    return np.abs(_eta_squared(alphas, p))
+    return eta_squared(*scan_entries(alphas, p))
 
 
 def _polish_root(alpha: float, p: ToyParams, lo: float, hi: float,
@@ -101,14 +96,14 @@ def toy_ep_roots(p: ToyParams, alpha_bracket: tuple[float, float], *,
     if not (0.0 <= lo < hi):
         raise ValueError("alpha bracket must satisfy 0 <= lo < hi")
     grid = np.linspace(lo, hi, n_scan)
-    f = _eta_squared_abs(grid, p)
+    f = np.abs(_eta_squared(grid, p))
 
     roots: list[EPLocation] = []
     for k in range(1, n_scan - 1):
         if not (f[k] <= f[k - 1] and f[k] < f[k + 1]):
             continue
         res = optimize.minimize_scalar(
-            lambda a: float(_eta_squared_abs(np.array([a]), p)[0]),
+            lambda a: float(np.abs(_eta_squared(np.array([a]), p))[0]),
             bounds=(grid[k - 1], grid[k + 1]),
             method="bounded",
             options={"xatol": 1e-13},
@@ -119,7 +114,7 @@ def toy_ep_roots(p: ToyParams, alpha_bracket: tuple[float, float], *,
                 f" with |eta^2|={res.fun}"
             )
         alpha = _polish_root(float(res.x), p, grid[k - 1], grid[k + 1])
-        fmin = float(_eta_squared_abs(np.array([alpha]), p)[0])
+        fmin = float(np.abs(_eta_squared(np.array([alpha]), p))[0])
         if fmin < residual_tol:
             roots.append(EPLocation(
                 p1=alpha, p2=p.beta,
@@ -129,33 +124,32 @@ def toy_ep_roots(p: ToyParams, alpha_bracket: tuple[float, float], *,
     return roots
 
 
-def sample_grid(sampler, axis1: np.ndarray, axis2: np.ndarray):
-    """Eigenvalue pairs (va, vb) of ``sampler`` on the grid axis1 x axis2.
+def sample_points(sampler, p1: np.ndarray, p2: np.ndarray):
+    """Eigenvalue pairs (va, vb) of ``sampler`` at the points (p1, p2).
 
-    One call with the two (n1, n2) coordinate arrays; if it raises or
-    returns another shape, one call per point with floats, where a cell
-    that raises is NaN and listed, row-major, in the returned ``missing``.
+    One call with the two equal-shape coordinate arrays; if it raises or
+    returns another shape, one call per point with floats, where a point
+    that raises is NaN. ``failed`` maps the row-major (flat) index of each
+    such point to its exception, in index order.
     """
-    p1, p2 = np.meshgrid(axis1, axis2, indexing="ij")
     try:
         va, vb = sampler(p1, p2)
         va = np.asarray(va, dtype=complex)
         vb = np.asarray(vb, dtype=complex)
         if va.shape == vb.shape == p1.shape:
-            return va, vb, []
+            return va, vb, {}
     except Exception:
         pass
-    va = np.full(p1.shape, np.nan, dtype=complex)
-    vb = np.full(p1.shape, np.nan, dtype=complex)
-    missing: list[tuple[int, int]] = []
-    for i, x in enumerate(axis1.tolist()):
-        for j, y in enumerate(axis2.tolist()):
-            try:
-                va[i, j], vb[i, j] = sampler(x, y)
-            except Exception:
-                va[i, j] = vb[i, j] = np.nan
-                missing.append((i, j))
-    return va, vb, missing
+    va = np.full(p1.size, np.nan, dtype=complex)
+    vb = np.full(p1.size, np.nan, dtype=complex)
+    failed: dict[int, Exception] = {}
+    for k, (x, y) in enumerate(zip(p1.ravel().tolist(), p2.ravel().tolist())):
+        try:
+            va[k], vb[k] = sampler(x, y)
+        except Exception as exc:
+            va[k] = vb[k] = np.nan
+            failed[k] = exc
+    return va.reshape(p1.shape), vb.reshape(p1.shape), failed
 
 
 def _local_minima(gaps: np.ndarray) -> list[tuple[int, int]]:
@@ -194,8 +188,9 @@ def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
 
     p1s = np.linspace(p1lo, p1hi, coarse_n)
     p2s = np.linspace(p2lo, p2hi, coarse_n)
-    va, vb, missing = sample_grid(sampler, p1s, p2s)
-    gaps, failures = abs_diff(va, vb), len(missing)
+    p1, p2 = np.meshgrid(p1s, p2s, indexing="ij")
+    va, vb, failed = sample_points(sampler, p1, p2)
+    gaps, failures = abs_diff(va, vb), len(failed)
     finite = gaps[np.isfinite(gaps)]
     if finite.size == 0:
         raise RuntimeError("sampler failed on the entire coarse grid")

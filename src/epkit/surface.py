@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import abs_diff, principal_sqrt, principal_sqrt_grid
 from .crossing import pairing, parity_runs
-from .epfind import EPLocation, sample_grid
+from .epfind import EPLocation, sample_points
 
 Node = tuple[int, int]
 Edge = tuple[Node, Node]
@@ -202,7 +202,7 @@ def build_surface(sampler: Callable[[float, float], tuple[complex, complex]],
     """Sample, match, and cut-extract the two eigenvalue sheets.
 
     The sampler is called once on the whole grid (see
-    :func:`~epkit.epfind.sample_grid`). Sampler failures mark cells missing
+    :func:`~epkit.epfind.sample_points`). Sampler failures mark cells missing
     (skipped by matching and cut extraction); more than
     ``max_missing_frac`` missing cells aborts.
     """
@@ -214,14 +214,15 @@ def build_surface(sampler: Callable[[float, float], tuple[complex, complex]],
     axis1 = np.linspace(p1lo, p1hi, n1)
     axis2 = np.linspace(p2lo, p2hi, n2)
 
-    va, vb, missing = sample_grid(sampler, axis1, axis2)
-    if len(missing) > max_missing_frac * n1 * n2:
+    va, vb, failed = sample_points(sampler, *np.meshgrid(axis1, axis2,
+                                                          indexing="ij"))
+    if len(failed) > max_missing_frac * n1 * n2:
         raise RuntimeError(
-            f"{len(missing)} of {n1 * n2} cells failed to sample"
+            f"{len(failed)} of {n1 * n2} cells failed to sample"
         )
+    missing = [divmod(k, n2) for k in failed]
     ok = np.ones((n1, n2), dtype=bool)
-    for node in missing:
-        ok[node] = False
+    ok.flat[list(failed)] = False
 
     a, b = _match_grid(va, vb, ok)
     e = 0.5 * (a - b)
@@ -267,21 +268,20 @@ class PolylineLoop:
     def __post_init__(self):
         if len(self.vertices) < 3:
             raise ValueError("a closed polyline needs at least 3 vertices")
-        object.__setattr__(self, "vertices",
-                           tuple((float(x), float(y)) for x, y in self.vertices))
-
-    def _segments(self):
-        verts = self.vertices
-        return [(verts[k], verts[(k + 1) % len(verts)]) for k in range(len(verts))]
+        verts = tuple((float(x), float(y)) for x, y in self.vertices)
+        segs = tuple(zip(verts, verts[1:] + verts[:1]))
+        lengths = tuple(math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in segs)
+        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "_segments", segs)
+        object.__setattr__(self, "_lengths", lengths)
+        object.__setattr__(self, "_total", sum(lengths))
 
     def point(self, t: float) -> tuple[float, float]:
         # arc-length parameterization over [0, 1]
-        segs = self._segments()
-        lengths = [math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in segs]
-        total = sum(lengths)
-        target = (t % 1.0) * total
-        for idx, ((p, q), ell) in enumerate(zip(segs, lengths)):
-            if target <= ell or idx == len(segs) - 1:
+        target = (t % 1.0) * self._total
+        last = len(self._segments) - 1
+        for idx, ((p, q), ell) in enumerate(zip(self._segments, self._lengths)):
+            if target <= ell or idx == last:
                 frac = min(target / ell, 1.0) if ell > 0 else 0.0
                 return (p[0] + frac * (q[0] - p[0]), p[1] + frac * (q[1] - p[1]))
             target -= ell
@@ -291,7 +291,7 @@ class PolylineLoop:
         # even-odd ray casting
         x, y = xy
         inside = False
-        for (x1, y1), (x2, y2) in self._segments():
+        for (x1, y1), (x2, y2) in self._segments:
             if (y1 > y) != (y2 > y):
                 xcross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
                 if x < xcross:
@@ -309,6 +309,16 @@ class LoopResult:
     enclosed_eps: list[EPLocation] = field(default_factory=list)
 
 
+def _sample_loop(sampler, loop, ts: np.ndarray):
+    """Samples (a, b) at the loop points ``ts``, and per point the
+    exception the sampler raised there, or None."""
+    p1, p2 = (np.array(c) for c in zip(*map(loop.point, ts.tolist())))
+    a, b, failed = sample_points(sampler, p1, p2)
+    errors = np.full(ts.size, None)
+    errors[list(failed)] = list(failed.values())
+    return a, b, errors
+
+
 def encircle(sampler: Callable[[float, float], tuple[complex, complex]],
              loop, n_steps: int = 256, *, jump_factor: float = 0.2,
              max_halvings: int = 40,
@@ -316,66 +326,76 @@ def encircle(sampler: Callable[[float, float], tuple[complex, complex]],
     """Continue the eigenvalue pair around a closed loop and classify the
     monodromy permutation.
 
-    Steps where the matched jump exceeds ``jump_factor`` times the current
-    gap are halved adaptively; hitting the step floor raises (the loop
-    passes too close to an EP to continue unambiguously).
+    All ``n_steps + 1`` loop points are sampled in one call
+    (:func:`~epkit.epfind.sample_points`). A step is rejected when the
+    larger jump of its keep/swap pairing (:func:`~epkit.crossing.pairing`)
+    exceeds ``jump_factor`` times the gap at its start. Neither changes
+    when the samples at one end swap (at an exact tie the sampler order is
+    kept), so the midpoints of all rejected steps are sampled in one call
+    per round, until none is left, and the path is matched once at the
+    end (:func:`~epkit.crossing.parity_runs`). The points are those of
+    depth-first halving.
+
+    A rejected step at ``2**-max_halvings`` of a step, or with no float
+    between its ends, raises (the loop passes too close to an EP to
+    continue unambiguously), as do a point
+    with no gap and a sampler error (re-raised with a note naming t); of
+    several, the first along the loop.
     """
     if n_steps < 64:
         raise ValueError("n_steps must be >= 64")
-    cache: dict[float, tuple[complex, complex]] = {}
-
-    def sample(t: float) -> tuple[complex, complex]:
-        if t not in cache:
-            x, y = loop.point(t)
-            la, lb = sampler(x, y)
-            cache[t] = (complex(la), complex(lb))
-        return cache[t]
-
     floor_dt = (1.0 / n_steps) * 0.5 ** max_halvings
-    a0, b0 = sample(0.0)
-    cur_a, cur_b = a0, b0
-    t_cur = 0.0
-    accepted = 1
-    max_ratio = 0.0
+    ts = np.linspace(0.0, 1.0, n_steps + 1)
+    a, b, errors = _sample_loop(sampler, loop, ts)
+    while True:
+        ra, rb, na, nb = a[:-1], b[:-1], a[1:], b[1:]
+        flip, _, tie = pairing(ra, rb, na, nb, 0.0)
+        x = np.where(flip, abs_diff(nb, ra), abs_diff(na, ra))
+        y = np.where(flip, abs_diff(na, rb), abs_diff(nb, rb))
+        jump, gap = np.where(y > x, y, x), abs_diff(ra, rb)  # Python's max(x, y)
+        accept = jump <= jump_factor * gap
+        mid = 0.5 * (ts[:-1] + ts[1:])
+        floor = (np.diff(ts) <= floor_dt) | (mid == ts[:-1]) | (mid == ts[1:])
+        # a sampler error at either end (the start's only counts for the
+        # first step), no gap, or a rejected step at the floor
+        event = (errors[:-1].astype(bool) | errors[1:].astype(bool)
+                 | (gap == 0.0) | (~accept & floor))
+        first = int(np.argmax(event)) if event.any() else event.size
+        # at most n_steps per round, leftmost first: where many steps fail
+        # (NaN samples), the first reaches its floor without all doubling
+        redo = np.flatnonzero(~accept[:first])[:n_steps]
+        if redo.size == 0:
+            break
+        ma, mb, merrors = _sample_loop(sampler, loop, mid[redo])
+        ts, a, b, errors = (np.insert(v, redo + 1, m) for v, m in
+                            ((ts, mid[redo]), (a, ma), (b, mb), (errors, merrors)))
 
-    for target in np.linspace(0.0, 1.0, n_steps + 1)[1:]:
-        stack = [float(target)]
-        while stack:
-            t_next = stack[-1]
-            la, lb = sample(t_next)
-            gap = abs(cur_a - cur_b)
-            if gap == 0.0:
-                raise RuntimeError(f"loop passes through an EP at t={t_cur}")
-            keep = abs(la - cur_a) + abs(lb - cur_b)
-            swap = abs(lb - cur_a) + abs(la - cur_b)
-            na, nb = (lb, la) if swap < keep else (la, lb)
-            jump = max(abs(na - cur_a), abs(nb - cur_b))
-            if jump <= jump_factor * gap:
-                cur_a, cur_b = na, nb
-                t_cur = t_next
-                accepted += 1
-                max_ratio = max(max_ratio, jump / gap)
-                stack.pop()
-            else:
-                if t_next - t_cur <= floor_dt:
-                    raise RuntimeError(
-                        "loop too close to EP: step floor reached at "
-                        f"t={t_cur} without continuity"
-                    )
-                stack.append(0.5 * (t_cur + t_next))
+    if first < event.size:
+        for k in (first, first + 1):
+            if errors[k] is not None:
+                errors[k].add_note(f"the sampler failed at loop point t={ts[k]}")
+                raise errors[k]
+        if gap[first] == 0.0:
+            raise RuntimeError(f"loop passes through an EP at t={ts[first]}")
+        raise RuntimeError("loop too close to EP: step floor reached at "
+                           f"t={ts[first]} without continuity")
 
-    if abs(cur_a - a0) <= END_MATCH_TOL and abs(cur_b - b0) <= END_MATCH_TOL:
+    _, swapped = parity_runs(np.concatenate(([False], flip)),
+                             np.concatenate(([True], tie)))
+    a0, b0 = complex(a[0]), complex(b[0])
+    end_a, end_b = complex(a[-1]), complex(b[-1])
+    if swapped[-1]:
+        end_a, end_b = end_b, end_a
+    if abs(end_a - a0) <= END_MATCH_TOL and abs(end_b - b0) <= END_MATCH_TOL:
         permutation = IDENTITY
-    elif abs(cur_a - b0) <= END_MATCH_TOL and abs(cur_b - a0) <= END_MATCH_TOL:
+    elif abs(end_a - b0) <= END_MATCH_TOL and abs(end_b - a0) <= END_MATCH_TOL:
         permutation = SWAP
     else:
-        raise RuntimeError(
-            "loop continuation did not return to the starting pair"
-        )
+        raise RuntimeError("loop continuation did not return to the starting pair")
 
-    enclosed = [ep for ep in (known_eps or [])
-                if loop.contains((ep.p1, ep.p2))]
-    return LoopResult(permutation, accepted, max_ratio, enclosed)
+    enclosed = [ep for ep in (known_eps or []) if loop.contains((ep.p1, ep.p2))]
+    max_ratio = float(np.fmax.reduce(jump / gap, initial=0.0))
+    return LoopResult(permutation, ts.size, max_ratio, enclosed)
 
 
 @dataclass(frozen=True)

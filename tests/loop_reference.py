@@ -1,7 +1,9 @@
-"""Per-point loop implementations of the scan and grid paths, kept as references.
+"""Per-point loop implementations of the scan, grid and loop paths, kept as
+references.
 
 The library computes these quantities with array operations; the tests in
-test_reference_oracles.py check it against the straightforward loops here.
+test_reference_oracles.py and test_grid_reference.py check it against the
+straightforward loops here.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import numpy as np
 from epkit.core import (DEGENERACY_THRESHOLD, DiscreteField, Hamiltonian2,
                         overlap, splitting)
 from epkit.crossing import AMBIGUITY_TOL
+from epkit.surface import END_MATCH_TOL, IDENTITY, SWAP, LoopResult
 from epkit.toymodel import build_hamiltonian
 
 
@@ -254,3 +257,70 @@ def local_minima(gaps):
             if ok:
                 out.append((i, j))
     return out
+
+
+# ---- closed loops: depth-first continuation ---------------------------------
+
+def encircle(sampler, loop, n_steps: int = 256, *, jump_factor: float = 0.2,
+             max_halvings: int = 40, known_eps=None) -> LoopResult:
+    """Loop continuation one point at a time, halving depth-first.
+
+    Steps where the matched jump exceeds ``jump_factor`` times the current
+    gap are halved; hitting the step floor raises.
+    """
+    if n_steps < 64:
+        raise ValueError("n_steps must be >= 64")
+    cache: dict[float, tuple[complex, complex]] = {}
+
+    def sample(t: float) -> tuple[complex, complex]:
+        if t not in cache:
+            x, y = loop.point(t)
+            la, lb = sampler(x, y)
+            cache[t] = (complex(la), complex(lb))
+        return cache[t]
+
+    floor_dt = (1.0 / n_steps) * 0.5 ** max_halvings
+    a0, b0 = sample(0.0)
+    cur_a, cur_b = a0, b0
+    t_cur = 0.0
+    accepted = 1
+    max_ratio = 0.0
+
+    for target in np.linspace(0.0, 1.0, n_steps + 1)[1:]:
+        stack = [float(target)]
+        while stack:
+            t_next = stack[-1]
+            la, lb = sample(t_next)
+            gap = abs(cur_a - cur_b)
+            if gap == 0.0:
+                raise RuntimeError(f"loop passes through an EP at t={t_cur}")
+            keep = abs(la - cur_a) + abs(lb - cur_b)
+            swap = abs(lb - cur_a) + abs(la - cur_b)
+            na, nb = (lb, la) if swap < keep else (la, lb)
+            jump = max(abs(na - cur_a), abs(nb - cur_b))
+            if jump <= jump_factor * gap:
+                cur_a, cur_b = na, nb
+                t_cur = t_next
+                accepted += 1
+                max_ratio = max(max_ratio, jump / gap)
+                stack.pop()
+            else:
+                if t_next - t_cur <= floor_dt:
+                    raise RuntimeError(
+                        "loop too close to EP: step floor reached at "
+                        f"t={t_cur} without continuity"
+                    )
+                stack.append(0.5 * (t_cur + t_next))
+
+    if abs(cur_a - a0) <= END_MATCH_TOL and abs(cur_b - b0) <= END_MATCH_TOL:
+        permutation = IDENTITY
+    elif abs(cur_a - b0) <= END_MATCH_TOL and abs(cur_b - a0) <= END_MATCH_TOL:
+        permutation = SWAP
+    else:
+        raise RuntimeError(
+            "loop continuation did not return to the starting pair"
+        )
+
+    enclosed = [ep for ep in (known_eps or [])
+                if loop.contains((ep.p1, ep.p2))]
+    return LoopResult(permutation, accepted, max_ratio, enclosed)

@@ -1,9 +1,11 @@
-"""The array grid path against the per-point loops in loop_reference.py.
+"""The array grid and loop paths against the per-point loops in
+loop_reference.py.
 
 Matching, cut extraction, missing cells and gap minima must agree exactly;
 batch samplers must give the point-by-point values bitwise (the
 single-point oracle to 1e-15, since numpy's complex log and exp round
-differently from cmath).
+differently from cmath). Batched loop refinement must give the result, or
+the error, of depth-first halving.
 """
 
 import numpy as np
@@ -13,9 +15,10 @@ from hypothesis import strategies as st
 
 import loop_reference as ref
 from epkit.core import abs_diff
-from epkit.epfind import _local_minima, grid_ep_search, sample_grid
-from epkit.surface import (AnalyticOracle, _component_seam_edges, _match_grid,
-                           _matched_cut_edges, build_surface)
+from epkit.epfind import _local_minima, grid_ep_search, sample_points
+from epkit.surface import (AnalyticOracle, CircleLoop, PolylineLoop,
+                           _component_seam_edges, _match_grid,
+                           _matched_cut_edges, build_surface, encircle)
 from epkit.toymodel import (FULL_COMPLEX, PRESETS, REAL_PART, ToyParams,
                             eigenpair_sampler)
 
@@ -206,9 +209,10 @@ class TestFallback:
             calls.append(np.ndim(p1))
             return 0.5 + 0j, -0.5 + 0j
 
-        va, vb, missing = sample_grid(constant, np.arange(3.0), np.arange(2.0))
+        p1, p2 = np.meshgrid(np.arange(3.0), np.arange(2.0), indexing="ij")
+        va, vb, failed = sample_points(constant, p1, p2)
         assert calls == [2] + [0] * 6
-        assert missing == []
+        assert failed == {}
         np.testing.assert_array_equal(va, np.full((3, 2), 0.5 + 0j))
 
     def test_scalar_only_sampler_gives_the_same_results(self):
@@ -224,3 +228,155 @@ class TestFallback:
         fast, slow = (grid_ep_search(s, window, 24) for s in (orc, scalar_only))
         assert fast.locations == slow.locations
         assert (fast.median_gap, fast.sampler_failures) == (slow.median_gap, 0)
+
+
+# ---- loop continuation ------------------------------------------------------
+
+DOUBLE_EP = ToyParams(**PRESETS["double-ep"]["params"])
+EP_ALPHAS = (0.4541, 0.6214)  # the double-EP preset's EPs, to 4 digits, at beta 1
+BASES = {
+    "toy": eigenpair_sampler(DOUBLE_EP),
+    "oracle": AnalyticOracle.two_point(complex(EP_ALPHAS[0], 1.0),
+                                       complex(EP_ALPHAS[1], 1.0)).sampler(),
+}
+
+
+def with_mode(base, mode, cut):
+    """``base`` altered on p1 > cut: NaN values ("nan"), a ValueError
+    ("raises"); "scalar-only" raises on arrays everywhere."""
+    if mode == "scalar-only":
+        return lambda p1, p2: base(float(p1), float(p2))
+
+    def sample(p1, p2):
+        bad = np.asarray(p1) > cut
+        if mode == "raises" and bad.any():
+            raise ValueError(f"no sample at p1={p1}")
+        la, lb = base(p1, p2)
+        if mode == "nan":
+            la, lb = np.where(bad, np.nan, la), np.where(bad, np.nan, lb)
+            if not np.ndim(p1):
+                la, lb = complex(la), complex(lb)
+        return la, lb
+    return sample
+
+
+def outcome(fn, *args, **kwargs):
+    """The result fields, with max_step_jump as bits, or the error's type
+    and message."""
+    try:
+        res = fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return res.permutation, res.n_steps, bits(np.float64(res.max_step_jump))
+
+
+@st.composite
+def loops(draw):
+    """Circles and polygons around or near one or both EPs."""
+    near = st.sampled_from(EP_ALPHAS + (0.5378,))
+    cx = draw(near) + draw(st.floats(-0.03, 0.03))
+    cy = 1.0 + draw(st.floats(-0.03, 0.03))
+    if draw(st.booleans()):
+        return CircleLoop((cx, cy), draw(st.floats(0.002, 0.15)))
+    n = draw(st.integers(3, 6))
+    radii = draw(st.lists(st.floats(0.01, 0.15), min_size=n, max_size=n))
+    angles = np.sort(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=n,
+                                   max_size=n, unique=True)))
+    return PolylineLoop(tuple((cx + r * np.cos(a), cy + r * np.sin(a))
+                              for r, a in zip(radii, angles)))
+
+
+class TestEncircle:
+    @given(loops(), st.sampled_from(sorted(BASES)),
+           st.sampled_from(["plain", "nan", "raises", "scalar-only"]),
+           st.floats(0.3, 0.8), st.sampled_from([64, 100, 256]),
+           st.sampled_from([0.2, 0.05, 0.02]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_depth_first_halving(self, loop, base, mode, cut, n_steps,
+                                         jump_factor):
+        sampler = with_mode(BASES[base], mode, cut)
+        assert (outcome(encircle, sampler, loop, n_steps, jump_factor=jump_factor)
+                == outcome(ref.encircle, sampler, loop, n_steps,
+                           jump_factor=jump_factor))
+
+    @given(loops(), st.sampled_from(sorted(BASES)), st.integers(1, 6),
+           st.sampled_from([0.2, 0.05, 0.02]))
+    @SETTINGS
+    def test_step_floor_matches(self, loop, base, max_halvings, jump_factor):
+        kw = dict(jump_factor=jump_factor, max_halvings=max_halvings)
+        assert (outcome(encircle, BASES[base], loop, 64, **kw)
+                == outcome(ref.encircle, BASES[base], loop, 64, **kw))
+
+    @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.05, 1.0),
+           st.integers(0, 63), st.floats(0.1, 2.0), st.floats(0.0, 1.2))
+    @SETTINGS
+    def test_loop_through_a_branch_point_matches(self, cx, cy, radius, k, far,
+                                                 cut):
+        # a branch point on the k-th loop point; the sampler raises above
+        # p2 = cy + cut * radius, which the start (at p2 = cy) never is
+        loop = CircleLoop((cx, cy), radius)
+        z1 = complex(*loop.point(k / 64))
+        oracle = AnalyticOracle.two_point(z1, z1 + far).sampler()
+
+        def sampler(p1, p2):
+            if np.any(np.asarray(p2) > cy + cut * radius):
+                raise ValueError("no sample above the cut")
+            return oracle(p1, p2)
+
+        assert (outcome(encircle, sampler, loop, 64)
+                == outcome(ref.encircle, sampler, loop, 64))
+
+    @given(st.lists(lattice, min_size=2, max_size=12), st.integers(2, 40),
+           st.sampled_from([0.75, 1.0, 3.0]), st.sampled_from([64, 100]))
+    @SETTINGS
+    def test_exact_ties_keep_the_sampler_order(self, values, bins, jump_factor,
+                                               n_steps):
+        # pairs (s, -s) with s on a lattice: quarter turns of s tie the two
+        # pairings exactly, half turns swap them
+        table = np.array(values, dtype=complex)
+
+        def sampler(p1, p2):
+            s = table[np.floor(np.asarray(p1) * bins).astype(int) % table.size]
+            return (s, -s) if np.ndim(p1) else (complex(s), complex(-s))
+
+        loop = CircleLoop((0.0, 0.0), 1.0)
+        kw = dict(jump_factor=jump_factor)
+        assert (outcome(encircle, sampler, loop, n_steps, **kw)
+                == outcome(ref.encircle, sampler, loop, n_steps, **kw))
+
+    def test_errors(self):
+        loop = CircleLoop((0.5, 0.5), 0.25)
+        on_start = AnalyticOracle.two_point(complex(*loop.point(0.0)), 3j).sampler()
+        assert outcome(encircle, on_start, loop, 64) == (
+            RuntimeError, "loop passes through an EP at t=0.0")
+        on_loop = AnalyticOracle.two_point(complex(*loop.point(0.25)), 3j).sampler()
+        kind, message = outcome(encircle, on_loop, loop, 64)
+        assert kind is RuntimeError and "step floor reached" in message
+        rect = PolylineLoop(((0.4, 0.95), (0.68, 0.95), (0.68, 1.05), (0.4, 1.05)))
+        with pytest.raises(ValueError, match="no sample") as info:
+            encircle(with_mode(BASES["oracle"], "raises", 0.6), rect, 64)
+        # the first loop point past p1 = 0.6 is 17/64 of the perimeter along
+        assert info.value.__notes__ == [
+            "the sampler failed at loop point t=0.265625"]
+
+    def test_floor_below_float_resolution_raises(self):
+        # 2**-60 of a step is below the spacing of floats near t = 1/4, so
+        # the step floor is where no float lies between a step's ends
+        loop = CircleLoop((0.0, 0.0), 1.0)
+        z = complex(*loop.point(0.25))
+        sampler = AnalyticOracle.two_point(z, z + 1).sampler()
+        with pytest.raises(RuntimeError, match="step floor reached at t=0.2499"):
+            encircle(sampler, loop, 64, max_halvings=60)
+
+    def test_one_batch_call_per_refinement(self):
+        calls, points = [], []
+
+        def counted(p1, p2):
+            calls.append(1)
+            points.append(np.size(p1))
+            return BASES["toy"](p1, p2)
+
+        res = encircle(counted, CircleLoop((EP_ALPHAS[0], 1.0), 0.05), 256)
+        assert res.permutation == "swap"
+        assert sum(points) == res.n_steps  # every loop point sampled once
+        assert len(calls) <= 3

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from epkit.cli import main
+from epkit.cli import build_parser, main
 from epkit.crossing import classify, sweep_toy
 from epkit.io import (IngestError, TrajectoryDataset, ingest_csv,
                       write_trajectory_csv)
@@ -281,6 +281,60 @@ class TestCli:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "ValueError" and "8x400" in err["message"]
         assert not (tmp_path / "find_eps.json").exists()
+
+    def test_sampler_error_names_loop_point(self, tmp_path, capsys):
+        # the toy model has no alpha < 0; this circle crosses alpha = 0
+        # between its loop points 16/64 and 17/64
+        assert run_cli("encircle", "--circle", "0.0", "1.0", "0.05",
+                       "--steps", "64", "--out", str(tmp_path)) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith("alpha must be >= 0")
+        assert err["message"].endswith(
+            "; the sampler failed at loop point t=0.265625")
+
+
+# each flag and the commands that read it
+FLAG_COMMANDS = {
+    ("--grid", "5x5"): {"surface", "find-eps", "oracle"},
+    ("--tolerance", "3.0"): {"find-eps", "beta-scan"},
+    ("--preset", "class1"): {"toy-sweep", "find-eps", "surface", "encircle",
+                             "beta-scan"},
+}
+COMMAND_ARGS = {"toy-sweep": [], "find-eps": [], "surface": [], "encircle": [],
+                "beta-scan": [], "project": [], "oracle": [],
+                "ingest-classify": ["--input", "data.csv"]}
+
+
+class TestCommandFlags:
+    @pytest.mark.parametrize("flag", sorted(FLAG_COMMANDS), ids=lambda f: f[0])
+    def test_flag_only_on_commands_that_read_it(self, flag, capsys):
+        for command, required in COMMAND_ARGS.items():
+            argv = [command, *required, *flag]
+            if command in FLAG_COMMANDS[flag]:
+                args = build_parser().parse_args(argv)
+                assert str(getattr(args, flag[0][2:])) == flag[1]
+                continue
+            with pytest.raises(SystemExit) as info:
+                build_parser().parse_args(argv)
+            assert info.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+    def test_find_eps_window_rejects_tolerance(self, tmp_path, capsys):
+        assert run_cli("find-eps", "--window", "0.3", "0.8", "0.9", "1.1",
+                       "--tolerance", "1e-3", "--out", str(tmp_path)) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValueError"
+        assert "--tolerance" in err["message"] and "--window" in err["message"]
+        assert not (tmp_path / "find_eps.json").exists()
+
+    def test_find_eps_scan_roots_records_tolerance(self, tmp_path):
+        assert run_cli("find-eps", "--tolerance", "1e-12",
+                       "--out", str(tmp_path)) == 0
+        payload = json.loads((tmp_path / "find_eps.json").read_text())
+        assert payload["config"]["tolerance"] == 1e-12
+        assert len(payload["eps"]) == 2
 
 
 def _reject_constant(name):
