@@ -14,6 +14,7 @@ machine-readable JSON description to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -42,10 +43,7 @@ _DEFAULTS = {
     },
     "find-eps": {
         "params": dict(PRESETS["double-ep"]["params"]),
-        "alpha_bracket": [0.3, 0.8],
         "window": None,  # set to [a0, a1, b0, b1] for the 2-D grid search
-        "grid": "48x48",
-        "tolerance": 1e-10,
     },
     "surface": {
         "params": dict(PRESETS["double-ep"]["params"]),
@@ -67,18 +65,26 @@ _DEFAULTS = {
     },
     "project": {"points": []},
     "ingest-classify": {"modes": None, "metadata": {}},
+    "oracle": {"kind": "two-point", "mode": "surface"},
+}
+
+# The keys only one mode of a command reads, with their defaults. A run
+# records and accepts only the keys of its own modes.
+_MODE_DEFAULTS = {
+    "find-eps": {
+        "--window": {"grid": "48x48"},
+        "without --window": {"alpha_bracket": [0.3, 0.8], "tolerance": 1e-10},
+    },
     "oracle": {
-        "kind": "two-point",
-        "z1": list(CAVITY_EP1),
-        "z2": list(CAVITY_EP2),
-        "z0": [0.0, 0.0],
-        "order": 2,
-        "mode": "surface",
-        "window": [2.5, 3.0, 0.45, 0.7],
-        "grid": "256x64",
-        "delta_mode": "delta",
-        "loop": {"kind": "circle", "center": list(CAVITY_EP1), "radius": 0.05},
-        "steps": 256,
+        "--kind two-point": {"z1": list(CAVITY_EP1), "z2": list(CAVITY_EP2)},
+        "--kind single-point": {"z0": [0.0, 0.0], "order": 2},
+        "--mode surface": {"window": [2.5, 3.0, 0.45, 0.7], "grid": "256x64",
+                           "delta_mode": "delta"},
+        "--mode encircle": {
+            "loop": {"kind": "circle", "center": list(CAVITY_EP1),
+                     "radius": 0.05},
+            "steps": 256,
+        },
     },
 }
 
@@ -199,21 +205,21 @@ def _resolve(args) -> dict:
             val = getattr(args, key, None)
             if val is not None:
                 cfg["params"][key] = val
+    flags = {}  # config key -> the flag that set it
     for key in ("alpha_range", "points", "alpha_bracket", "window",
                 "delta_mode", "steps", "beta_window", "kind", "z1", "z2",
                 "z0", "order", "mode", "input", "modes", "tolerance", "grid"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if (args.command == "find-eps" and cfg.get("window")
-            and args.tolerance is not None):
-        raise ValueError("find-eps: --tolerance bounds the scan-roots residual "
-                         "and does not apply to the --window grid search")
+            flags[key] = "--" + key.replace("_", "-")
     if getattr(args, "circle", None) is not None:
         cfg["loop"] = {"kind": "circle", "center": list(args.circle[:2]),
                        "radius": args.circle[2]}
+        flags["loop"] = "--circle"
     elif getattr(args, "rect", None) is not None:
         cfg["loop"] = {"kind": "rect", "window": list(args.rect)}
+        flags["loop"] = "--rect"
     if getattr(args, "point", None):
         cfg["points"] = [list(p) for p in args.point]
     if getattr(args, "meta", None):
@@ -223,7 +229,30 @@ def _resolve(args) -> dict:
             meta[key] = value
     cfg["out"] = args.out
     cfg["command"] = args.command
+    if args.command in _MODE_DEFAULTS:
+        _apply_modes(cfg, flags)
     return cfg
+
+
+def _apply_modes(cfg, flags) -> None:
+    """Fill in the defaults of the run's modes; reject other modes' keys."""
+    command, table = cfg["command"], _MODE_DEFAULTS[cfg["command"]]
+    if command == "find-eps":
+        modes = ["--window" if cfg["window"] else "without --window"]
+    else:
+        modes = [f"--kind {cfg['kind']}", f"--mode {cfg['mode']}"]
+    for mode in modes:
+        if mode not in table:
+            raise ValueError(f"{command}: unknown choice {mode}")
+    own = {key for mode in modes for key in table[mode]}
+    stray = [key for mode, defaults in table.items() if mode not in modes
+             for key in defaults if key in cfg and key not in own]
+    if stray:
+        named = ", ".join(flags.get(key, f"config key {key!r}") for key in stray)
+        raise ValueError(f"{command} {' '.join(modes)} does not read {named}")
+    for mode in modes:
+        for key, value in table[mode].items():
+            cfg.setdefault(key, json.loads(json.dumps(value)))
 
 
 def _params(cfg) -> ToyParams:
@@ -425,16 +454,20 @@ _RUNNERS = {
 }
 
 
+# parsing keeps no state in the parser, so one serves every call of a process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _resolve(args)
         _RUNNERS[args.command](cfg)
     except Exception as exc:
         message = "; ".join([str(exc), *getattr(exc, "__notes__", ())])
         print(json.dumps({
-            "error": {"type": type(exc).__name__, "message": message},
+            "error": {"command": args.command, "type": type(exc).__name__,
+                      "message": message},
         }, sort_keys=True))
         return 1
     return 0

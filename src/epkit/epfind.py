@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy import optimize
 
 from .core import abs_diff, eta_squared
 from .toymodel import ToyParams, scan_entries
@@ -92,6 +91,10 @@ def toy_ep_roots(p: ToyParams, alpha_bracket: tuple[float, float], *,
     means no EP in the bracket. Raises ``RuntimeError`` (with the best
     iterate) if a refinement fails to converge.
     """
+    # imported on use: it is most of the import time of the package, and
+    # only the EP searches need it
+    from scipy import optimize
+
     lo, hi = float(alpha_bracket[0]), float(alpha_bracket[1])
     if not (0.0 <= lo < hi):
         raise ValueError("alpha bracket must satisfy 0 <= lo < hi")
@@ -180,6 +183,8 @@ def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
     crossings). Sampler failures skip the cell and are counted in the
     result. Accepted points are deduplicated and sorted by (p1, p2).
     """
+    from scipy import optimize
+
     if coarse_n < 8:
         raise ValueError("coarse_n must be >= 8")
     (p1lo, p1hi), (p2lo, p2hi) = window

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from epkit import cli
 from epkit.cli import build_parser, main
 from epkit.crossing import classify, sweep_toy
 from epkit.io import (IngestError, TrajectoryDataset, ingest_csv,
@@ -210,6 +211,17 @@ class TestCli:
         err = json.loads(capsys.readouterr().out)
         assert "error" in err and err["error"]["type"]
 
+    @pytest.mark.parametrize("argv", [
+        ("ingest-classify", "--input", "missing.csv"),
+        ("encircle", "--circle", "0.0", "1.0", "0.05", "--steps", "64"),
+        ("oracle", "--mode", "encircle", "--grid", "5x5"),
+    ], ids=lambda argv: argv[0])
+    def test_error_names_command(self, tmp_path, capsys, argv):
+        assert run_cli(*argv, "--out", str(tmp_path)) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert sorted(err) == ["command", "message", "type"]
+        assert err["command"] == argv[0]
+
     def test_module_error_reports_type(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         write_lines(bad, ["scan,re_1,im_1,re_2,im_2", "0,1,0,2,0", "0,1,0,2,0"])
@@ -335,6 +347,161 @@ class TestCommandFlags:
         payload = json.loads((tmp_path / "find_eps.json").read_text())
         assert payload["config"]["tolerance"] == 1e-12
         assert len(payload["eps"]) == 2
+
+
+ORACLE_LOOP = ("--circle", "2.6257", "0.6001", "0.05", "--steps", "64")
+SINGLE_POINT = ("--kind", "single-point", "--z0", "2.7", "0.6", "--order", "3")
+
+
+class TestModeKeys:
+    """An artifact records the config keys its run reads, and no others."""
+
+    def config(self, tmp_path, *argv):
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        (artifact,) = tmp_path.glob("*.json")
+        cfg = json.loads(artifact.read_text())["config"]
+        assert cfg["command"] == argv[0]
+        return set(cfg)
+
+    def test_oracle_encircle(self, tmp_path):
+        keys = self.config(tmp_path, "oracle", "--mode", "encircle", *ORACLE_LOOP)
+        assert keys == {"kind", "mode", "z1", "z2", "loop", "steps", "out",
+                        "command"}
+
+    def test_oracle_surface(self, tmp_path):
+        keys = self.config(tmp_path, "oracle", "--grid", "16x16")
+        assert keys == {"kind", "mode", "z1", "z2", "window", "grid",
+                        "delta_mode", "out", "command"}
+
+    def test_oracle_single_point(self, tmp_path):
+        keys = self.config(tmp_path, "oracle", "--grid", "16x16", *SINGLE_POINT)
+        assert keys == {"kind", "mode", "z0", "order", "window", "grid",
+                        "delta_mode", "out", "command"}
+
+    def test_oracle_mode_from_config_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mode": "encircle", "steps": 64}))
+        keys = self.config(tmp_path / "out", "oracle", "--config", str(path))
+        assert keys == {"kind", "mode", "z1", "z2", "loop", "steps", "out",
+                        "command"}
+
+    def test_find_eps_window(self, tmp_path):
+        keys = self.config(tmp_path, "find-eps", "--window", "0.3", "0.8",
+                           "0.9", "1.1", "--grid", "16x16")
+        assert keys == {"params", "window", "grid", "out", "command"}
+
+    def test_find_eps_scan_roots(self, tmp_path):
+        keys = self.config(tmp_path, "find-eps")
+        assert keys == {"params", "window", "alpha_bracket", "tolerance", "out",
+                        "command"}
+
+    @pytest.mark.parametrize("argv, message", [
+        (("oracle", "--mode", "encircle", "--grid", "5x5"),
+         "oracle --kind two-point --mode encircle does not read --grid"),
+        (("oracle", "--mode", "encircle", "--window", "2.5", "3.0", "0.4", "0.7",
+          "--delta-mode", "raw"),
+         "oracle --kind two-point --mode encircle does not read --window, "
+         "--delta-mode"),
+        (("oracle", *ORACLE_LOOP),
+         "oracle --kind two-point --mode surface does not read --circle, --steps"),
+        (("oracle", "--rect", "2.5", "3.0", "0.4", "0.7"),
+         "oracle --kind two-point --mode surface does not read --rect"),
+        (("oracle", "--z0", "2.7", "0.6"),
+         "oracle --kind two-point --mode surface does not read --z0"),
+        (("oracle", "--kind", "single-point", "--z2", "2.7", "0.6"),
+         "oracle --kind single-point --mode surface does not read --z2"),
+        (("find-eps", "--window", "0.3", "0.8", "0.9", "1.1",
+          "--alpha-bracket", "0.3", "0.8"),
+         "find-eps --window does not read --alpha-bracket"),
+        (("find-eps", "--grid", "16x16"),
+         "find-eps without --window does not read --grid"),
+    ])
+    def test_flag_of_another_mode_fails(self, tmp_path, capsys, argv, message):
+        assert run_cli(*argv, "--out", str(tmp_path)) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"command": argv[0], "type": "ValueError",
+                       "message": message}
+        assert not list(tmp_path.iterdir())
+
+    def test_config_key_of_another_mode_fails(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": "5x5"}))
+        assert run_cli("oracle", "--mode", "encircle", "--config", str(path),
+                       "--out", str(tmp_path / "out")) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["message"] == (
+            "oracle --kind two-point --mode encircle does not read "
+            "config key 'grid'")
+
+    def test_unknown_mode_in_config_file_fails(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mode": "sphere"}))
+        assert run_cli("oracle", "--config", str(path),
+                       "--out", str(tmp_path / "out")) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["message"] == (
+            "oracle: unknown choice --mode sphere")
+
+
+def _call(argv, out):
+    try:
+        return main([*argv, "--out", out])
+    except SystemExit as exc:  # argparse rejects bad arguments by exiting
+        return exc.code
+
+
+class TestParserReuse:
+    """main reuses one parser; no call leaves state in it for the next."""
+
+    @pytest.mark.parametrize("calls, codes", [
+        ([("project", "--point", "1", "2"), ("project", "--point", "3", "4")],
+         [0, 0]),
+        ([("encircle", "--circle", "0.4541", "1.0", "0.05", "--steps", "64"),
+          ("encircle", "--steps", "64")], [0, 0]),
+        ([("surface", "--bogus"),
+          ("encircle", "--circle", "0.0", "1.0", "0.05", "--steps", "64"),
+          ("surface", "--grid", "32x16")], [2, 1, 0]),
+    ], ids=["project", "encircle", "errors"])
+    def test_calls_in_sequence_match_fresh_calls(self, calls, codes, tmp_path,
+                                                 monkeypatch, capsys):
+        runs = {}
+        for order in ("sequence", "fresh"):
+            (tmp_path / order).mkdir()
+            monkeypatch.chdir(tmp_path / order)  # --out paths are the same
+            runs[order] = []
+            for k, argv in enumerate(calls):
+                if order == "fresh":
+                    cli._parser.cache_clear()
+                code = _call(argv, f"call{k}")
+                runs[order].append((code, capsys.readouterr()))
+        assert [code for code, _ in runs["sequence"]] == codes
+        assert runs["sequence"] == runs["fresh"]
+        files = {order: sorted(p.relative_to(tmp_path / order)
+                               for p in (tmp_path / order).rglob("*.*"))
+                 for order in runs}
+        assert files["sequence"] == files["fresh"]
+        for rel in files["fresh"]:
+            assert ((tmp_path / "sequence" / rel).read_bytes()
+                    == (tmp_path / "fresh" / rel).read_bytes()), rel
+        assert cli._parser.cache_info().currsize == 1
+
+    def test_project_writes_one_point_per_call(self, tmp_path):
+        for k, point in enumerate((("1", "2"), ("3", "4"))):
+            out = tmp_path / str(k)
+            assert run_cli("project", "--point", *point, "--out", str(out)) == 0
+            assert json.loads((out / "project.json").read_text())[
+                "config"]["points"] == [[float(v) for v in point]]
+            assert len((out / "sphere.csv").read_text().splitlines()) == 2
+
+    def test_plain_encircle_after_circle_uses_default_loop(self, tmp_path):
+        assert run_cli("encircle", "--circle", "0.4541", "1.0", "0.05",
+                       "--steps", "64", "--out", str(tmp_path / "a")) == 0
+        assert run_cli("encircle", "--steps", "64",
+                       "--out", str(tmp_path / "b")) == 0
+        loop = json.loads((tmp_path / "b" / "encircle.json").read_text())[
+            "config"]["loop"]
+        assert loop == {"kind": "rect", "window": [0.40, 0.68, 0.95, 1.05]}
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
 
 
 def _reject_constant(name):
