@@ -1,10 +1,12 @@
-"""Exceptional-point location.
+"""Exceptional-point location, in numpy alone.
 
-Two routes: closed-form-assisted root refinement on the toy model's
-splitting along an alpha bracket, and a generic coarse-grid + simplex
-search over any 2-D eigenvalue-pair sampler. Both minimize the eigenvalue
-gap |lambda_plus - lambda_minus| = |2 eta|, which is insensitive to the
-square-root branch choice.
+Two routes: a dense scan of the toy model's eta^2 along an alpha bracket,
+and a coarse grid over any 2-D eigenvalue-pair sampler. Both seed at the
+minima of the splitting and refine every seed together by Newton steps,
+one batch evaluation per step, on a function with a simple zero at a
+simple EP: eta^2 on the scan line, and on the grid the discriminant
+D = (a - b)^2 of the pair (a, b), which does not depend on their order.
+The gap |a - b| itself only has a square-root kink there.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ from .toymodel import ToyParams, scan_entries
 
 # refined candidates closer than DEDUP_FACTOR * tolerance collapse to one EP
 DEDUP_FACTOR = 10.0
+# Newton steps per seed. Each step squares the error once it is small, so
+# from a minimum of the 2001-point scan a few steps reach float resolution;
+# a coarse-grid minimum can be a whole cell away and needs up to about 12.
+SCAN_NEWTON_STEPS = 8
+GRID_NEWTON_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -56,73 +63,40 @@ def _eta_squared(alphas: np.ndarray, p: ToyParams) -> np.ndarray:
     return eta_squared(*scan_entries(alphas, p))
 
 
-def _polish_root(alpha: float, p: ToyParams, lo: float, hi: float,
-                 iters: int = 4) -> float:
-    """Newton steps on the complex eta^2 (finite-difference derivative).
-
-    eta^2 is smooth in alpha with a simple zero at an EP, so this gains
-    quadratically over the kinked |eta^2| minimization; keeps the best
-    iterate within [lo, hi].
-    """
-    def w(a):
-        return complex(_eta_squared(np.array([a]), p)[0])
-
-    best, best_val = alpha, abs(w(alpha))
-    cur = alpha
-    for _ in range(iters):
-        h = 1e-7 * (1.0 + abs(cur))
-        deriv = (w(cur + h) - w(cur - h)) / (2.0 * h)
-        if deriv == 0:
-            break
-        step = w(cur) / deriv
-        cur = min(max(cur - step.real, lo), hi)
-        val = abs(w(cur))
-        if val < best_val:
-            best, best_val = cur, val
-    return best
-
-
 def toy_ep_roots(p: ToyParams, alpha_bracket: tuple[float, float], *,
                  n_scan: int = 2001, residual_tol: float = 1e-10) -> list[EPLocation]:
     """All alpha in the bracket where the splitting vanishes, at fixed beta.
 
-    Scans |eta|^2 on a dense grid, refines every local minimum by bounded
-    minimization, and keeps minima below ``residual_tol``. An empty list
-    means no EP in the bracket. Raises ``RuntimeError`` (with the best
-    iterate) if a refinement fails to converge.
+    Scans |eta^2| on a dense grid and refines all its local minima together
+    by Newton steps on the complex eta^2: the real step Re(w / w'), w' from
+    central differences, each iterate clipped to the minimum's neighbouring
+    grid points. Keeps the best iterate of each minimum if its |eta^2| is
+    below ``residual_tol``. An empty list means no EP in the bracket.
     """
-    # imported on use: it is most of the import time of the package, and
-    # only the EP searches need it
-    from scipy import optimize
-
     lo, hi = float(alpha_bracket[0]), float(alpha_bracket[1])
     if not (0.0 <= lo < hi):
         raise ValueError("alpha bracket must satisfy 0 <= lo < hi")
     grid = np.linspace(lo, hi, n_scan)
     f = np.abs(_eta_squared(grid, p))
+    k = np.flatnonzero((f[1:-1] <= f[:-2]) & (f[1:-1] < f[2:])) + 1
+    left, right = grid[k - 1], grid[k + 1]
 
-    roots: list[EPLocation] = []
-    for k in range(1, n_scan - 1):
-        if not (f[k] <= f[k - 1] and f[k] < f[k + 1]):
-            continue
-        res = optimize.minimize_scalar(
-            lambda a: float(np.abs(_eta_squared(np.array([a]), p))[0]),
-            bounds=(grid[k - 1], grid[k + 1]),
-            method="bounded",
-            options={"xatol": 1e-13},
-        )
-        if not res.success:
-            raise RuntimeError(
-                f"EP refinement did not converge; best iterate alpha={res.x}"
-                f" with |eta^2|={res.fun}"
-            )
-        alpha = _polish_root(float(res.x), p, grid[k - 1], grid[k + 1])
-        fmin = float(np.abs(_eta_squared(np.array([alpha]), p))[0])
-        if fmin < residual_tol:
-            roots.append(EPLocation(
-                p1=alpha, p2=p.beta,
-                residual=2.0 * math.sqrt(fmin),
-            ))
+    cur = best = grid[k]
+    best_val = np.full(k.size, np.inf)
+    for _ in range(SCAN_NEWTON_STEPS):
+        h = 1e-7 * (1.0 + np.abs(cur))
+        w, wp, wm = _eta_squared(np.concatenate([cur, cur + h, cur - h]),
+                                 p).reshape(3, -1)
+        val = np.abs(w)
+        better = val < best_val
+        best, best_val = np.where(better, cur, best), np.where(better, val, best_val)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (w / ((wp - wm) / (2.0 * h))).real
+        cur = np.clip(np.where(np.isfinite(step), cur - step, cur), left, right)
+
+    roots = [EPLocation(p1=alpha, p2=p.beta, residual=2.0 * math.sqrt(fmin))
+             for alpha, fmin in zip(best.tolist(), best_val.tolist())
+             if fmin < residual_tol]
     roots.sort(key=lambda e: (e.p1, e.p2))
     return roots
 
@@ -130,29 +104,29 @@ def toy_ep_roots(p: ToyParams, alpha_bracket: tuple[float, float], *,
 def sample_points(sampler, p1: np.ndarray, p2: np.ndarray):
     """Eigenvalue pairs (va, vb) of ``sampler`` at the points (p1, p2).
 
-    One call with the two equal-shape coordinate arrays; if it raises or
-    returns another shape, one call per point with floats, where a point
-    that raises is NaN. ``failed`` maps the row-major (flat) index of each
-    such point to its exception, in index order.
+    One call with the two equal-shape coordinate arrays. The points where it
+    returns a non-finite value are sampled again, one call per point with
+    floats, and so is every point if it raises or returns another shape. A
+    point whose own call raises is NaN; ``failed`` maps the row-major (flat)
+    index of each such point to its exception, in index order.
     """
     try:
-        va, vb = sampler(p1, p2)
-        va = np.asarray(va, dtype=complex)
-        vb = np.asarray(vb, dtype=complex)
-        if va.shape == vb.shape == p1.shape:
-            return va, vb, {}
+        va, vb = (np.array(v, dtype=complex) for v in sampler(p1, p2))
     except Exception:
-        pass
-    va = np.full(p1.size, np.nan, dtype=complex)
-    vb = np.full(p1.size, np.nan, dtype=complex)
+        va = vb = None
+    if va is None or not va.shape == vb.shape == p1.shape:
+        va = np.full(p1.shape, np.nan, dtype=complex)
+        vb = np.full(p1.shape, np.nan, dtype=complex)
+    redo = np.flatnonzero(~(np.isfinite(va) & np.isfinite(vb)))
+    x, y = p1.ravel()[redo].tolist(), p2.ravel()[redo].tolist()
     failed: dict[int, Exception] = {}
-    for k, (x, y) in enumerate(zip(p1.ravel().tolist(), p2.ravel().tolist())):
+    for k, xk, yk in zip(redo.tolist(), x, y):
         try:
-            va[k], vb[k] = sampler(x, y)
+            va.flat[k], vb.flat[k] = sampler(xk, yk)
         except Exception as exc:
-            va[k] = vb[k] = np.nan
+            va.flat[k] = vb.flat[k] = np.nan
             failed[k] = exc
-    return va.reshape(p1.shape), vb.reshape(p1.shape), failed
+    return va, vb, failed
 
 
 def _local_minima(gaps: np.ndarray) -> list[tuple[int, int]]:
@@ -175,16 +149,17 @@ def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
                    reject_rel: float = 1e-3) -> GridSearchResult:
     """Locate EPs of a generic eigenvalue-pair sampler in a rectangle.
 
-    Coarse-scans the gap on a ``coarse_n`` x ``coarse_n`` grid, refines
-    each local-minimum cell with a Nelder-Mead simplex seeded at the cell,
-    re-evaluates the gap at the refined point, and accepts it only below
-    both the refinement tolerance (default ``1e-6`` x window diagonal) and
+    Coarse-scans the gap on a ``coarse_n`` x ``coarse_n`` grid and refines
+    all local-minimum cells together by Newton steps on D = (a - b)^2, with
+    a 2x2 real Jacobian from central differences: one sampler call per step
+    on five points of every seed, each iterate clipped to the window. A seed
+    is dropped at its first sampler failure. The gap is evaluated again at
+    each seed's best iterate, which is accepted only below both the
+    refinement tolerance (default ``1e-6`` x window diagonal) and
     ``reject_rel`` x the median coarse gap (which rejects shallow avoided
-    crossings). Sampler failures skip the cell and are counted in the
-    result. Accepted points are deduplicated and sorted by (p1, p2).
+    crossings). Sampler failures are counted in the result. Accepted points
+    are deduplicated and sorted by (p1, p2).
     """
-    from scipy import optimize
-
     if coarse_n < 8:
         raise ValueError("coarse_n must be >= 8")
     (p1lo, p1hi), (p2lo, p2hi) = window
@@ -203,43 +178,44 @@ def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
         raise RuntimeError("sampler failed on most of the coarse grid")
     median_gap = float(np.median(finite))
 
-    failure_box = [failures]
+    # skip cells that clearly sit on a smooth gap plateau
+    i, j = np.array(_local_minima(gaps), dtype=int).reshape(-1, 2).T
+    seed = (gaps[i, j] < 0.5 * median_gap) | (gaps[i, j] < 10 * tol)
+    x = np.stack([p1s[i[seed]], p2s[j[seed]]], axis=1)
+    lo, hi = np.array([p1lo, p2lo]), np.array([p1hi, p2hi])
+    h = 1e-4 * (hi - lo) / (coarse_n - 1)
+    # the difference stencil is centred at the iterate moved at least h inside
+    # the window, so the search samples no point outside it
+    shifts = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]]) * h
 
-    def objective(x):
-        try:
-            la, lb = sampler(float(x[0]), float(x[1]))
-        except Exception:
-            failure_box[0] += 1
-            return np.inf
-        return abs(la - lb)
+    best, best_val = x, np.full(len(x), np.inf)
+    for _ in range(GRID_NEWTON_STEPS):
+        if not len(x):
+            break
+        c = np.clip(x, lo + h, hi - h)
+        pts = np.concatenate([x[None], c[None] + shifts[:, None]])
+        a, b, failed = sample_points(sampler, pts[..., 0], pts[..., 1])
+        failures += len(failed)
+        d = (a - b) ** 2
+        ok = np.isfinite(d).all(axis=0)  # a failed point is NaN
+        x, best, best_val, d = x[ok], best[ok], best_val[ok], d[:, ok]
 
-    dx = (p1hi - p1lo) / (coarse_n - 1)
-    dy = (p2hi - p2lo) / (coarse_n - 1)
+        better = np.abs(d[0]) < best_val
+        best = np.where(better[:, None], x, best)
+        best_val = np.where(better, np.abs(d[0]), best_val)
+        jx, jy = (d[1] - d[2]) / (2 * h[0]), (d[3] - d[4]) / (2 * h[1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.stack([(d[0].conj() * jy).imag, (jx.conj() * d[0]).imag],
+                            axis=1) / (jx.conj() * jy).imag[:, None]
+        x = np.clip(np.where(np.isfinite(step), x - step, x), lo, hi)
 
-    accepted: list[EPLocation] = []
-    for (i, j) in _local_minima(gaps):
-        # skip cells that clearly sit on a smooth gap plateau
-        if not (gaps[i, j] < 0.5 * median_gap or gaps[i, j] < 10 * tol):
-            continue
-        x0 = np.array([p1s[i], p2s[j]])
-        simplex = np.array([x0, x0 + (dx, 0.0), x0 + (0.0, dy)])
-        res = optimize.minimize(
-            objective, x0, method="Nelder-Mead",
-            options={
-                "initial_simplex": simplex,
-                # the gap grows like sqrt(distance) at an EP, so hitting the
-                # residual target needs near-float position resolution
-                "xatol": 1e-13,
-                "fatol": 1e30,  # stop on simplex size, not value spread
-                "maxfev": 4000,
-            },
-        )
-        residual = objective(res.x)  # independent re-evaluation
-        if not np.isfinite(residual):
-            continue
-        if residual < tol and residual < reject_rel * median_gap:
-            accepted.append(EPLocation(float(res.x[0]), float(res.x[1]),
-                                       float(residual)))
+    # independent re-evaluation at the best iterates
+    a, b, failed = sample_points(sampler, best[:, 0], best[:, 1])
+    failures += len(failed)
+    accepted = [EPLocation(q1, q2, r) for q1, q2, r in
+                zip(best[:, 0].tolist(), best[:, 1].tolist(),
+                    abs_diff(a, b).tolist())
+                if r < tol and r < reject_rel * median_gap]
 
     # deduplicate: the two sheets share each minimum, and neighboring seeds
     # converge to the same point
@@ -250,5 +226,5 @@ def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
                for k in kept):
             kept.append(cand)
     kept.sort(key=lambda e: (e.p1, e.p2))
-    return GridSearchResult(kept, sampler_failures=failure_box[0],
+    return GridSearchResult(kept, sampler_failures=failures,
                             median_gap=median_gap, tolerance=tol)

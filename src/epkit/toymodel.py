@@ -96,11 +96,13 @@ def eigenpair_sampler(p: ToyParams) -> Callable[[float, float], tuple[complex, c
 
     beta is a free scan coordinate here (p.beta is ignored). Called with two
     equal-shape arrays it returns the two eigenvalue arrays in one pass,
-    bitwise equal to the point-by-point values.
+    bitwise equal to the point-by-point values, and NaN where alpha < 0,
+    at which a point-by-point call raises.
     """
 
     def sample(alpha: float, beta: float) -> tuple[complex, complex]:
         if isinstance(alpha, np.ndarray):
+            alpha = np.where(alpha < 0, np.nan, alpha)
             return eigvalues_grid(*scan_entries(alpha, p, beta=beta))
         lp, lm = eigvalues_grid(*scan_entries([alpha], p, beta=beta))
         return complex(lp[0]), complex(lm[0])

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from epkit.core import principal_sqrt
-from epkit.epfind import grid_ep_search, toy_ep_roots
-from epkit.toymodel import ToyParams, eigenpair_sampler
+from epkit.epfind import grid_ep_search, sample_points, toy_ep_roots
+from epkit.surface import build_surface
+from epkit.toymodel import PRESETS, ToyParams, eigenpair_sampler
 
 DOUBLE_EP = ToyParams(g_c=0.05, beta=1.0, gamma1=1.05, gamma2=1.05)
 EP1_ALPHA = 0.4541453828492342
@@ -32,6 +35,22 @@ def brute_force_gap_minima(p, lo, hi, resolution=1e-6):
     eta_abs = np.abs(np.sqrt(0.25 * (xi1 - xi2) ** 2 + g * g))
     k = np.where((eta_abs[1:-1] <= eta_abs[:-2]) & (eta_abs[1:-1] < eta_abs[2:]))[0] + 1
     return [(float(alphas[i]), float(eta_abs[i])) for i in k]
+
+
+def closed_form_double_ep(g_c):
+    """EP alphas of the equal-width beta = 1 model, where eta^2 =
+    abar^2/4 - g_c^2 exp(-2 abar^2) with abar = 1 - alpha/2 - sqrt(alpha):
+    bisect d0/2 = g_c exp(-d0^2), then solve abar = +d0 and -d0."""
+    lo, hi = 0.0, 2.0 * g_c
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if mid / 2 < g_c * math.exp(-mid * mid):
+            lo = mid
+        else:
+            hi = mid
+    return [(math.sqrt(3.0 + s * 2.0 * lo) - 1.0) ** 2 for s in (-1, 1)]
 
 
 class TestToyEpRoots:
@@ -81,6 +100,16 @@ class TestToyEpRoots:
         roots = toy_ep_roots(DOUBLE_EP, (0.3, 0.8))
         assert roots[0].p1 == pytest.approx(EP1_ALPHA, abs=1e-9)
         assert roots[1].p1 == pytest.approx(EP2_ALPHA, abs=1e-9)
+
+    @given(st.floats(0.01, 0.4), st.floats(0.5, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_widths_match_closed_form(self, g_c, gamma):
+        p = ToyParams(g_c=g_c, beta=1.0, gamma1=gamma, gamma2=gamma)
+        roots = toy_ep_roots(p, (0.01, 4.0))
+        expected = closed_form_double_ep(g_c)
+        assert len(roots) == 2
+        for got, alpha in zip(roots, expected):
+            assert abs(got.p1 - alpha) < 1e-12
 
 
 class TestGridEpSearch:
@@ -146,3 +175,81 @@ class TestGridEpSearch:
 
         res = grid_ep_search(dipped, ((0.0, 1.0), (0.0, 1.0)), coarse_n=16)
         assert len(res) == 0
+
+    def test_eps_outside_the_window_not_returned(self):
+        # class2's second EP, near (0.627, 1.240), lies above the window
+        sample = eigenpair_sampler(ToyParams(**PRESETS["class2"]["params"]))
+        res = grid_ep_search(sample, ((0.01, 1.5), (0.0, 1.2)))
+        assert len(res) == 1
+        assert res[0].p1 == pytest.approx(0.4813374, abs=1e-6)
+        assert res[0].p2 == pytest.approx(0.7645287, abs=1e-6)
+
+    @given(st.sampled_from(["class2", "class4", "double-ep", "oracle"]),
+           st.floats(0.01, 1.0), st.floats(0.05, 1.5), st.floats(-0.5, 1.5),
+           st.floats(0.05, 1.5), st.sampled_from([8, 16, 32]))
+    @settings(max_examples=60, deadline=None)
+    def test_every_ep_lies_in_its_window(self, name, a0, width, b0, height, n):
+        if name == "oracle":
+            sample = oracle_sampler(0.454 + 1.0j, 0.621 + 1.0j)
+        else:
+            sample = eigenpair_sampler(ToyParams(**PRESETS[name]["params"]))
+        window = ((a0, a0 + width), (b0, b0 + height))
+        for ep in grid_ep_search(sample, window, n):
+            assert a0 <= ep.p1 <= a0 + width and b0 <= ep.p2 <= b0 + height
+
+    @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-1.0, 1.0),
+           st.floats(-1.0, 1.0), st.floats(0.05, 1.0), st.floats(0.05, 1.0),
+           st.sampled_from([24, 32, 48]))
+    @settings(max_examples=60, deadline=None)
+    def test_recovers_random_two_point_oracles(self, x1, y1, dx, dy, mx, my, n):
+        z1, z2 = complex(x1, y1), complex(x1 + dx, y1 + dy)
+        window = ((min(z1.real, z2.real) - mx, max(z1.real, z2.real) + mx),
+                  (min(z1.imag, z2.imag) - my, max(z1.imag, z2.imag) + my))
+        cell = max(hi - lo for lo, hi in window) / (n - 1)
+        assume(abs(z2 - z1) > 4 * cell)  # the grid resolves the two minima
+        res = grid_ep_search(oracle_sampler(z1, z2), window, n)
+        assert len(res) == 2
+        for ep in res:
+            assert ep.residual < res.tolerance
+        found = [complex(ep.p1, ep.p2) for ep in res]
+        for z in (z1, z2):
+            assert min(abs(f - z) for f in found) < 1e-10
+
+
+def scalar_only(sample):
+    """``sample`` called with floats, which raises on arrays."""
+    return lambda p1, p2: sample(float(p1), float(p2))
+
+
+class TestNegativeAlpha:
+    def test_only_the_nan_points_are_sampled_again(self):
+        # the batch call gives NaN at alpha < 0; one call per such point
+        # raises there, as the same points do when sampled one at a time
+        sample = eigenpair_sampler(DOUBLE_EP)
+        sizes = []
+
+        def counted(p1, p2):
+            sizes.append(np.size(p1))
+            return sample(p1, p2)
+
+        p1, p2 = np.meshgrid(np.linspace(-0.05, 0.8, 18),
+                             np.linspace(0.9, 1.1, 5), indexing="ij")
+        va, vb, failed = sample_points(counted, p1, p2)
+        negative = np.flatnonzero(p1 < 0).tolist()
+        assert sizes == [p1.size] + [1] * len(negative)
+        assert list(failed) == negative
+
+        sa, sb, slow = sample_points(scalar_only(sample), p1, p2)
+        np.testing.assert_array_equal(va, sa)
+        np.testing.assert_array_equal(vb, sb)
+        assert [(k, type(e), str(e)) for k, e in failed.items()] == [
+            (k, type(e), str(e)) for k, e in slow.items()]
+
+    def test_surface_missing_cells_unchanged(self):
+        sample = eigenpair_sampler(DOUBLE_EP)
+        window = ((-0.01, 0.8), (0.9, 1.1))  # one row of nodes at alpha < 0
+        fast, slow = (build_surface(s, window, 64, 16, max_missing_frac=0.05)
+                      for s in (sample, scalar_only(sample)))
+        assert fast.missing == slow.missing == [(0, j) for j in range(16)]
+        np.testing.assert_array_equal(fast.sheet1, slow.sheet1)
+        assert fast.cut_cells == slow.cut_cells
