@@ -25,7 +25,7 @@ import numpy as np
 from . import io as io_mod
 from .crossing import beta_transition, classify, overlap_peaks, sweep_toy
 from .epfind import grid_ep_search, toy_ep_roots
-from .sphere import PlanePoint, lift_cut
+from .sphere import lift_cut
 from .surface import (AnalyticOracle, CircleLoop, PolylineLoop, build_surface,
                       encircle)
 from .toymodel import PRESETS, ToyParams, eigenpair_sampler
@@ -376,27 +376,26 @@ def _cmd_beta_scan(cfg) -> None:
     })
 
 
-def _read_plane_csv(path) -> list[PlanePoint]:
-    import csv as csv_mod
-    points = []
-    with Path(path).open(newline="", encoding="utf-8") as handle:
-        reader = csv_mod.reader(handle)
-        header = next(reader)
-        if [h.strip() for h in header[:2]] != ["n", "chi"]:
-            raise ValueError(f"{path}: expected header n,chi")
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            points.append(PlanePoint(float(row[0]), float(row[1])))
-    return points
+def _config_points(points) -> tuple[np.ndarray, np.ndarray]:
+    """The n and chi arrays of the config's ``points``, [n, chi] pairs."""
+    if not isinstance(points, list):
+        raise ValueError(
+            f"points must be a list of [n, chi] pairs, got {points!r}")
+    for k, point in enumerate(points):
+        if not (isinstance(point, list) and len(point) == 2 and all(
+                isinstance(c, (int, float)) and not isinstance(c, bool)
+                for c in point)):
+            raise ValueError(
+                f"points[{k}] must be a pair of numbers [n, chi], got {point!r}")
+    return np.array(points, dtype=float).reshape(-1, 2).T
 
 
 def _cmd_project(cfg) -> None:
     if cfg.get("input"):
-        points = _read_plane_csv(cfg["input"])
+        n, chi = io_mod.read_plane_csv(cfg["input"])
     else:
-        points = [PlanePoint(n, chi) for n, chi in cfg["points"]]
-    lifted = lift_cut(points)
+        n, chi = _config_points(cfg["points"])
+    lifted = lift_cut(n, chi)
     out = _outdir(cfg)
     io_mod.write_sphere_csv(out / "sphere.csv", lifted)
     io_mod.write_json(out / "project.json", {

@@ -10,7 +10,6 @@ owns all sheet logic.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -103,11 +102,8 @@ class DiscreteField:
 
 
 def principal_sqrt(w: complex) -> complex:
-    """Square root with Re >= 0; on the Re = 0 line take Im >= 0."""
-    s = cmath.sqrt(w)
-    if s.real < 0.0 or (s.real == 0.0 and s.imag < 0.0):
-        s = -s
-    return s
+    """:func:`principal_sqrt_grid` of one value."""
+    return complex(principal_sqrt_grid(complex(w)))
 
 
 def eta_squared(xi1, xi2, g):
@@ -130,7 +126,8 @@ def abs_diff(u, v):
 
 
 def principal_sqrt_grid(w):
-    """Vectorized :func:`principal_sqrt`; bitwise equal to it elementwise."""
+    """Square root with Re >= 0, on the Re = 0 line Im >= 0, elementwise;
+    :func:`principal_sqrt` is its value at one point."""
     s = np.sqrt(w)
     flip = (s.real < 0.0) | ((s.real == 0.0) & (s.imag < 0.0))
     return np.where(flip, -s, s)

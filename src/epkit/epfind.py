@@ -158,11 +158,15 @@ def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
     refinement tolerance (default ``1e-6`` x window diagonal) and
     ``reject_rel`` x the median coarse gap (which rejects shallow avoided
     crossings). Sampler failures are counted in the result. Accepted points
-    are deduplicated and sorted by (p1, p2).
+    are deduplicated and sorted by (p1, p2). A window with lo >= hi on
+    either axis raises.
     """
     if coarse_n < 8:
         raise ValueError("coarse_n must be >= 8")
     (p1lo, p1hi), (p2lo, p2hi) = window
+    if not (p1lo < p1hi and p2lo < p2hi):
+        raise ValueError(
+            f"window must have lo < hi on both axes, got {window!r}")
     diag = math.hypot(p1hi - p1lo, p2hi - p2lo)
     tol = refine_tol if refine_tol is not None else 1e-6 * diag
 

@@ -13,12 +13,10 @@ import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .crossing import ScanTrajectory, match_branches
-from .sphere import SpherePoint
 from .surface import SheetGrid
 
 
@@ -64,7 +62,8 @@ class TrajectoryDataset:
         return match_branches(ts, pairs)
 
 
-def _parse_float(text: str, line_num: int, column: str) -> float:
+def _parse_number(text: str, line_num: int, column: str) -> float:
+    """A float cell; infinities pass, NaN does not."""
     try:
         value = float(text)
     except ValueError:
@@ -73,6 +72,11 @@ def _parse_float(text: str, line_num: int, column: str) -> float:
         ) from None
     if math.isnan(value):
         raise IngestError(f"line {line_num}: NaN in column {column!r}")
+    return value
+
+
+def _parse_float(text: str, line_num: int, column: str) -> float:
+    value = _parse_number(text, line_num, column)
     if math.isinf(value):
         raise IngestError(f"line {line_num}: infinite value in column {column!r}")
     return value
@@ -172,11 +176,40 @@ def write_sheetgrid_csv(path, grid: SheetGrid) -> None:
         handle.writelines(rows)
 
 
-def write_sphere_csv(path, points: Sequence[SpherePoint]) -> None:
+def read_plane_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """The n and chi columns of a plane-point CSV with header ``n,chi``.
+
+    Infinite cells are allowed (the point at infinity); an empty file, a
+    row with fewer than two cells, and a non-numeric or NaN cell raise
+    :class:`IngestError` naming the offending line.
+    """
+    with Path(path).open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestError("line 1: empty file") from None
+        if [h.strip() for h in header[:2]] != ["n", "chi"]:
+            raise ValueError(f"{path}: expected header n,chi")
+        points: list[tuple[float, float]] = []
+        for row in reader:
+            line_num = reader.line_num
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) < 2:
+                raise IngestError(
+                    f"line {line_num}: expected 2 cells, got {len(row)}")
+            points.append((_parse_number(row[0], line_num, "n"),
+                           _parse_number(row[1], line_num, "chi")))
+    return np.array(points, dtype=float).reshape(-1, 2).T
+
+
+def write_sphere_csv(path, points: np.ndarray) -> None:
+    """Write (N, 3) sphere points as ``tn,tchi,txi`` rows."""
+    columns = np.asarray(points, dtype=float).T.tolist()
     with Path(path).open("w", newline="\n", encoding="utf-8") as handle:
         handle.write("tn,tchi,txi\n")
-        handle.writelines(f"{float(s.tn)!r},{float(s.tchi)!r},{float(s.txi)!r}\n"
-                          for s in points)
+        handle.writelines(map("{!r},{!r},{!r}\n".format, *columns))
 
 
 def _jsonable(obj):

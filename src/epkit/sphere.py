@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -72,11 +71,7 @@ NORTH_POLE = SpherePoint(0.0, 0.0, 1.0)
 
 def to_sphere(p: PlanePoint) -> SpherePoint:
     """Inverse stereographic projection; infinity maps to the north pole."""
-    if p.is_infinite:
-        return NORTH_POLE
-    r2 = p.n * p.n + p.chi * p.chi
-    zeta = r2 + 1.0
-    return SpherePoint(2.0 * p.n / zeta, 2.0 * p.chi / zeta, (r2 - 1.0) / zeta)
+    return SpherePoint(*lift_cut([p.n], [p.chi])[0].tolist())
 
 
 def to_plane(s: SpherePoint) -> PlanePoint:
@@ -93,15 +88,23 @@ def to_plane(s: SpherePoint) -> PlanePoint:
     return PlanePoint(s.tn / denom, s.tchi / denom)
 
 
-def lift_cut(curve: Iterable[PlanePoint]) -> list[SpherePoint]:
-    """Map a sampled plane curve (cut nodes, EP markers) onto the sphere."""
-    return [to_sphere(p) for p in curve]
+def lift_cut(n, chi) -> np.ndarray:
+    """Inverse stereographic projection of plane points (cut nodes, EP
+    markers), as an (N, 3) array of (tn, tchi, txi) rows.
 
-
-def plane_to_sphere_arrays(n, chi):
-    """Vectorized inverse projection for finite coordinate arrays."""
-    n = np.asarray(n, dtype=float)
-    chi = np.asarray(chi, dtype=float)
-    r2 = n * n + chi * chi
-    zeta = r2 + 1.0
-    return 2.0 * n / zeta, 2.0 * chi / zeta, (r2 - 1.0) / zeta
+    A point with an infinite coordinate, or so far out that n^2 + chi^2
+    overflows, maps to the north pole exactly; a NaN coordinate raises.
+    """
+    n = np.asarray(n, dtype=float).ravel()
+    chi = np.asarray(chi, dtype=float).ravel()
+    if n.shape != chi.shape:
+        raise ValueError(f"{n.size} n values for {chi.size} chi values")
+    if np.isnan(n).any() or np.isnan(chi).any():
+        raise ValueError("plane coordinates must not be NaN")
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = n * n + chi * chi
+        zeta = r2 + 1.0
+        rows = np.stack([2.0 * n / zeta, 2.0 * chi / zeta, (r2 - 1.0) / zeta],
+                        axis=-1)
+    rows[~np.isfinite(r2)] = (0.0, 0.0, 1.0)
+    return rows

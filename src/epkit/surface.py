@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import abs_diff, principal_sqrt, principal_sqrt_grid
+from .core import abs_diff, principal_sqrt_grid
 from .crossing import pairing, parity_runs
 from .epfind import EPLocation, sample_points
 
@@ -440,21 +440,17 @@ class AnalyticOracle:
 
 
 def oracle_eval(o: AnalyticOracle, z: complex) -> tuple[complex, complex]:
-    """The two principal-branch values of the oracle at z.
+    """The two principal-branch values of the oracle at z: those of
+    :func:`_oracle_grid` at the one point.
 
     At a branch point both values are 0 (the degenerate case is left to
     the caller to detect via the vanishing gap).
     """
     z = complex(z)
-    if o.kind == "two-point":
-        s = principal_sqrt((z - o.z1) * (z - o.z2))
-        return s, -s
-    w = z - o.z0
-    if w == 0:
-        return 0j, 0j
-    root = cmath.exp(cmath.log(w) / o.order)
-    turn = cmath.exp(2j * cmath.pi / o.order)
-    return root, root * turn
+    # one-element arrays, not 0-d ones: numpy scalars multiply complex
+    # values with other rounding than its array loops
+    va, vb = _oracle_grid(o, np.array([z.real]), np.array([z.imag]))
+    return complex(va[0]), complex(vb[0])
 
 
 def _complex(re, im):
@@ -462,10 +458,10 @@ def _complex(re, im):
 
 
 def _oracle_grid(o: AnalyticOracle, p1: np.ndarray, p2: np.ndarray):
-    """:func:`oracle_eval` at every p1 + i p2; bitwise equal for the
-    two-point kind, whose product is formed in real arithmetic as Python's
-    complex multiply does. numpy's complex log and exp round differently
-    from :mod:`cmath`, so single-point roots may differ in the last bit."""
+    """The oracle pair at every p1 + i p2. The two-point product is formed
+    in real arithmetic as Python's complex multiply does, so it equals
+    ``principal_sqrt((z - z1) * (z - z2))`` bitwise; the single-point
+    roots are exp(log(w) / order), and 0 at w = 0."""
     if o.kind == "two-point":
         ar, ai = p1 - o.z1.real, p2 - o.z1.imag
         br, bi = p1 - o.z2.real, p2 - o.z2.imag

@@ -1,12 +1,15 @@
-"""Per-point loop implementations of the scan, grid and loop paths, kept as
-references.
+"""Per-point loop implementations of the scan, grid and loop paths, and
+:mod:`cmath` versions of the scalar square-root and oracle kernels, kept
+as references.
 
 The library computes these quantities with array operations; the tests in
-test_reference_oracles.py and test_grid_reference.py check it against the
-straightforward loops here.
+test_reference_oracles.py, test_grid_reference.py, test_core.py and
+test_surface.py check it against the straightforward code here.
 """
 
 from __future__ import annotations
+
+import cmath
 
 import numpy as np
 
@@ -15,6 +18,33 @@ from epkit.core import (DEGENERACY_THRESHOLD, DiscreteField, Hamiltonian2,
 from epkit.crossing import AMBIGUITY_TOL
 from epkit.surface import END_MATCH_TOL, IDENTITY, SWAP, LoopResult
 from epkit.toymodel import build_hamiltonian
+
+
+def bits(z: complex) -> tuple[str, str]:
+    """The exact floats of a complex value, signed zeros distinguished."""
+    return z.real.hex(), z.imag.hex()
+
+
+def principal_sqrt(w: complex) -> complex:
+    """Square root with Re >= 0; on the Re = 0 line take Im >= 0."""
+    s = cmath.sqrt(w)
+    if s.real < 0.0 or (s.real == 0.0 and s.imag < 0.0):
+        s = -s
+    return s
+
+
+def oracle_eval(o, z: complex) -> tuple[complex, complex]:
+    """The two principal-branch values of an AnalyticOracle at z."""
+    z = complex(z)
+    if o.kind == "two-point":
+        s = principal_sqrt((z - o.z1) * (z - o.z2))
+        return s, -s
+    w = z - o.z0
+    if w == 0:
+        return 0j, 0j
+    root = cmath.exp(cmath.log(w) / o.order)
+    turn = cmath.exp(2j * cmath.pi / o.order)
+    return root, root * turn
 
 
 def eigvector(h: Hamiltonian2, lam: complex) -> np.ndarray:

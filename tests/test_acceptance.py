@@ -14,7 +14,7 @@ from epkit.cli import main as cli_main
 from epkit.core import eigvalues_grid
 from epkit.crossing import overlap_peaks, sweep_toy
 from epkit.epfind import toy_ep_roots
-from epkit.sphere import PlanePoint, plane_to_sphere_arrays, to_plane, to_sphere
+from epkit.sphere import PlanePoint, lift_cut, to_plane, to_sphere
 from epkit.surface import (AnalyticOracle, CircleLoop, PolylineLoop,
                            build_surface, connected_components, encircle)
 from epkit.toymodel import ToyParams, eigenpair_sampler, scan_entries
@@ -183,7 +183,7 @@ def test_criterion_7_projection_identities():
         rng = np.random.default_rng(77)
         n = rng.normal(0.0, 3.0, 100_000)
         chi = rng.normal(0.0, 3.0, 100_000)
-        tn, tchi, txi = plane_to_sphere_arrays(n, chi)
+        tn, tchi, txi = lift_cut(n, chi).T
         norms = np.sqrt(tn**2 + tchi**2 + txi**2)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
 

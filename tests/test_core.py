@@ -1,11 +1,13 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import loop_reference as ref
 from epkit.core import (DiscreteField, Hamiltonian2, diagonalize,
                         eigvalues_grid, overlap, principal_sqrt,
                         shannon_entropy, splitting)
@@ -39,6 +41,49 @@ class TestPrincipalSqrt:
             s = principal_sqrt(w)
             assert s.real > 0 or (s.real == 0 and s.imag >= 0)
             assert cmath.isclose(s * s, w, rel_tol=1e-12)
+
+
+# components 0 or of magnitude 1e-150 to 1e150, so that no component of a
+# root falls into the subnormal range
+signed_zeros = st.sampled_from([0.0, -0.0])
+moderate = st.one_of(signed_zeros, st.floats(1e-150, 1e150),
+                     st.floats(-1e150, -1e-150))
+
+
+class TestPrincipalSqrtReference:
+    """The numpy kernel against the cmath reference in loop_reference.py."""
+
+    @pytest.mark.parametrize("w", [complex(-4.0, -0.0), complex(-0.0, 0.0),
+                                   complex(0.0, -0.0), complex(-0.0, -0.0),
+                                   complex(-4.0, 0.0), complex(4.0, -0.0)])
+    def test_signed_zero_cases_equal_reference_bitwise(self, w):
+        assert ref.bits(principal_sqrt(w)) == ref.bits(ref.principal_sqrt(w))
+
+    @given(moderate, moderate)
+    @settings(max_examples=500, deadline=None)
+    def test_equals_reference_bitwise(self, x, y):
+        assume(x != 0.0 or y == 0.0)  # pure imaginary: see below
+        w = complex(x, y)
+        assert ref.bits(principal_sqrt(w)) == ref.bits(ref.principal_sqrt(w))
+
+    @given(signed_zeros, moderate.filter(bool))
+    @settings(max_examples=200, deadline=None)
+    def test_pure_imaginary_root_is_symmetric(self, x, y):
+        # the exact root of i*y has |Re| == |Im|, and numpy rounds both
+        # parts alike; cmath forms Im as y / (2 Re), often 1 ulp away
+        s, r = principal_sqrt(complex(x, y)), ref.principal_sqrt(complex(x, y))
+        assert s.real == abs(s.imag)
+        assert math.copysign(1.0, s.imag) == math.copysign(1.0, y)
+        assert s.real == r.real and abs(s.imag - r.imag) <= math.ulp(r.imag)
+
+    @given(st.complex_numbers(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=500, deadline=None)
+    def test_close_to_reference_on_all_finite_inputs(self, w):
+        # numpy loses bits in a subnormal component; where the real part of
+        # the root underflows to 0 the Im >= 0 rule picks the other root
+        s, r = principal_sqrt(w), ref.principal_sqrt(w)
+        tol = 8 * sys.float_info.epsilon * abs(r)
+        assert abs(s - r) <= tol or (s.real == 0.0 and abs(s + r) <= tol)
 
 
 class TestHamiltonian2:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,17 @@ class TestGridEpSearch:
         with pytest.raises(ValueError):
             grid_ep_search(oracle_sampler(Z1, Z2), ((2.5, 3.0), (0.45, 0.7)),
                            coarse_n=4)
+
+    @pytest.mark.parametrize("window", [((0.8, 0.3), (0.9, 1.1)),
+                                        ((0.3, 0.8), (1.1, 0.9)),
+                                        ((0.3, 0.8), (0.9, 0.9))])
+    def test_empty_window_rejected(self, window):
+        # the window ((0.3, 0.8), (0.9, 1.1)) holds both branch points
+        sample = oracle_sampler(complex(0.4, 0.95), complex(0.6, 1.0))
+        assert len(grid_ep_search(sample, ((0.3, 0.8), (0.9, 1.1)))) == 2
+        with pytest.raises(ValueError, match=r"lo < hi on both axes, got "
+                           + re.escape(repr(window))):
+            grid_ep_search(sample, window)
 
     def test_shallow_avoided_crossing_rejected(self):
         # a gap with a smooth nonzero dip is not an EP

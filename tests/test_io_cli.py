@@ -185,6 +185,81 @@ class TestCli:
         rows = (tmp_path / "sphere.csv").read_text().splitlines()
         assert rows[-1] == "0.0,0.0,1.0"
 
+    def test_project_golden_bytes(self, tmp_path):
+        # -0.0, subnormal, infinite and far coordinates, written by --point
+        # and read from a file with a blank line
+        assert run_cli("project", "--point", "2.9036", "0.5372",
+                       "--point", "-0.0", "0.0", "--point", "5e-324", "1e-310",
+                       "--point", "2", "inf", "--point", "1e150", "-3",
+                       "--point", "0.5", "-1000.0",
+                       "--out", str(tmp_path / "points")) == 0
+        assert (tmp_path / "points" / "sphere.csv").read_bytes() == (
+            b"tn,tchi,txi\n"
+            b"0.5974807203614088,0.11054092952822318,0.7942276069839479\n"
+            b"-0.0,0.0,-1.0\n"
+            b"1e-323,2e-310,-1.0\n"
+            b"0.0,0.0,1.0\n"
+            b"2.0000000000000003e-150,-6e-300,1.0\n"
+            b"9.999987500015624e-07,-0.001999997500003125,0.9999980000024999\n")
+        src = tmp_path / "cut.csv"
+        write_lines(src, ["n,chi", "2.6257,0.6001", "-0.0,-0.0", "",
+                          "4.9e-324,-1e-310", "-7.5,0.125", "inf,1",
+                          "1e20,-1e-20"])
+        assert run_cli("project", "--input", str(src),
+                       "--out", str(tmp_path / "input")) == 0
+        assert (tmp_path / "input" / "sphere.csv").read_bytes() == (
+            b"tn,tchi,txi\n"
+            b"0.6361924498515673,0.14540087944392943,0.7577055833295626\n"
+            b"-0.0,-0.0,-1.0\n"
+            b"1e-323,-2e-310,-1.0\n"
+            b"-0.26193724420190995,0.0043656207366985,0.965075034106412\n"
+            b"0.0,0.0,1.0\n"
+            b"2e-20,-2e-60,1.0\n")
+
+    def test_project_far_points_land_on_the_north_pole(self, tmp_path):
+        # n^2 + chi^2 overflows; the rows were 0.0,0.0,nan and -0.0,0.0,nan
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"points": [[-1e160, 2]]}))
+        for argv in (["--point", "1e200", "1"], ["--config", str(cfg)]):
+            assert run_cli("project", *argv, "--out", str(tmp_path)) == 0
+            rows = (tmp_path / "sphere.csv").read_text().splitlines()
+            assert rows[1:] == ["0.0,0.0,1.0"]
+            assert math.hypot(*map(float, rows[1].split(","))) == 1.0
+
+    @pytest.mark.parametrize("lines, message", [
+        ([], "line 1: empty file"),
+        (["n,chi", "1,2", "x,3"],
+         "line 3: non-numeric value 'x' in column 'n'"),
+        (["n,chi", "1,2", "", "4"], "line 4: expected 2 cells, got 1"),
+        (["n,chi", "1,nan"], "line 2: NaN in column 'chi'"),
+    ], ids=["empty", "non-numeric", "one-cell", "nan"])
+    def test_project_input_errors_name_the_line(self, tmp_path, capsys,
+                                                lines, message):
+        src = tmp_path / "cut.csv"
+        src.write_text("".join(line + "\n" for line in lines))
+        assert run_cli("project", "--input", str(src),
+                       "--out", str(tmp_path)) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "IngestError" and err["message"] == message
+        assert not (tmp_path / "sphere.csv").exists()
+
+    @pytest.mark.parametrize("points, message", [
+        ([[1, 2], ["a", 1]], "points[1] must be a pair of numbers [n, chi], "
+                             "got ['a', 1]"),
+        ([[1]], "points[0] must be a pair of numbers [n, chi], got [1]"),
+        ([[1, 2], [3, 4], 5], "points[2] must be a pair of numbers [n, chi], "
+                              "got 5"),
+        (5, "points must be a list of [n, chi] pairs, got 5"),
+    ], ids=["non-numeric", "one-number", "number", "not-a-list"])
+    def test_project_config_point_errors_name_the_index(self, tmp_path, capsys,
+                                                        points, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"points": points}))
+        assert run_cli("project", "--config", str(cfg),
+                       "--out", str(tmp_path)) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValueError" and err["message"] == message
+
     def test_ingest_classify_round_trip(self, tmp_path):
         assert run_cli("toy-sweep", "--preset", "double-ep",
                        "--out", str(tmp_path)) == 0
@@ -292,6 +367,17 @@ class TestCli:
                        "--grid", "8x400", "--out", str(tmp_path)) == 1
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "ValueError" and "8x400" in err["message"]
+        assert not (tmp_path / "find_eps.json").exists()
+
+    @pytest.mark.parametrize("window", [("0.8", "0.3", "0.9", "1.1"),
+                                        ("0.3", "0.8", "1.1", "0.9"),
+                                        ("0.3", "0.3", "0.9", "1.1")])
+    def test_find_eps_rejects_an_empty_window(self, tmp_path, capsys, window):
+        assert run_cli("find-eps", "--window", *window,
+                       "--out", str(tmp_path)) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValueError"
+        assert "lo < hi on both axes" in err["message"]
         assert not (tmp_path / "find_eps.json").exists()
 
     def test_sampler_error_names_loop_point(self, tmp_path, capsys):

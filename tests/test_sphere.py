@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epkit.sphere import (NORTH_POLE, PlanePoint, SpherePoint, lift_cut,
-                          plane_to_sphere_arrays, to_plane, to_sphere)
+                          to_plane, to_sphere)
 
 # the two microcavity EP coordinates (4-decimal values)
 EP1_PLANE = (2.6257, 0.6001)
@@ -106,11 +106,11 @@ class TestLiftCut:
         # the EP images as endpoints, never near the north pole
         n = np.linspace(EP1_PLANE[0], EP2_PLANE[0], 64)
         chi = np.linspace(EP1_PLANE[1], EP2_PLANE[1], 64)
-        arc = lift_cut([PlanePoint(a, b) for a, b in zip(n, chi)])
-        assert arc[0] == to_sphere(PlanePoint(*EP1_PLANE))
-        assert arc[-1] == to_sphere(PlanePoint(*EP2_PLANE))
-        for s in arc:
-            assert s.txi < 0.999
+        arc = lift_cut(n, chi)
+        assert SpherePoint(*arc[0]) == to_sphere(PlanePoint(*EP1_PLANE))
+        assert SpherePoint(*arc[-1]) == to_sphere(PlanePoint(*EP2_PLANE))
+        for tn, tchi, txi in arc:
+            assert txi < 0.999
 
     def test_outward_rays_converge_to_north_pole(self):
         # two cuts leaving the EPs outward meet at infinity: both lifted
@@ -119,25 +119,76 @@ class TestLiftCut:
         for (n0, chi0), direction in ((EP1_PLANE, -1.0), (EP2_PLANE, +1.0)):
             # tail property: start past the origin-adjacent dip
             radii = np.geomspace(10.0, 1e6, 25)
-            curve = [PlanePoint(n0 + direction * r, chi0) for r in radii]
-            curve.append(PlanePoint.infinity())
-            lifted = lift_cut(curve)
-            assert lifted[-1] == NORTH_POLE
-            gaps = [math.hypot(s.tn - 0, math.hypot(s.tchi - 0, s.txi - 1))
-                    for s in lifted[:-1]]
+            n = [n0 + direction * r for r in radii] + [math.inf]
+            lifted = lift_cut(n, [chi0] * len(radii) + [math.inf])
+            assert SpherePoint(*lifted[-1]) == NORTH_POLE
+            gaps = [math.hypot(tn - 0, math.hypot(tchi - 0, txi - 1))
+                    for tn, tchi, txi in lifted[:-1]]
             assert all(b < a for a, b in zip(gaps, gaps[1:]))
-            tails.append(lifted[-1])
+            tails.append(SpherePoint(*lifted[-1]))
         assert tails[0] == tails[1] == NORTH_POLE
 
     def test_empty_curve(self):
-        assert lift_cut([]) == []
+        assert lift_cut([], []).shape == (0, 3)
 
 
 class TestVectorizedHelpers:
     def test_matches_scalar_path(self):
         n = np.array([0.0, 1.0, 2.9036])
         chi = np.array([0.0, 0.0, 0.5372])
-        tn, tchi, txi = plane_to_sphere_arrays(n, chi)
+        tn, tchi, txi = lift_cut(n, chi).T
         for k in range(3):
             s = to_sphere(PlanePoint(n[k], chi[k]))
             assert (tn[k], tchi[k], txi[k]) == (s.tn, s.tchi, s.txi)
+
+
+def lift_point(n, chi):
+    """The projection of one point in Python floats: the reference."""
+    r2 = n * n + chi * chi
+    if math.isinf(r2):
+        return (0.0, 0.0, 1.0)
+    zeta = r2 + 1.0
+    return (2.0 * n / zeta, 2.0 * chi / zeta, (r2 - 1.0) / zeta)
+
+
+def float_bits(row):
+    return [float(v).hex() for v in row]
+
+
+class TestLiftCutReference:
+    @given(st.lists(st.tuples(st.floats(allow_nan=False),
+                              st.floats(allow_nan=False)), max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scalar_formula_bitwise(self, pairs):
+        n = [p[0] for p in pairs]
+        chi = [p[1] for p in pairs]
+        got = lift_cut(n, chi)
+        assert got.shape == (len(pairs), 3)
+        for row, p in zip(got, pairs):
+            assert float_bits(row) == float_bits(lift_point(*p))
+
+    @pytest.mark.parametrize("n, chi", [
+        (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (5e-324, -5e-324),
+        (math.inf, 1.0), (-3.0, -math.inf), (1e200, 1.0), (-1e160, 2.0),
+        (1.3e154, 1.3e154), (1.7e308, 0.0),
+    ])
+    def test_special_points_equal_scalar_formula_bitwise(self, n, chi):
+        got = lift_cut([n], [chi])[0]
+        assert float_bits(got) == float_bits(lift_point(n, chi))
+
+    @pytest.mark.parametrize("n, chi", [(1e200, 1.0), (-1e160, 2.0),
+                                        (3.0, 2e154), (math.inf, -math.inf)])
+    def test_far_point_is_the_north_pole(self, n, chi):
+        row = lift_cut([2.0, n], [0.5, chi])[1]
+        assert row.tolist() == [0.0, 0.0, 1.0]
+        assert math.copysign(1.0, row[0]) == math.copysign(1.0, row[1]) == 1.0
+        assert np.linalg.norm(row) == 1.0
+        assert to_sphere(PlanePoint(n, chi)) == NORTH_POLE
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            lift_cut([0.0, 1.0], [2.0, math.nan])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="2 n values for 3 chi values"):
+            lift_cut([0.0, 1.0], [0.0, 1.0, 2.0])

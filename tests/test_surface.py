@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import loop_reference as ref
 from epkit.epfind import EPLocation
 from epkit.surface import (DELTA, RAW, AnalyticOracle, CircleLoop,
                            PolylineLoop, build_surface, connected_components,
@@ -65,6 +68,54 @@ class TestOracleEval:
             AnalyticOracle.two_point(1j, 1j)
         with pytest.raises(ValueError):
             AnalyticOracle.single_point(0, 1)
+
+
+# coordinates of modest size, none so small that a product of differences
+# becomes subnormal
+coordinate = st.one_of(st.just(0.0), st.floats(-10, 10).filter(
+    lambda v: abs(v) > 1e-60))
+points = st.builds(complex, coordinate, coordinate)
+
+
+class TestOracleEvalReference:
+    """The array kernel at one point against the cmath reference in
+    loop_reference.py."""
+
+    @given(points, points, points)
+    @settings(max_examples=300, deadline=None)
+    def test_two_point_equals_reference_bitwise(self, z1, z2, z):
+        assume(z1 != z2)
+        w = (z - z1) * (z - z2)
+        # a pure imaginary product has the rounding of principal_sqrt's
+        # own test (test_core.py)
+        assume(w.real != 0.0 or w.imag == 0.0)
+        o = AnalyticOracle.two_point(z1, z2)
+        got, want = oracle_eval(o, z), ref.oracle_eval(o, z)
+        assert [ref.bits(v) for v in got] == [ref.bits(v) for v in want]
+
+    @given(points, points, st.sampled_from([2, 3, 5]))
+    @settings(max_examples=300, deadline=None)
+    def test_single_point_within_1e_15(self, z0, z, order):
+        # exp(log(w) / order) turns the rounding of log|w| into a relative
+        # error of its size, so the bound grows with |log|w||
+        o = AnalyticOracle.single_point(z0, order)
+        got, want = oracle_eval(o, z), ref.oracle_eval(o, z)
+        if z == z0:
+            assert got == want == (0j, 0j)
+            return
+        tol = 1e-15 * abs(want[0]) * max(1.0, abs(math.log(abs(z - z0))))
+        for g, w in zip(got, want):
+            assert abs(g - w) <= tol
+
+    @given(points, points, st.sampled_from([2, 3, 5]))
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_call_is_the_batch_value(self, z0, z, order):
+        for o in (AnalyticOracle.single_point(z0, order),
+                  AnalyticOracle.two_point(z0, z0 + 1)):
+            batch = o.sampler()(np.array([z.real]), np.array([z.imag]))
+            scalar = o.sampler()(z.real, z.imag)
+            assert [ref.bits(complex(v[0])) for v in batch] == [
+                ref.bits(v) for v in scalar]
 
 
 class TestBuildSurface:
