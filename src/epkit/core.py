@@ -126,10 +126,10 @@ def abs_diff(u, v):
 
 
 def principal_sqrt_grid(w):
-    """Square root with Re >= 0, on the Re = 0 line Im >= 0, elementwise;
+    """Square root with Re >= 0, and Im >= 0 where w is real, elementwise;
     :func:`principal_sqrt` is its value at one point."""
     s = np.sqrt(w)
-    flip = (s.real < 0.0) | ((s.real == 0.0) & (s.imag < 0.0))
+    flip = ((s.real < 0.0) | ((s.real == 0.0) & (s.imag < 0.0))) & (w.imag == 0.0)
     return np.where(flip, -s, s)
 
 

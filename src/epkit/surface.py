@@ -42,7 +42,8 @@ DELTA = "delta"
 IDENTITY = "identity"
 SWAP = "swap"
 
-END_MATCH_TOL = 1e-8
+MAX_STEP_PHASE = math.pi / 4  # radians, per accepted loop step
+MAX_STEP_SHIFT = 0.2  # mean and half-gap move per accepted step, in gaps
 
 
 @dataclass
@@ -204,13 +205,18 @@ def build_surface(sampler: Callable[[float, float], tuple[complex, complex]],
     The sampler is called once on the whole grid (see
     :func:`~epkit.epfind.sample_points`). Sampler failures mark cells missing
     (skipped by matching and cut extraction); more than
-    ``max_missing_frac`` missing cells aborts.
+    ``max_missing_frac`` missing cells aborts. A window axis that is not
+    finite or has no width raises; a reversed one mirrors the axis.
     """
     if n1 < 16 or n2 < 16:
         raise ValueError("grid must be at least 16 x 16")
     if delta_mode not in (RAW, DELTA):
         raise ValueError(f"delta_mode must be '{RAW}' or '{DELTA}'")
     (p1lo, p1hi), (p2lo, p2hi) = window
+    for k, (lo, hi) in enumerate(window, start=1):
+        if not (math.isfinite(hi - lo) and lo != hi):  # reversed is fine
+            raise ValueError(f"window axis {k} must span a finite, nonzero "
+                             f"width, got ({float(lo)!r}, {float(hi)!r})")
     axis1 = np.linspace(p1lo, p1hi, n1)
     axis2 = np.linspace(p2lo, p2hi, n2)
 
@@ -246,8 +252,12 @@ class CircleLoop:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if len(self.center) != 2 or not all(map(math.isfinite, self.center)):
+            raise ValueError(
+                f"center must be two finite numbers, got {self.center!r}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(
+                f"radius must be positive and finite, got {self.radius!r}")
 
     def point(self, t: float) -> tuple[float, float]:
         ang = 2.0 * math.pi * t
@@ -268,6 +278,9 @@ class PolylineLoop:
     def __post_init__(self):
         if len(self.vertices) < 3:
             raise ValueError("a closed polyline needs at least 3 vertices")
+        for k, v in enumerate(self.vertices):
+            if len(v) != 2 or not all(map(math.isfinite, v)):
+                raise ValueError(f"vertex {k} must be two finite numbers, got {v!r}")
         verts = tuple((float(x), float(y)) for x, y in self.vertices)
         segs = tuple(zip(verts, verts[1:] + verts[:1]))
         lengths = tuple(math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in segs)
@@ -301,101 +314,94 @@ class PolylineLoop:
 
 @dataclass
 class LoopResult:
-    """Outcome of continuing the eigenvalue pair around a closed loop."""
+    """Outcome of taking the eigenvalue pair around a closed loop."""
 
     permutation: str  # "identity" or "swap"
+    winding: int  # turns of the discriminant (a - b)**2 around the loop
     n_steps: int
-    max_step_jump: float  # peak jump-to-gap ratio over accepted steps
+    max_step_phase: float  # peak |phase step| of the discriminant, radians
     enclosed_eps: list[EPLocation] = field(default_factory=list)
 
 
 def _sample_loop(sampler, loop, ts: np.ndarray):
-    """Samples (a, b) at the loop points ``ts``, and per point the
-    exception the sampler raised there, or None."""
+    """The pair difference a - b and mean (a + b) / 2 at the loop points
+    ``ts``, and per point the exception the sampler raised there, or None."""
     p1, p2 = (np.array(c) for c in zip(*map(loop.point, ts.tolist())))
     a, b, failed = sample_points(sampler, p1, p2)
     errors = np.full(ts.size, None)
     errors[list(failed)] = list(failed.values())
-    return a, b, errors
+    return a - b, 0.5 * (a + b), errors
 
 
 def encircle(sampler: Callable[[float, float], tuple[complex, complex]],
-             loop, n_steps: int = 256, *, jump_factor: float = 0.2,
-             max_halvings: int = 40,
+             loop, n_steps: int = 256, *, max_halvings: int = 40,
              known_eps: Optional[Iterable[EPLocation]] = None) -> LoopResult:
-    """Continue the eigenvalue pair around a closed loop and classify the
-    monodromy permutation.
+    """Winding of the discriminant D = (a - b)**2 around a closed loop, and
+    the monodromy permutation it implies.
 
-    All ``n_steps + 1`` loop points are sampled in one call
-    (:func:`~epkit.epfind.sample_points`). A step is rejected when the
-    larger jump of its keep/swap pairing (:func:`~epkit.crossing.pairing`)
-    exceeds ``jump_factor`` times the gap at its start. Neither changes
-    when the samples at one end swap (at an exact tie the sampler order is
-    kept), so the midpoints of all rejected steps are sampled in one call
-    per round, until none is left, and the path is matched once at the
-    end (:func:`~epkit.crossing.parity_runs`). The points are those of
-    depth-first halving.
+    D does not depend on the order of the pair, so nothing is matched. All
+    ``n_steps + 1`` loop points are sampled in one call
+    (:func:`~epkit.epfind.sample_points`). A step is accepted when its
+    phase step ``angle(D[k+1] / D[k])`` is at most ``MAX_STEP_PHASE`` and
+    the pair mean (a + b) / 2 and half-gap |a - b| / 2 each move by at
+    most ``MAX_STEP_SHIFT`` times the gap at its start. So D is nonzero at
+    its end, and a pair that jumps onto other values (across the cut of a
+    sampler with more than two) is not followed. The midpoints of all
+    other steps are sampled in one call per round, until none is left (the
+    points of depth-first halving). The summed phase steps, in turns, are
+    the integer ``winding``; the pair is swapped exactly when it is odd.
 
     A rejected step at ``2**-max_halvings`` of a step, or with no float
     between its ends, raises (the loop passes too close to an EP to
-    continue unambiguously), as do a point
-    with no gap and a sampler error (re-raised with a note naming t); of
-    several, the first along the loop.
+    follow), as do a point with D = 0, a sampler error (re-raised with a
+    note naming t) and a winding that is not an integer (the pair is not
+    closed under the loop); of the first three, the first along the loop.
     """
     if n_steps < 64:
         raise ValueError("n_steps must be >= 64")
     floor_dt = (1.0 / n_steps) * 0.5 ** max_halvings
     ts = np.linspace(0.0, 1.0, n_steps + 1)
-    a, b, errors = _sample_loop(sampler, loop, ts)
+    diff, mean, errors = _sample_loop(sampler, loop, ts)
     while True:
-        ra, rb, na, nb = a[:-1], b[:-1], a[1:], b[1:]
-        flip, _, tie = pairing(ra, rb, na, nb, 0.0)
-        x = np.where(flip, abs_diff(nb, ra), abs_diff(na, ra))
-        y = np.where(flip, abs_diff(na, rb), abs_diff(nb, rb))
-        jump, gap = np.where(y > x, y, x), abs_diff(ra, rb)  # Python's max(x, y)
-        accept = jump <= jump_factor * gap
+        with np.errstate(all="ignore"):  # 0 and NaN differences reject
+            phase = np.angle((diff[1:] / diff[:-1]) ** 2)
+            gap = np.abs(diff)
+            shift = np.maximum(np.abs(np.diff(mean)), 0.5 * np.abs(np.diff(gap)))
+        accept = ((np.abs(phase) <= MAX_STEP_PHASE)
+                  & (shift <= MAX_STEP_SHIFT * gap[:-1]))
         mid = 0.5 * (ts[:-1] + ts[1:])
         floor = (np.diff(ts) <= floor_dt) | (mid == ts[:-1]) | (mid == ts[1:])
         # a sampler error at either end (the start's only counts for the
-        # first step), no gap, or a rejected step at the floor
+        # first step), D = 0 at the start, or a rejected step at the floor
         event = (errors[:-1].astype(bool) | errors[1:].astype(bool)
-                 | (gap == 0.0) | (~accept & floor))
+                 | (diff[:-1] == 0) | (~accept & floor))
         first = int(np.argmax(event)) if event.any() else event.size
         # at most n_steps per round, leftmost first: where many steps fail
         # (NaN samples), the first reaches its floor without all doubling
         redo = np.flatnonzero(~accept[:first])[:n_steps]
         if redo.size == 0:
             break
-        ma, mb, merrors = _sample_loop(sampler, loop, mid[redo])
-        ts, a, b, errors = (np.insert(v, redo + 1, m) for v, m in
-                            ((ts, mid[redo]), (a, ma), (b, mb), (errors, merrors)))
+        mids = (mid[redo], *_sample_loop(sampler, loop, mid[redo]))
+        ts, diff, mean, errors = (np.insert(v, redo + 1, m) for v, m in
+                                  zip((ts, diff, mean, errors), mids))
 
     if first < event.size:
         for k in (first, first + 1):
             if errors[k] is not None:
                 errors[k].add_note(f"the sampler failed at loop point t={ts[k]}")
                 raise errors[k]
-        if gap[first] == 0.0:
+        if diff[first] == 0:
             raise RuntimeError(f"loop passes through an EP at t={ts[first]}")
         raise RuntimeError("loop too close to EP: step floor reached at "
                            f"t={ts[first]} without continuity")
 
-    _, swapped = parity_runs(np.concatenate(([False], flip)),
-                             np.concatenate(([True], tie)))
-    a0, b0 = complex(a[0]), complex(b[0])
-    end_a, end_b = complex(a[-1]), complex(b[-1])
-    if swapped[-1]:
-        end_a, end_b = end_b, end_a
-    if abs(end_a - a0) <= END_MATCH_TOL and abs(end_b - b0) <= END_MATCH_TOL:
-        permutation = IDENTITY
-    elif abs(end_a - b0) <= END_MATCH_TOL and abs(end_b - a0) <= END_MATCH_TOL:
-        permutation = SWAP
-    else:
+    turns = float(np.sum(phase)) / (2.0 * math.pi)
+    winding = round(turns)
+    if abs(turns - winding) > 1e-6:
         raise RuntimeError("loop continuation did not return to the starting pair")
-
     enclosed = [ep for ep in (known_eps or []) if loop.contains((ep.p1, ep.p2))]
-    max_ratio = float(np.fmax.reduce(jump / gap, initial=0.0))
-    return LoopResult(permutation, ts.size, max_ratio, enclosed)
+    return LoopResult(SWAP if winding % 2 else IDENTITY, winding, ts.size,
+                      float(np.max(np.abs(phase))), enclosed)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 from epkit.core import (DEGENERACY_THRESHOLD, DiscreteField, Hamiltonian2,
                         overlap, splitting)
 from epkit.crossing import AMBIGUITY_TOL
-from epkit.surface import END_MATCH_TOL, IDENTITY, SWAP, LoopResult
+from epkit.surface import IDENTITY, SWAP
 from epkit.toymodel import build_hamiltonian
 
 
@@ -26,9 +26,9 @@ def bits(z: complex) -> tuple[str, str]:
 
 
 def principal_sqrt(w: complex) -> complex:
-    """Square root with Re >= 0; on the Re = 0 line take Im >= 0."""
+    """Square root with Re >= 0; Im >= 0 where w is real and negative."""
     s = cmath.sqrt(w)
-    if s.real < 0.0 or (s.real == 0.0 and s.imag < 0.0):
+    if w.imag == 0.0 and (s.real < 0.0 or (s.real == 0.0 and s.imag < 0.0)):
         s = -s
     return s
 
@@ -291,12 +291,18 @@ def local_minima(gaps):
 
 # ---- closed loops: depth-first continuation ---------------------------------
 
-def encircle(sampler, loop, n_steps: int = 256, *, jump_factor: float = 0.2,
-             max_halvings: int = 40, known_eps=None) -> LoopResult:
+END_MATCH_TOL = 1e-8
+JUMP_FACTOR = 0.2
+
+
+def encircle(sampler, loop, n_steps: int = 256, *,
+             max_halvings: int = 40) -> str:
     """Loop continuation one point at a time, halving depth-first.
 
-    Steps where the matched jump exceeds ``jump_factor`` times the current
-    gap are halved; hitting the step floor raises.
+    Each step keeps or swaps the pair, whichever jumps less; steps where
+    the jump exceeds ``JUMP_FACTOR`` times the current gap are halved, and
+    hitting the step floor raises. Returns the permutation, read from the
+    matched pair at the end.
     """
     if n_steps < 64:
         raise ValueError("n_steps must be >= 64")
@@ -305,7 +311,11 @@ def encircle(sampler, loop, n_steps: int = 256, *, jump_factor: float = 0.2,
     def sample(t: float) -> tuple[complex, complex]:
         if t not in cache:
             x, y = loop.point(t)
-            la, lb = sampler(x, y)
+            try:
+                la, lb = sampler(x, y)
+            except Exception as exc:
+                exc.add_note(f"the sampler failed at loop point t={t}")
+                raise
             cache[t] = (complex(la), complex(lb))
         return cache[t]
 
@@ -313,8 +323,6 @@ def encircle(sampler, loop, n_steps: int = 256, *, jump_factor: float = 0.2,
     a0, b0 = sample(0.0)
     cur_a, cur_b = a0, b0
     t_cur = 0.0
-    accepted = 1
-    max_ratio = 0.0
 
     for target in np.linspace(0.0, 1.0, n_steps + 1)[1:]:
         stack = [float(target)]
@@ -328,11 +336,9 @@ def encircle(sampler, loop, n_steps: int = 256, *, jump_factor: float = 0.2,
             swap = abs(lb - cur_a) + abs(la - cur_b)
             na, nb = (lb, la) if swap < keep else (la, lb)
             jump = max(abs(na - cur_a), abs(nb - cur_b))
-            if jump <= jump_factor * gap:
+            if jump <= JUMP_FACTOR * gap:
                 cur_a, cur_b = na, nb
                 t_cur = t_next
-                accepted += 1
-                max_ratio = max(max_ratio, jump / gap)
                 stack.pop()
             else:
                 if t_next - t_cur <= floor_dt:
@@ -343,14 +349,7 @@ def encircle(sampler, loop, n_steps: int = 256, *, jump_factor: float = 0.2,
                 stack.append(0.5 * (t_cur + t_next))
 
     if abs(cur_a - a0) <= END_MATCH_TOL and abs(cur_b - b0) <= END_MATCH_TOL:
-        permutation = IDENTITY
-    elif abs(cur_a - b0) <= END_MATCH_TOL and abs(cur_b - a0) <= END_MATCH_TOL:
-        permutation = SWAP
-    else:
-        raise RuntimeError(
-            "loop continuation did not return to the starting pair"
-        )
-
-    enclosed = [ep for ep in (known_eps or [])
-                if loop.contains((ep.p1, ep.p2))]
-    return LoopResult(permutation, accepted, max_ratio, enclosed)
+        return IDENTITY
+    if abs(cur_a - b0) <= END_MATCH_TOL and abs(cur_b - a0) <= END_MATCH_TOL:
+        return SWAP
+    raise RuntimeError("loop continuation did not return to the starting pair")

@@ -87,7 +87,8 @@ def test_criterion_3_crossing_classes(tmp_path):
 def test_criterion_4_monodromy():
     with criterion(4, "loops around EP1/EP2 swap, around both identity, "
                       "matching the analytic oracle, stable under 20 "
-                      "random perturbations per case"):
+                      "random perturbations per case; discriminant windings "
+                      "+1/-1/0 (toy) and +1/+1/2 (oracle)"):
         roots = toy_ep_roots(DOUBLE_EP, (0.3, 0.8))
         assert all(r.residual < 1e-3 for r in roots)
         ep1, ep2 = roots[0].p1, roots[1].p1
@@ -97,14 +98,18 @@ def test_criterion_4_monodromy():
                                           complex(ep2, 1.0)).sampler()
         rect = PolylineLoop(((0.40, 0.95), (0.68, 0.95),
                              (0.68, 1.05), (0.40, 1.05)))
+        # the discriminant winds +1 and -1 around the toy EPs, but +1 and
+        # +1 around the oracle's: the same permutations, other topologies
         cases = [
-            (CircleLoop((ep1, 1.0), 0.05), "swap"),
-            (CircleLoop((ep2, 1.0), 0.05), "swap"),
-            (rect, "identity"),
+            (CircleLoop((ep1, 1.0), 0.05), "swap", 1, 1),
+            (CircleLoop((ep2, 1.0), 0.05), "swap", -1, 1),
+            (rect, "identity", 0, 2),
         ]
-        for loop, expected in cases:
-            assert encircle(toy, loop, 128).permutation == expected
-            assert encircle(oracle, loop, 128).permutation == expected
+        for loop, expected, toy_winding, oracle_winding in cases:
+            res = encircle(toy, loop, 128)
+            assert (res.permutation, res.winding) == (expected, toy_winding)
+            res = encircle(oracle, loop, 128)
+            assert (res.permutation, res.winding) == (expected, oracle_winding)
 
         rng = np.random.default_rng(2024)
         for base, expected in ((ep1, "swap"), (ep2, "swap")):

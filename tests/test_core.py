@@ -79,11 +79,15 @@ class TestPrincipalSqrtReference:
     @given(st.complex_numbers(allow_nan=False, allow_infinity=False))
     @settings(max_examples=500, deadline=None)
     def test_close_to_reference_on_all_finite_inputs(self, w):
-        # numpy loses bits in a subnormal component; where the real part of
-        # the root underflows to 0 the Im >= 0 rule picks the other root
+        # numpy loses bits in a subnormal component
         s, r = principal_sqrt(w), ref.principal_sqrt(w)
-        tol = 8 * sys.float_info.epsilon * abs(r)
-        assert abs(s - r) <= tol or (s.real == 0.0 and abs(s + r) <= tol)
+        assert abs(s - r) <= 8 * sys.float_info.epsilon * abs(r)
+
+    def test_root_with_underflowed_real_part_keeps_its_sign(self):
+        # the exact real part, 3.3e-324, rounds to 0 in numpy
+        w = complex(-1.486e290, -8.157e-179)
+        s, r = principal_sqrt(w), ref.principal_sqrt(w)
+        assert s.imag < 0.0 and abs(s - r) <= 8 * sys.float_info.epsilon * abs(r)
 
 
 class TestHamiltonian2:

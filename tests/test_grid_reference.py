@@ -4,8 +4,8 @@ loop_reference.py.
 Matching, cut extraction, missing cells and gap minima must agree exactly;
 batch samplers must give the point-by-point values bitwise (the
 single-point oracle to 1e-15, since numpy's complex log and exp round
-differently from cmath). Batched loop refinement must give the result, or
-the error, of depth-first halving.
+differently from cmath). The winding of the discriminant around a loop
+must give the permutation, or the error, of depth-first continuation.
 """
 
 import numpy as np
@@ -261,13 +261,22 @@ def with_mode(base, mode, cut):
 
 
 def outcome(fn, *args, **kwargs):
-    """The result fields, with max_step_jump as bits, or the error's type
-    and message."""
+    """What the call returns, or the error's type, message and notes."""
     try:
-        res = fn(*args, **kwargs)
+        return fn(*args, **kwargs)
     except Exception as exc:
-        return type(exc), str(exc)
-    return res.permutation, res.n_steps, bits(np.float64(res.max_step_jump))
+        return type(exc), str(exc), getattr(exc, "__notes__", [])
+
+
+def permutation(*args, **kwargs):
+    return encircle(*args, **kwargs).permutation
+
+
+def loop_fields(*args, **kwargs):
+    """Every field of the encircle result, with max_step_phase as bits."""
+    res = encircle(*args, **kwargs)
+    return (res.permutation, res.winding, res.n_steps,
+            bits(np.float64(res.max_step_phase)))
 
 
 @st.composite
@@ -289,23 +298,24 @@ def loops(draw):
 class TestEncircle:
     @given(loops(), st.sampled_from(sorted(BASES)),
            st.sampled_from(["plain", "nan", "raises", "scalar-only"]),
-           st.floats(0.3, 0.8), st.sampled_from([64, 100, 256]),
-           st.sampled_from([0.2, 0.05, 0.02]))
+           st.floats(0.3, 0.8), st.sampled_from([64, 100, 256]))
     @settings(max_examples=80, deadline=None)
-    def test_matches_depth_first_halving(self, loop, base, mode, cut, n_steps,
-                                         jump_factor):
+    def test_matches_depth_first_halving(self, loop, base, mode, cut, n_steps):
         sampler = with_mode(BASES[base], mode, cut)
-        assert (outcome(encircle, sampler, loop, n_steps, jump_factor=jump_factor)
-                == outcome(ref.encircle, sampler, loop, n_steps,
-                           jump_factor=jump_factor))
+        assert (outcome(permutation, sampler, loop, n_steps)
+                == outcome(ref.encircle, sampler, loop, n_steps))
 
-    @given(loops(), st.sampled_from(sorted(BASES)), st.integers(1, 6),
-           st.sampled_from([0.2, 0.05, 0.02]))
+    @given(loops(), st.sampled_from(sorted(BASES)), st.integers(1, 6))
     @SETTINGS
-    def test_step_floor_matches(self, loop, base, max_halvings, jump_factor):
-        kw = dict(jump_factor=jump_factor, max_halvings=max_halvings)
-        assert (outcome(encircle, BASES[base], loop, 64, **kw)
-                == outcome(ref.encircle, BASES[base], loop, 64, **kw))
+    def test_step_floor_matches(self, loop, base, max_halvings):
+        # a coarse floor may stop the loop early, but never changes the
+        # permutation the loop returns
+        try:
+            res = encircle(BASES[base], loop, 64, max_halvings=max_halvings)
+        except RuntimeError as exc:
+            assert "step floor reached" in str(exc)
+            return
+        assert res.permutation == ref.encircle(BASES[base], loop, 64)
 
     @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.05, 1.0),
            st.integers(0, 63), st.floats(0.1, 2.0), st.floats(0.0, 1.2))
@@ -323,34 +333,77 @@ class TestEncircle:
                 raise ValueError("no sample above the cut")
             return oracle(p1, p2)
 
-        assert (outcome(encircle, sampler, loop, 64)
+        assert (outcome(permutation, sampler, loop, 64)
                 == outcome(ref.encircle, sampler, loop, 64))
 
-    @given(st.lists(lattice, min_size=2, max_size=12), st.integers(2, 40),
-           st.sampled_from([0.75, 1.0, 3.0]), st.sampled_from([64, 100]))
+    def test_loop_along_a_branch_point_matches(self):
+        # the oracle's EP2 lies on the first edge, at beta = 1: D shrinks
+        # towards it at a fixed phase, so only the gap rule stops the loop
+        loop = PolylineLoop(((0.60644375, 1.0), (0.62206875, 1.0),
+                             (0.5489815382335175, 1.105183873100987),
+                             (0.49028590020846285, 1.1246868733255069),
+                             (0.4294253954316072, 1.1136621783532101)))
+        assert (outcome(permutation, BASES["oracle"], loop, 64)
+                == outcome(ref.encircle, BASES["oracle"], loop, 64)
+                == (RuntimeError, "loop too close to EP: step floor reached at "
+                    "t=0.0313037485084493 without continuity", []))
+
+    @pytest.mark.parametrize("order", [3, 16, 64])
+    def test_root_pair_across_its_cut_matches(self, order):
+        # two of the roots of z**(1/order): across the cut the pair turns
+        # into other roots, and the mean moves by about a gap, while D
+        # turns by only 4 pi / order
+        sampler = AnalyticOracle.single_point(0j, order).sampler()
+        loop = CircleLoop((0.1, 0.05), 0.5)
+        new = outcome(permutation, sampler, loop, 64)
+        assert new == outcome(ref.encircle, sampler, loop, 64)
+        assert new[0] is RuntimeError and "step floor reached" in new[1]
+
+    @given(loops(), st.sampled_from(sorted(BASES)),
+           st.sampled_from(["plain", "nan", "raises"]), st.floats(0.3, 0.8),
+           st.integers(0, 2**32 - 1))
     @SETTINGS
-    def test_exact_ties_keep_the_sampler_order(self, values, bins, jump_factor,
-                                               n_steps):
-        # pairs (s, -s) with s on a lattice: quarter turns of s tie the two
-        # pairings exactly, half turns swap them
+    def test_sampler_order_does_not_matter(self, loop, base, mode, cut, salt):
+        # the same sampler with its pair swapped at pseudo-random points
+        sampler = with_mode(BASES[base], mode, cut)
+
+        def shuffled(p1, p2):
+            la, lb = sampler(p1, p2)
+            swap = (np.floor(np.asarray(p1) * 1e9 + salt) % 2 == 1)
+            if not np.ndim(p1):
+                return (lb, la) if swap else (la, lb)
+            return np.where(swap, lb, la), np.where(swap, la, lb)
+
+        assert (outcome(loop_fields, shuffled, loop, 64)
+                == outcome(loop_fields, sampler, loop, 64))
+
+    @given(st.lists(lattice, min_size=2, max_size=12), st.integers(2, 40),
+           st.sampled_from([64, 100]))
+    @SETTINGS
+    def test_lattice_pairs_in_either_order(self, values, bins, n_steps):
+        # pairs (s, -s) with s on a lattice: the discriminant 4 s**2 steps
+        # by quarter and half turns between bins; returning (-s, s) instead
+        # on odd bins changes nothing
         table = np.array(values, dtype=complex)
 
-        def sampler(p1, p2):
-            s = table[np.floor(np.asarray(p1) * bins).astype(int) % table.size]
-            return (s, -s) if np.ndim(p1) else (complex(s), complex(-s))
+        def sampler(flip_odd):
+            def sample(p1, p2):
+                k = np.floor(np.asarray(p1) * bins).astype(int)
+                s = table[k % table.size] * np.where(flip_odd & (k % 2 == 1), -1, 1)
+                return (s, -s) if np.ndim(p1) else (complex(s), complex(-s))
+            return sample
 
         loop = CircleLoop((0.0, 0.0), 1.0)
-        kw = dict(jump_factor=jump_factor)
-        assert (outcome(encircle, sampler, loop, n_steps, **kw)
-                == outcome(ref.encircle, sampler, loop, n_steps, **kw))
+        assert (outcome(loop_fields, sampler(True), loop, n_steps)
+                == outcome(loop_fields, sampler(False), loop, n_steps))
 
     def test_errors(self):
         loop = CircleLoop((0.5, 0.5), 0.25)
         on_start = AnalyticOracle.two_point(complex(*loop.point(0.0)), 3j).sampler()
-        assert outcome(encircle, on_start, loop, 64) == (
-            RuntimeError, "loop passes through an EP at t=0.0")
+        assert outcome(permutation, on_start, loop, 64) == (
+            RuntimeError, "loop passes through an EP at t=0.0", [])
         on_loop = AnalyticOracle.two_point(complex(*loop.point(0.25)), 3j).sampler()
-        kind, message = outcome(encircle, on_loop, loop, 64)
+        kind, message, _ = outcome(permutation, on_loop, loop, 64)
         assert kind is RuntimeError and "step floor reached" in message
         rect = PolylineLoop(((0.4, 0.95), (0.68, 0.95), (0.68, 1.05), (0.4, 1.05)))
         with pytest.raises(ValueError, match="no sample") as info:
@@ -377,6 +430,6 @@ class TestEncircle:
             return BASES["toy"](p1, p2)
 
         res = encircle(counted, CircleLoop((EP_ALPHAS[0], 1.0), 0.05), 256)
-        assert res.permutation == "swap"
+        assert (res.permutation, res.winding) == ("swap", 1)
         assert sum(points) == res.n_steps  # every loop point sampled once
         assert len(calls) <= 3

@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +122,26 @@ class TestIngest:
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def readme_cli_commands():
+    """The argv of each ``epkit ...`` line of the README's CLI block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI\n")[1]
+    block = section.split("```sh\n")[1].split("```")[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines
+            if line.startswith("epkit ")]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_cli_commands()
+    assert [argv[1] for argv in commands] == [
+        "find-eps", "toy-sweep", "beta-scan", "surface", "encircle",
+        "encircle", "project", "ingest-classify", "oracle"]
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
 
 
 class TestCli:
@@ -279,6 +301,19 @@ class TestCli:
         assert run_cli("oracle", "--grid", "32x16", "--out", str(tmp_path)) == 0
         assert (tmp_path / "oracle_surface.csv").exists()
 
+    @pytest.mark.parametrize("order", ["3", "16"])
+    def test_oracle_root_pair_across_its_cut_fails(self, tmp_path, capsys,
+                                                   order):
+        # the circle crosses the cut p2 = 0.6, p1 < 2.7, where the first two
+        # roots of (z - z0)**(1/order) jump onto the last and the first
+        assert run_cli("oracle", "--mode", "encircle", "--kind", "single-point",
+                       "--z0", "2.7", "0.6", "--order", order, "--circle",
+                       "2.7", "0.6", "0.05", "--out", str(tmp_path)) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "RuntimeError"
+        assert "step floor reached" in err["message"]
+        assert not (tmp_path / "oracle_encircle.json").exists()
+
     def test_error_exit_is_machine_readable(self, tmp_path, capsys):
         code = run_cli("ingest-classify", "--input",
                        str(tmp_path / "missing.csv"), "--out", str(tmp_path))
@@ -379,6 +414,66 @@ class TestCli:
         assert err["type"] == "ValueError"
         assert "lo < hi on both axes" in err["message"]
         assert not (tmp_path / "find_eps.json").exists()
+
+    @pytest.mark.parametrize("command", [("surface",),
+                                         ("oracle", "--mode", "surface")])
+    @pytest.mark.parametrize("window, message", [
+        (("nan", "0.8", "0.9", "1.0"), "window axis 1 must span a finite, "
+                                       "nonzero width, got (nan, 0.8)"),
+        (("0.3", "0.8", "0.9", "inf"), "window axis 2 must span a finite, "
+                                       "nonzero width, got (0.9, inf)"),
+        (("0.3", "0.3", "0.9", "1.0"), "window axis 1 must span a finite, "
+                                       "nonzero width, got (0.3, 0.3)"),
+    ], ids=["nan", "inf", "zero-width"])
+    def test_surface_rejects_a_bad_window(self, tmp_path, capsys, command,
+                                          window, message):
+        assert run_cli(*command, "--window", *window, "--grid", "16x16",
+                       "--out", str(tmp_path)) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["message"]) == ("ValueError", message)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, name", [
+        (("surface",), "surface.json"),
+        (("oracle", "--mode", "surface"), "oracle_surface.json")])
+    def test_surface_reversed_window_mirrors_the_axis(self, tmp_path, command,
+                                                      name):
+        assert run_cli(*command, "--window", "0.8", "0.3", "0.9", "1.0",
+                       "--grid", "16x16", "--out", str(tmp_path)) == 0
+        axis1 = json.loads((tmp_path / name).read_text())["axis1"]
+        assert axis1 == np.linspace(0.8, 0.3, 16).tolist()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--circle", "nan", "1.0", "0.05"),
+         "center must be two finite numbers, got (nan, 1.0)"),
+        (("--circle", "0.45", "1.0", "inf"),
+         "radius must be positive and finite, got inf"),
+        (("--circle", "0.45", "1.0", "0.0"),
+         "radius must be positive and finite, got 0.0"),
+        (("--rect", "0.4", "0.68", "0.95", "nan"),
+         "vertex 2 must be two finite numbers, got (0.68, nan)"),
+    ], ids=["nan-center", "inf-radius", "zero-radius", "nan-vertex"])
+    def test_loop_rejects_non_finite_geometry(self, tmp_path, capsys, argv,
+                                              message):
+        assert run_cli("encircle", *argv, "--out", str(tmp_path)) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["message"]) == ("ValueError", message)
+
+    @pytest.mark.parametrize("loop, message", [
+        ({"kind": "circle", "center": [0.45], "radius": 0.05},
+         "center must be two finite numbers, got (0.45,)"),
+        ({"kind": "polyline", "vertices": [[0.4, 0.95], [0.68, 0.95, 3],
+                                           [0.5, 1.05]]},
+         "vertex 1 must be two finite numbers, got (0.68, 0.95, 3)"),
+    ], ids=["circle", "polyline"])
+    def test_loop_config_rejects_malformed_points(self, tmp_path, capsys,
+                                                  loop, message):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps({"loop": loop}))
+        assert run_cli("encircle", "--config", str(path),
+                       "--out", str(tmp_path)) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["message"]) == ("ValueError", message)
 
     def test_sampler_error_names_loop_point(self, tmp_path, capsys):
         # the toy model has no alpha < 0; this circle crosses alpha = 0

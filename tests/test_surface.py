@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import loop_reference as ref
 from epkit.epfind import EPLocation
-from epkit.surface import (DELTA, RAW, AnalyticOracle, CircleLoop,
-                           PolylineLoop, build_surface, connected_components,
-                           encircle, oracle_eval)
+from epkit.surface import (DELTA, MAX_STEP_PHASE, RAW, AnalyticOracle,
+                           CircleLoop, PolylineLoop, build_surface,
+                           connected_components, encircle, oracle_eval)
 from epkit.toymodel import ToyParams, eigenpair_sampler
 
 DOUBLE_EP = ToyParams(g_c=0.05, beta=1.0, gamma1=1.05, gamma2=1.05)
@@ -221,6 +221,13 @@ class TestBuildSurface:
         grid = build_surface(flaky, TOY_WINDOW, 32, 16)
         assert grid.missing == [(0, 0)]
 
+    @pytest.mark.parametrize("window", [((-1e308, 1e308), (0.9, 1.0)),
+                                        ((0.3, 0.8), (-math.inf, 1.0)),
+                                        ((0.3, 0.8), (1.0, 1.0))])
+    def test_window_must_span_a_finite_nonzero_width(self, window):
+        with pytest.raises(ValueError, match="must span a finite, nonzero width"):
+            build_surface(eigenpair_sampler(DOUBLE_EP), window, 16, 16)
+
     def test_grid_size_validation(self):
         with pytest.raises(ValueError):
             build_surface(eigenpair_sampler(DOUBLE_EP), TOY_WINDOW, 8, 64)
@@ -229,14 +236,15 @@ class TestBuildSurface:
 class TestEncircle:
     def test_single_ep_loops_swap(self):
         samp = eigenpair_sampler(DOUBLE_EP)
-        for alpha in (EP1_ALPHA, EP2_ALPHA):
+        for alpha, winding in ((EP1_ALPHA, 1), (EP2_ALPHA, -1)):
             res = encircle(samp, CircleLoop((alpha, 1.0), 0.05), 128)
-            assert res.permutation == "swap"
-            assert res.max_step_jump <= 0.2
+            assert (res.permutation, res.winding) == ("swap", winding)
+            assert 0.0 < res.max_step_phase <= MAX_STEP_PHASE
 
     def test_both_ep_loop_is_identity(self):
         res = encircle(eigenpair_sampler(DOUBLE_EP), BOTH_EP_RECT, 128)
-        assert res.permutation == "identity"
+        # 129 loop points and 7 midpoints, where the pair moves fastest
+        assert (res.permutation, res.winding, res.n_steps) == ("identity", 0, 136)
 
     def test_oracle_same_geometry_agrees(self):
         oracle = AnalyticOracle.two_point(complex(EP1_ALPHA, 1.0),
@@ -249,8 +257,17 @@ class TestEncircle:
         sp = AnalyticOracle.single_point(0.5 + 0.5j, 2)
         around = encircle(sp.sampler(), CircleLoop((0.5, 0.5), 0.25), 64)
         away = encircle(sp.sampler(), CircleLoop((3.0, 3.0), 0.25), 64)
-        assert around.permutation == "swap"
-        assert away.permutation == "identity"
+        assert (around.permutation, around.winding) == ("swap", 1)
+        assert (away.permutation, away.winding) == ("identity", 0)
+
+    def test_pair_not_closed_under_the_loop_fails(self):
+        # two of the three cube roots of 0.9 - p1 + i p2, whose cut runs
+        # from p1 = 0.9 to the right: the loop crosses it only where it
+        # starts and ends, so D winds a non-integer 2/3 of a turn
+        cube = AnalyticOracle.single_point(0.9 + 0j, 3).sampler()
+        with pytest.raises(RuntimeError, match="did not return"):
+            encircle(lambda p1, p2: cube(1.8 - p1, p2),
+                     CircleLoop((0.0, 0.0), 1.0), 64)
 
     def test_homotopy_invariance(self):
         samp = eigenpair_sampler(DOUBLE_EP)
