@@ -16,6 +16,7 @@ against ``gap_floor`` rather than exact zeros.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -225,12 +226,16 @@ def beta_transition(p: ToyParams, beta_window: tuple[float, float], *,
     """Bisect the LZ-to-WB transition coefficient beta_c in a window.
 
     ``p.beta`` is ignored; the scan setup (alpha range and resolution) is
-    held fixed while beta is bisected on the classification label. Raises
-    ``ValueError`` when both window ends carry the same label.
+    held fixed while beta is bisected on the classification label, until
+    the bracket is at most ``tol`` wide or cannot be split further. Raises
+    ``ValueError`` when both window ends carry the same label, and before
+    any sweep when ``tol`` is not positive and finite.
     """
     lo, hi = float(beta_window[0]), float(beta_window[1])
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError("beta window must satisfy 0 <= lo < hi <= 1")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     alphas = np.linspace(alpha_range[0], alpha_range[1], n_alpha)
 
     def label_at(beta: float) -> str:
@@ -247,6 +252,8 @@ def beta_transition(p: ToyParams, beta_window: tuple[float, float], *,
 
     while abs(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: no point left between them
+            break
         try:
             lab = label_at(mid)
         except UnclassifiableScanError:

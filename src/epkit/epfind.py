@@ -71,11 +71,15 @@ def toy_ep_roots(p: ToyParams, alpha_bracket: tuple[float, float], *,
     by Newton steps on the complex eta^2: the real step Re(w / w'), w' from
     central differences, each iterate clipped to the minimum's neighbouring
     grid points. Keeps the best iterate of each minimum if its |eta^2| is
-    below ``residual_tol``. An empty list means no EP in the bracket.
+    below ``residual_tol``, which must be positive and finite. An empty
+    list means no EP in the bracket.
     """
     lo, hi = float(alpha_bracket[0]), float(alpha_bracket[1])
     if not (0.0 <= lo < hi):
         raise ValueError("alpha bracket must satisfy 0 <= lo < hi")
+    if not 0 < residual_tol < math.inf:
+        raise ValueError(
+            f"residual_tol must be positive and finite, got {residual_tol!r}")
     grid = np.linspace(lo, hi, n_scan)
     f = np.abs(_eta_squared(grid, p))
     k = np.flatnonzero((f[1:-1] <= f[:-2]) & (f[1:-1] < f[2:])) + 1

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .crossing import ScanTrajectory, match_branches
-from .surface import SheetGrid
+from .surface import DELTA, SheetGrid
 
 
 class IngestError(ValueError):
@@ -159,20 +159,29 @@ def write_trajectory_csv(path, traj: ScanTrajectory) -> None:
 
 
 def write_sheetgrid_csv(path, grid: SheetGrid) -> None:
-    """Long-format grid export: p1, p2, re1, im1, re2, im2, is_cut_edge."""
+    """Long-format grid export, one row per node.
+
+    Raw mode writes ``p1,p2,re1,im1,re2,im2,is_cut_edge``. Delta mode writes
+    ``p1,p2,re1,im1,is_cut_edge``: there sheet2 == -sheet1 by definition,
+    which the manifest's ``delta_mode`` records.
+    """
+    sheets = ((grid.sheet1,) if grid.delta_mode == DELTA
+              else (grid.sheet1, grid.sheet2))
     flagged = np.zeros(grid.sheet1.shape, dtype=int)
     nodes = np.array(grid.cut_cells.all_edges(), dtype=int).reshape(-1, 2)
     flagged[nodes[:, 0], nodes[:, 1]] = 1
     # each axis value is formatted once; repr is most of the cost
     p1 = [f"{x!r}," for x in grid.axis1.tolist()]
     p2 = [f"{y!r}," for y in grid.axis2.tolist()]
-    columns = (grid.sheet1.real, grid.sheet1.imag,
-               grid.sheet2.real, grid.sheet2.imag, flagged)
-    rows = map("{}{!r},{!r},{!r},{!r},{}\n".format,
+    names, columns = [], []
+    for k, sheet in enumerate(sheets, start=1):
+        names += [f"re{k}", f"im{k}"]
+        columns += [sheet.real, sheet.imag]
+    rows = map(("{}" + "{!r}," * len(names) + "{}\n").format,
                (a + b for a in p1 for b in p2),
-               *(np.ravel(c).tolist() for c in columns))
+               *(np.ravel(c).tolist() for c in (*columns, flagged)))
     with Path(path).open("w", newline="\n", encoding="utf-8") as handle:
-        handle.write("p1,p2,re1,im1,re2,im2,is_cut_edge\n")
+        handle.write(",".join(["p1", "p2", *names, "is_cut_edge"]) + "\n")
         handle.writelines(rows)
 
 

@@ -62,7 +62,8 @@ class SheetGrid:
 
     ``sheet1[i, j]`` lives at (axis1[i], axis2[j]). In delta mode the
     sheets are the half-differences relative to the sheet average, so
-    sheet2 == -sheet1 exactly.
+    sheet2 == -sheet1 exactly, and the sheet CSV holds sheet1 alone
+    (:func:`~epkit.io.write_sheetgrid_csv`).
     """
 
     axis1: np.ndarray

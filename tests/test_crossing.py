@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from epkit import crossing
 from epkit.crossing import (LZ, WB, UnclassifiableScanError, beta_transition,
                             classify, match_branches, overlap_curve,
                             overlap_peaks, sweep_toy)
@@ -163,6 +164,32 @@ class TestBetaTransition:
         p = ToyParams(g_c=0.043, beta=0.0, gamma1=1.05, gamma2=1.07)
         with pytest.raises(ValueError):
             beta_transition(p, (0.9, 0.7))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_a_bad_tolerance_before_sweeping(self, tol, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before checking tol")
+
+        monkeypatch.setattr(crossing, "sweep_toy", no_sweep)
+        p = ToyParams(g_c=0.043, beta=0.0, gamma1=1.05, gamma2=1.07)
+        with pytest.raises(ValueError, match=rf"^tol must be positive and "
+                                             rf"finite, got {tol!r}$"):
+            beta_transition(p, (0.7, 0.85), tol=tol)
+
+    def test_tolerance_below_float_spacing_stops(self, monkeypatch):
+        # the bracket shrinks to two adjacent floats and can split no further
+        sweep, calls = crossing.sweep_toy, []
+
+        def bounded_sweep(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > 100:  # a 0.15 bracket halves to 1e-16 in ~50
+                raise AssertionError("bisection did not stop")
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(crossing, "sweep_toy", bounded_sweep)
+        p = ToyParams(g_c=0.043, beta=0.0, gamma1=1.05, gamma2=1.07)
+        beta_c = beta_transition(p, (0.7, 0.85), tol=1e-300)
+        assert abs(beta_c - beta_transition(p, (0.7, 0.85), tol=1e-12)) < 1e-12
 
 
 class TestOverlapPeaks:

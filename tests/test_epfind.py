@@ -97,6 +97,12 @@ class TestToyEpRoots:
         with pytest.raises(ValueError):
             toy_ep_roots(DOUBLE_EP, (0.8, 0.3))
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_a_bad_residual_tol(self, tol):
+        with pytest.raises(ValueError, match=rf"^residual_tol must be positive"
+                                             rf" and finite, got {tol!r}$"):
+            toy_ep_roots(DOUBLE_EP, (0.3, 0.8), residual_tol=tol)
+
     def test_exact_alpha_values(self):
         roots = toy_ep_roots(DOUBLE_EP, (0.3, 0.8))
         assert roots[0].p1 == pytest.approx(EP1_ALPHA, abs=1e-9)

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epkit import cli
+from epkit import cli, crossing
+from epkit import io as io_mod
 from epkit.cli import build_parser, main
 from epkit.crossing import classify, sweep_toy
 from epkit.io import (IngestError, TrajectoryDataset, ingest_csv,
@@ -185,7 +186,7 @@ class TestCli:
     def test_surface_artifacts(self, tmp_path):
         assert run_cli("surface", "--grid", "32x16", "--out", str(tmp_path)) == 0
         header = (tmp_path / "surface.csv").read_text().splitlines()[0]
-        assert header == "p1,p2,re1,im1,re2,im2,is_cut_edge"
+        assert header == "p1,p2,re1,im1,is_cut_edge"
         payload = json.loads((tmp_path / "surface.json").read_text())
         assert payload["delta_mode"] == "delta"
         assert len(payload["axis1"]) == 32
@@ -404,6 +405,30 @@ class TestCli:
         assert err["type"] == "ValueError" and "8x400" in err["message"]
         assert not (tmp_path / "find_eps.json").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (("beta-scan", "--tolerance", "0"), "tol must be positive and finite, "
+                                            "got 0.0"),
+        (("beta-scan", "--tolerance", "-1"), "tol must be positive and "
+                                             "finite, got -1.0"),
+        (("beta-scan", "--tolerance", "nan"), "tol must be positive and "
+                                              "finite, got nan"),
+        (("find-eps", "--tolerance", "-1"), "residual_tol must be positive "
+                                            "and finite, got -1.0"),
+        (("find-eps", "--tolerance", "nan"), "residual_tol must be positive "
+                                             "and finite, got nan"),
+    ])
+    def test_rejects_a_bad_tolerance(self, tmp_path, capsys, monkeypatch,
+                                     argv, message):
+        def no_sweep(*args, **kwargs):  # a bisection that ran would hang
+            raise AssertionError("swept before checking the tolerance")
+
+        monkeypatch.setattr(crossing, "sweep_toy", no_sweep)
+        assert run_cli(*argv, "--out", str(tmp_path)) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"command": argv[0], "type": "ValueError",
+                       "message": message}
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("window", [("0.8", "0.3", "0.9", "1.1"),
                                         ("0.3", "0.8", "1.1", "0.9"),
                                         ("0.3", "0.3", "0.9", "1.1")])
@@ -497,6 +522,47 @@ FLAG_COMMANDS = {
 COMMAND_ARGS = {"toy-sweep": [], "find-eps": [], "surface": [], "encircle": [],
                 "beta-scan": [], "project": [], "oracle": [],
                 "ingest-classify": ["--input", "data.csv"]}
+
+
+class TestSheetCsv:
+    @pytest.mark.parametrize("argv, name, n_missing", [
+        # alpha < 0 fails to sample, so the first row of nodes is missing
+        (("surface", "--window", "-0.001", "0.8", "0.9", "1.0",
+          "--grid", "128x16"), "surface.csv", 16),
+        (("oracle", "--mode", "surface", "--grid", "32x16"),
+         "oracle_surface.csv", 0),
+    ])
+    def test_delta_mode_writes_sheet1_alone(self, tmp_path, monkeypatch,
+                                            argv, name, n_missing):
+        grids = []
+        write = io_mod.write_sheetgrid_csv
+
+        def keep_grid(path, grid):
+            grids.append(grid)
+            write(path, grid)
+
+        monkeypatch.setattr(io_mod, "write_sheetgrid_csv", keep_grid)
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        (grid,) = grids
+        assert grid.delta_mode == "delta"
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == "p1,p2,re1,im1,is_cut_edge"
+        cells = [line.split(",") for line in lines[1:]]
+        assert {len(row) for row in cells} == {5}
+        # repr round-trips, so equal reprs are equal bits (and both NaN)
+        sheet1 = np.ravel(grid.sheet1)
+        for part, column in ((sheet1.real, 2), (sheet1.imag, 3)):
+            assert [repr(x) for x in part.tolist()] == [
+                repr(float(row[column])) for row in cells]
+        assert len(grid.missing) == n_missing
+        assert sum(row[2:4] == ["nan", "nan"] for row in cells) == n_missing
+
+    def test_raw_mode_golden_bytes(self, tmp_path):
+        # golden bytes from before delta mode dropped re2,im2; raw keeps them
+        golden = Path(__file__).parent / "data" / "surface_raw_16x16.csv"
+        assert run_cli("surface", "--grid", "16x16", "--delta-mode", "raw",
+                       "--out", str(tmp_path)) == 0
+        assert (tmp_path / "surface.csv").read_bytes() == golden.read_bytes()
 
 
 class TestCommandFlags:
@@ -725,4 +791,4 @@ class TestStrictJson:
         assert sorted(manifest) == ["axis1", "axis2", "config", "cut_edges",
                                     "delta_mode", "missing"]
         rows = (tmp_path / "surface" / "surface.csv").read_text().splitlines()
-        assert rows[1].split(",")[2:6] == ["nan"] * 4
+        assert rows[1].split(",")[2:4] == ["nan"] * 2
