@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as io_mod
+from .core import is_real_number
 from .crossing import beta_transition, classify, overlap_peaks, sweep_toy
 from .epfind import grid_ep_search, toy_ep_roots
 from .sphere import lift_cut
@@ -267,15 +268,45 @@ def _parse_grid(text) -> tuple[int, int]:
         raise ValueError(f"grid must look like 256x64, got {text!r}") from None
 
 
+_LOOP_KEYS = {"circle": ("center", "radius"), "rect": ("window",),
+              "polyline": ("vertices",)}
+
+
 def _loop_from(cfg_loop):
-    if cfg_loop["kind"] == "circle":
-        return CircleLoop(tuple(cfg_loop["center"]), cfg_loop["radius"])
-    if cfg_loop["kind"] == "rect":
-        a0, a1, b0, b1 = cfg_loop["window"]
+    if not isinstance(cfg_loop, dict) or "kind" not in cfg_loop:
+        raise ValueError(f"loop must be an object with a kind, got {cfg_loop!r}")
+    kind = cfg_loop["kind"]
+    if kind not in _LOOP_KEYS:
+        raise ValueError(f"unknown loop kind {kind!r}")
+    for key in _LOOP_KEYS[kind]:
+        if key not in cfg_loop:
+            raise ValueError(f"a {kind} loop needs {key!r}")
+    if kind == "circle":
+        return CircleLoop(cfg_loop["center"], cfg_loop["radius"])
+    if kind == "rect":
+        window = cfg_loop["window"]
+        if not (isinstance(window, list) and len(window) == 4
+                and all(map(is_real_number, window))):
+            raise ValueError("window must be four numbers [p1lo, p1hi, p2lo, "
+                             f"p2hi], got {window!r}")
+        a0, a1, b0, b1 = window
         return PolylineLoop(((a0, b0), (a1, b0), (a1, b1), (a0, b1)))
-    if cfg_loop["kind"] == "polyline":
-        return PolylineLoop(tuple(tuple(v) for v in cfg_loop["vertices"]))
-    raise ValueError(f"unknown loop kind {cfg_loop['kind']!r}")
+    return PolylineLoop(cfg_loop["vertices"])
+
+
+def _integer(cfg, key) -> int:
+    """``cfg[key]``, which must be an integer."""
+    value = cfg[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _number(cfg, key) -> float:
+    """``cfg[key]``, which must be a real number."""
+    if not is_real_number(cfg[key]):
+        raise ValueError(f"{key} must be a real number, got {cfg[key]!r}")
+    return cfg[key]
 
 
 def _outdir(cfg) -> Path:
@@ -317,7 +348,7 @@ def _cmd_find_eps(cfg) -> None:
         }
     else:
         roots = toy_ep_roots(p, tuple(cfg["alpha_bracket"]),
-                             residual_tol=cfg["tolerance"])
+                             residual_tol=_number(cfg, "tolerance"))
         payload = {"eps": [asdict(e) for e in roots], "method": "scan-roots",
                    "config": cfg}
     io_mod.write_json(_outdir(cfg) / "find_eps.json", payload)
@@ -351,24 +382,25 @@ def _cmd_surface(cfg) -> None:
 
 
 def _cmd_encircle(cfg) -> None:
+    steps = _integer(cfg, "steps")
     p = _params(cfg)
     loop = _loop_from(cfg["loop"])
     known = []
     if p.gamma1 == p.gamma2 and p.beta == 1.0:
         known = toy_ep_roots(p, (0.01, 4.0))
-    result = encircle(eigenpair_sampler(p), loop, int(cfg["steps"]),
-                      known_eps=known)
+    result = encircle(eigenpair_sampler(p), loop, steps, known_eps=known)
     io_mod.write_json(_outdir(cfg) / "encircle.json",
                       {**asdict(result), "config": cfg})
 
 
 def _cmd_beta_scan(cfg) -> None:
+    tol = _number(cfg, "tolerance")
     p = _params(cfg)
     lo, hi = cfg["alpha_range"]
     beta_c = beta_transition(
         p, tuple(cfg["beta_window"]),
         alpha_range=(lo, hi), n_alpha=int(cfg["points"]),
-        tol=cfg["tolerance"],
+        tol=tol,
     )
     io_mod.write_json(_outdir(cfg) / "beta_scan.json", {
         "beta_c": beta_c,
@@ -382,9 +414,8 @@ def _config_points(points) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"points must be a list of [n, chi] pairs, got {points!r}")
     for k, point in enumerate(points):
-        if not (isinstance(point, list) and len(point) == 2 and all(
-                isinstance(c, (int, float)) and not isinstance(c, bool)
-                for c in point)):
+        if not (isinstance(point, list) and len(point) == 2
+                and all(map(is_real_number, point))):
             raise ValueError(
                 f"points[{k}] must be a pair of numbers [n, chi], got {point!r}")
     return np.array(points, dtype=float).reshape(-1, 2).T
@@ -435,8 +466,9 @@ def _cmd_oracle(cfg) -> None:
         io_mod.write_json(out / "oracle_surface.json",
                           _surface_manifest(grid, cfg))
     else:
+        steps = _integer(cfg, "steps")
         payload = asdict(encircle(oracle.sampler(), _loop_from(cfg["loop"]),
-                                  int(cfg["steps"])))
+                                  steps))
         del payload["enclosed_eps"]  # the oracle has no known EPs
         io_mod.write_json(out / "oracle_encircle.json", {**payload, "config": cfg})
 

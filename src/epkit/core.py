@@ -27,6 +27,12 @@ def _require_finite(name: str, z: complex) -> complex:
     return z
 
 
+def is_real_number(value) -> bool:
+    """Whether ``value`` is a Python or numpy int or float; bools are not."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
 @dataclass(frozen=True)
 class Hamiltonian2:
     """2x2 complex matrix [[xi1, g], [g, xi2]] with symmetric coupling."""

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import abs_diff, principal_sqrt_grid
+from .core import abs_diff, is_real_number, principal_sqrt_grid
 from .crossing import pairing, parity_runs
 from .epfind import EPLocation, sample_points
 
@@ -247,23 +247,46 @@ def build_surface(sampler: Callable[[float, float], tuple[complex, complex]],
     return SheetGrid(axis1, axis2, sheet1, sheet2, cuts, delta_mode, missing)
 
 
+def _loop_point(v, name: str) -> tuple[float, float]:
+    """``v`` as two floats; raises naming ``name`` unless it is two finite
+    real numbers."""
+    if isinstance(v, (list, np.ndarray)):
+        v = tuple(v)
+    if not (isinstance(v, tuple) and len(v) == 2 and all(
+            is_real_number(c) and math.isfinite(c) for c in v)):
+        raise ValueError(f"{name} must be two finite numbers, got {v!r}")
+    return float(v[0]), float(v[1])
+
+
+class _Loop:
+    """A closed loop in the (p1, p2) plane, once around as t runs over
+    [0, 1]. ``points`` is its one kernel."""
+
+    def point(self, t: float) -> tuple[float, float]:
+        """The loop point at t: :meth:`points` on a one-element array."""
+        p1, p2 = self.points([t])
+        return float(p1[0]), float(p2[0])
+
+
 @dataclass(frozen=True)
-class CircleLoop:
+class CircleLoop(_Loop):
     center: tuple[float, float]
     radius: float
 
     def __post_init__(self):
-        if len(self.center) != 2 or not all(map(math.isfinite, self.center)):
-            raise ValueError(
-                f"center must be two finite numbers, got {self.center!r}")
+        object.__setattr__(self, "center", _loop_point(self.center, "center"))
+        if not is_real_number(self.radius):
+            raise ValueError(f"radius must be a real number, got {self.radius!r}")
         if not 0 < self.radius < math.inf:
             raise ValueError(
                 f"radius must be positive and finite, got {self.radius!r}")
+        object.__setattr__(self, "radius", float(self.radius))
 
-    def point(self, t: float) -> tuple[float, float]:
-        ang = 2.0 * math.pi * t
-        return (self.center[0] + self.radius * math.cos(ang),
-                self.center[1] + self.radius * math.sin(ang))
+    def points(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """The p1 and p2 arrays of the loop points at the array ``ts``."""
+        ang = 2.0 * np.pi * np.asarray(ts, dtype=float)
+        return (self.center[0] + self.radius * np.cos(ang),
+                self.center[1] + self.radius * np.sin(ang))
 
     def contains(self, xy: tuple[float, float]) -> bool:
         return math.hypot(xy[0] - self.center[0],
@@ -271,18 +294,18 @@ class CircleLoop:
 
 
 @dataclass(frozen=True)
-class PolylineLoop:
+class PolylineLoop(_Loop):
     """Closed polygonal loop (the last vertex connects back to the first)."""
 
     vertices: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if len(self.vertices) < 3:
-            raise ValueError("a closed polyline needs at least 3 vertices")
-        for k, v in enumerate(self.vertices):
-            if len(v) != 2 or not all(map(math.isfinite, v)):
-                raise ValueError(f"vertex {k} must be two finite numbers, got {v!r}")
-        verts = tuple((float(x), float(y)) for x, y in self.vertices)
+        if not (isinstance(self.vertices, (tuple, list))
+                and len(self.vertices) >= 3):
+            raise ValueError("vertices must be at least 3 [p1, p2] points, "
+                             f"got {self.vertices!r}")
+        verts = tuple(_loop_point(v, f"vertex {k}")
+                      for k, v in enumerate(self.vertices))
         segs = tuple(zip(verts, verts[1:] + verts[:1]))
         lengths = tuple(math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in segs)
         object.__setattr__(self, "vertices", verts)
@@ -290,16 +313,25 @@ class PolylineLoop:
         object.__setattr__(self, "_lengths", lengths)
         object.__setattr__(self, "_total", sum(lengths))
 
-    def point(self, t: float) -> tuple[float, float]:
-        # arc-length parameterization over [0, 1]
-        target = (t % 1.0) * self._total
+    def points(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """The p1 and p2 arrays of the loop points at the array ``ts``, at
+        arc length ``(ts mod 1)`` of the perimeter from the first vertex.
+
+        A point lies on the first segment whose length its remaining arc
+        length does not exceed, or on the last one; the loop runs over the
+        segments, not the points."""
+        target = np.mod(np.asarray(ts, dtype=float), 1.0) * self._total
+        p1, p2 = np.empty_like(target), np.empty_like(target)
+        todo = np.ones(target.shape, dtype=bool)
         last = len(self._segments) - 1
         for idx, ((p, q), ell) in enumerate(zip(self._segments, self._lengths)):
-            if target <= ell or idx == last:
-                frac = min(target / ell, 1.0) if ell > 0 else 0.0
-                return (p[0] + frac * (q[0] - p[0]), p[1] + frac * (q[1] - p[1]))
+            here = todo & (target <= ell) if idx < last else todo
+            frac = np.minimum(target[here] / ell, 1.0) if ell > 0 else 0.0
+            p1[here] = p[0] + frac * (q[0] - p[0])
+            p2[here] = p[1] + frac * (q[1] - p[1])
+            todo &= ~here
             target -= ell
-        return self.vertices[0]
+        return p1, p2
 
     def contains(self, xy: tuple[float, float]) -> bool:
         # even-odd ray casting
@@ -327,8 +359,7 @@ class LoopResult:
 def _sample_loop(sampler, loop, ts: np.ndarray):
     """The pair difference a - b and mean (a + b) / 2 at the loop points
     ``ts``, and per point the exception the sampler raised there, or None."""
-    p1, p2 = (np.array(c) for c in zip(*map(loop.point, ts.tolist())))
-    a, b, failed = sample_points(sampler, p1, p2)
+    a, b, failed = sample_points(sampler, *loop.points(ts))
     errors = np.full(ts.size, None)
     errors[list(failed)] = list(failed.values())
     return a - b, 0.5 * (a + b), errors

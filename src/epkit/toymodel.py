@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Hamiltonian2, eigvalues_grid
+from .core import Hamiltonian2, eigvalues_grid, is_real_number
 
 FULL_COMPLEX = "full-complex-difference"
 REAL_PART = "real-part-difference"
@@ -38,8 +38,7 @@ class ToyParams:
     def __post_init__(self):
         for name in ("g_c", "beta", "gamma1", "gamma2"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(
-                    value, (int, float, np.integer, np.floating)):
+            if not is_real_number(value):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")

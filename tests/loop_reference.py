@@ -1,6 +1,6 @@
 """Per-point loop implementations of the scan, grid and loop paths, and
-:mod:`cmath` versions of the scalar square-root and oracle kernels, kept
-as references.
+:mod:`cmath` and :mod:`math` versions of the scalar square-root, oracle
+and loop-geometry kernels, kept as references.
 
 The library computes these quantities with array operations; the tests in
 test_reference_oracles.py, test_grid_reference.py, test_core.py and
@@ -10,13 +10,14 @@ test_surface.py check it against the straightforward code here.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
 from epkit.core import (DEGENERACY_THRESHOLD, DiscreteField, Hamiltonian2,
                         overlap, splitting)
 from epkit.crossing import AMBIGUITY_TOL
-from epkit.surface import IDENTITY, SWAP
+from epkit.surface import IDENTITY, SWAP, CircleLoop
 from epkit.toymodel import build_hamiltonian
 
 
@@ -289,7 +290,26 @@ def local_minima(gaps):
     return out
 
 
-# ---- closed loops: depth-first continuation ---------------------------------
+# ---- closed loops: geometry and depth-first continuation ---------------------
+
+def loop_point(loop, t: float) -> tuple[float, float]:
+    """The point at t of a CircleLoop or PolylineLoop, by scalar formulas;
+    a polyline is parameterized by arc length over [0, 1]."""
+    if isinstance(loop, CircleLoop):
+        ang = 2.0 * math.pi * t
+        return (loop.center[0] + loop.radius * math.cos(ang),
+                loop.center[1] + loop.radius * math.sin(ang))
+    verts = loop.vertices
+    segments = list(zip(verts, verts[1:] + verts[:1]))
+    lengths = [math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in segments]
+    target = (t % 1.0) * sum(lengths)
+    last = len(segments) - 1
+    for idx, ((p, q), ell) in enumerate(zip(segments, lengths)):
+        if target <= ell or idx == last:
+            frac = min(target / ell, 1.0) if ell > 0 else 0.0
+            return (p[0] + frac * (q[0] - p[0]), p[1] + frac * (q[1] - p[1]))
+        target -= ell
+
 
 END_MATCH_TOL = 1e-8
 JUMP_FACTOR = 0.2
@@ -310,7 +330,7 @@ def encircle(sampler, loop, n_steps: int = 256, *,
 
     def sample(t: float) -> tuple[complex, complex]:
         if t not in cache:
-            x, y = loop.point(t)
+            x, y = loop_point(loop, t)
             try:
                 la, lb = sampler(x, y)
             except Exception as exc:

@@ -8,6 +8,8 @@ differently from cmath). The winding of the discriminant around a loop
 must give the permutation, or the error, of depth-first continuation.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -295,6 +297,58 @@ def loops(draw):
                               for r, a in zip(radii, angles)))
 
 
+coordinates = st.floats(-10.0, 10.0)
+# 0, 1, dyadic midpoints (the points of halved steps), any t in [0, 1], and
+# t outside it, which wraps
+loop_ts = st.one_of(st.sampled_from([0.0, 1.0]),
+                    st.integers(0, 2**20).map(lambda k: k / 2**20),
+                    st.floats(0.0, 1.0), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def any_loops(draw):
+    """Circles, and polygons whose vertices may repeat (zero-length
+    segments, the last one included)."""
+    if draw(st.booleans()):
+        return CircleLoop((draw(coordinates), draw(coordinates)),
+                          draw(st.floats(1e-6, 10.0)))
+    pool = draw(st.lists(st.tuples(coordinates, coordinates), min_size=1,
+                         max_size=4))
+    return PolylineLoop(tuple(draw(st.lists(st.sampled_from(pool), min_size=3,
+                                            max_size=8))))
+
+
+class TestLoopKernels:
+    @given(any_loops(), st.lists(loop_ts, min_size=1, max_size=40))
+    @SETTINGS
+    def test_points_match_the_scalar_formulas(self, loop, ts):
+        p1, p2 = loop.points(np.array(ts))
+        want = np.array([ref.loop_point(loop, t) for t in ts])
+        assert bits(np.stack([p1, p2], axis=1)).tolist() == bits(want).tolist()
+
+    @given(any_loops(), st.lists(loop_ts, min_size=1, max_size=40))
+    @SETTINGS
+    def test_point_is_points_at_one_value(self, loop, ts):
+        # at any position of any array, as encircle samples a loop point in
+        # its first pass or in any round of midpoints
+        p1, p2 = loop.points(np.array(ts))
+        one = np.array([loop.point(t) for t in ts])
+        assert bits(one).tolist() == bits(np.stack([p1, p2], axis=1)).tolist()
+
+    def test_numpy_cos_and_sin_are_those_of_math(self):
+        # CircleLoop.points calls numpy's cos and sin, the scalar formulas
+        # math's: a numpy that rounds them otherwise changes loop points,
+        # and with them the bytes of every loop artifact
+        angles = 2.0 * np.pi * np.random.default_rng(7).random(100_000)
+        for array_f, scalar_f in ((np.cos, math.cos), (np.sin, math.sin)):
+            want = np.array([scalar_f(a) for a in angles.tolist()])
+            differ = np.flatnonzero(bits(array_f(angles)) != bits(want))
+            assert differ.size == 0, (
+                f"numpy {np.__version__} {array_f.__name__} differs from "
+                f"math.{scalar_f.__name__} at {differ.size} of {angles.size} "
+                f"angles, first {angles[differ[0]]!r}")
+
+
 class TestEncircle:
     @given(loops(), st.sampled_from(sorted(BASES)),
            st.sampled_from(["plain", "nan", "raises", "scalar-only"]),
@@ -429,7 +483,11 @@ class TestEncircle:
             points.append(np.size(p1))
             return BASES["toy"](p1, p2)
 
-        res = encircle(counted, CircleLoop((EP_ALPHAS[0], 1.0), 0.05), 256)
+        class PointsOnly(CircleLoop):  # the loop's points come in arrays
+            def point(self, t):
+                raise AssertionError("encircle asked for one loop point")
+
+        res = encircle(counted, PointsOnly((EP_ALPHAS[0], 1.0), 0.05), 256)
         assert (res.permutation, res.winding) == ("swap", 1)
         assert sum(points) == res.n_steps  # every loop point sampled once
         assert len(calls) <= 3

@@ -484,21 +484,93 @@ class TestCli:
         err = json.loads(capsys.readouterr().out)["error"]
         assert (err["type"], err["message"]) == ("ValueError", message)
 
+    @pytest.mark.parametrize("command", [("encircle",),
+                                         ("oracle", "--mode", "encircle")])
     @pytest.mark.parametrize("loop, message", [
         ({"kind": "circle", "center": [0.45], "radius": 0.05},
          "center must be two finite numbers, got (0.45,)"),
         ({"kind": "polyline", "vertices": [[0.4, 0.95], [0.68, 0.95, 3],
                                            [0.5, 1.05]]},
          "vertex 1 must be two finite numbers, got (0.68, 0.95, 3)"),
-    ], ids=["circle", "polyline"])
+        ({"center": [0.45, 1.0], "radius": 0.05},
+         "loop must be an object with a kind, got {'center': [0.45, 1.0], "
+         "'radius': 0.05}"),
+        (0.05, "loop must be an object with a kind, got 0.05"),
+        ({"kind": "ellipse"}, "unknown loop kind 'ellipse'"),
+        ({"kind": "circle", "center": [0.45, 1.0]},
+         "a circle loop needs 'radius'"),
+        ({"kind": "circle", "radius": 0.05}, "a circle loop needs 'center'"),
+        ({"kind": "rect"}, "a rect loop needs 'window'"),
+        ({"kind": "polyline"}, "a polyline loop needs 'vertices'"),
+        ({"kind": "circle", "center": 0.45, "radius": 0.05},
+         "center must be two finite numbers, got 0.45"),
+        ({"kind": "circle", "center": [0.45, "1.0"], "radius": 0.05},
+         "center must be two finite numbers, got (0.45, '1.0')"),
+        ({"kind": "circle", "center": [0.45, 1.0], "radius": "0.05"},
+         "radius must be a real number, got '0.05'"),
+        ({"kind": "circle", "center": [0.45, 1.0], "radius": True},
+         "radius must be a real number, got True"),
+        ({"kind": "rect", "window": [0.4, 0.68, 0.95]},
+         "window must be four numbers [p1lo, p1hi, p2lo, p2hi], "
+         "got [0.4, 0.68, 0.95]"),
+        ({"kind": "rect", "window": [0.4, 0.68, 0.95, False]},
+         "window must be four numbers [p1lo, p1hi, p2lo, p2hi], "
+         "got [0.4, 0.68, 0.95, False]"),
+        ({"kind": "polyline", "vertices": 0.4},
+         "vertices must be at least 3 [p1, p2] points, got 0.4"),
+        ({"kind": "polyline", "vertices": [[0.4, 0.95], 0.68, [0.5, 1.05]]},
+         "vertex 1 must be two finite numbers, got 0.68"),
+        ({"kind": "polyline", "vertices": [[0.4, 0.95], [0.5, 1.05]]},
+         "vertices must be at least 3 [p1, p2] points, "
+         "got [[0.4, 0.95], [0.5, 1.05]]"),
+    ], ids=["circle", "polyline", "no-kind", "not-an-object", "unknown-kind",
+            "no-radius", "no-center", "no-window", "no-vertices",
+            "number-center", "string-coordinate", "string-radius",
+            "bool-radius", "short-window", "bool-window", "number-vertices",
+            "number-vertex", "two-vertices"])
     def test_loop_config_rejects_malformed_points(self, tmp_path, capsys,
-                                                  loop, message):
+                                                  command, loop, message):
         path = tmp_path / "loop.json"
         path.write_text(json.dumps({"loop": loop}))
-        assert run_cli("encircle", "--config", str(path),
-                       "--out", str(tmp_path)) == 1
+        assert run_cli(*command, "--config", str(path),
+                       "--out", str(tmp_path / "out")) == 1
         err = json.loads(capsys.readouterr().out)["error"]
         assert (err["type"], err["message"]) == ("ValueError", message)
+        assert not (tmp_path / "out").exists() or not any(
+            (tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("command, config, message", [
+        (("encircle",), {"steps": 256.9}, "steps must be an integer, got 256.9"),
+        (("encircle",), {"steps": True}, "steps must be an integer, got True"),
+        (("encircle",), {"steps": "256"}, "steps must be an integer, got '256'"),
+        (("oracle", "--mode", "encircle"), {"steps": 256.9},
+         "steps must be an integer, got 256.9"),
+        (("oracle", "--mode", "encircle"), {"steps": True},
+         "steps must be an integer, got True"),
+        (("beta-scan",), {"tolerance": "1e-3"},
+         "tolerance must be a real number, got '1e-3'"),
+        (("beta-scan",), {"tolerance": True},
+         "tolerance must be a real number, got True"),
+        (("find-eps",), {"tolerance": "1e-3"},
+         "tolerance must be a real number, got '1e-3'"),
+        (("find-eps",), {"tolerance": True},
+         "tolerance must be a real number, got True"),
+    ])
+    def test_config_rejects_a_mistyped_count_or_tolerance(
+            self, tmp_path, capsys, monkeypatch, command, config, message):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before checking the config")
+
+        monkeypatch.setattr(crossing, "sweep_toy", no_sweep)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(*command, "--config", str(path),
+                       "--out", str(tmp_path / "out")) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"command": command[0], "type": "ValueError",
+                       "message": message}
+        assert not (tmp_path / "out").exists() or not any(
+            (tmp_path / "out").iterdir())
 
     def test_sampler_error_names_loop_point(self, tmp_path, capsys):
         # the toy model has no alpha < 0; this circle crosses alpha = 0
