@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Configuration is resolved in layers: command defaults, then a JSON config
-file (--config), then a named preset (--preset), then explicit flags;
-later layers win. Every JSON artifact embeds the fully resolved config,
-and all outputs are deterministic for a fixed config (repeat runs produce
-byte-identical files).
+file (--config) over the preset it names, then a named preset (--preset),
+then explicit flags; later layers win. ``_CHECKS`` is the one config
+contract: a run accepts only the keys its command and modes read, and
+checks each of them before any work is done. Every JSON artifact embeds
+the fully resolved config, and all outputs are deterministic for a fixed
+config (repeat runs produce byte-identical files).
 
 Subcommands: toy-sweep, find-eps, surface, encircle, beta-scan, project,
 ingest-classify, oracle. Errors exit nonzero after printing a
@@ -90,22 +92,34 @@ _MODE_DEFAULTS = {
 }
 
 
-def _add_common(sub, grid=False):
+_WINDOW = ("P1LO", "P1HI", "P2LO", "P2HI")
+
+
+def _add_command(subs, name, help, grid=False, params=False):
+    sub = subs.add_parser(name, help=help)
     sub.add_argument("--config", help="JSON config file; flags override it")
     sub.add_argument("--out", default=".", help="output directory")
     if grid:
         sub.add_argument("--grid", metavar="N1xN2", help="grid resolution, e.g. 256x64")
+    if params:
+        sub.add_argument("--preset", choices=sorted(PRESETS),
+                         help="named toy-model parameter set")
+        for flag in ("--g-c", "--beta", "--gamma1", "--gamma2"):
+            sub.add_argument(flag, type=float)
+        sub.add_argument("--lambda-mode", choices=["full-complex-difference",
+                                                   "real-part-difference"])
+    return sub
 
 
-def _add_params(sub):
-    sub.add_argument("--preset", choices=sorted(PRESETS),
-                     help="named toy-model parameter set")
-    sub.add_argument("--g-c", type=float, default=None, dest="g_c")
-    sub.add_argument("--beta", type=float, default=None)
-    sub.add_argument("--gamma1", type=float, default=None)
-    sub.add_argument("--gamma2", type=float, default=None)
-    sub.add_argument("--lambda-mode", default=None, dest="lambda_mode",
-                     choices=["full-complex-difference", "real-part-difference"])
+def _add_sheets(sub):
+    sub.add_argument("--window", type=float, nargs=4, metavar=_WINDOW)
+    sub.add_argument("--delta-mode", choices=["raw", "delta"])
+
+
+def _add_loop(sub):
+    sub.add_argument("--circle", type=float, nargs=3, metavar=("CX", "CY", "R"))
+    sub.add_argument("--rect", type=float, nargs=4, metavar=_WINDOW)
+    sub.add_argument("--steps", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,105 +129,186 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sweep = subs.add_parser("toy-sweep", help="1-D scan: trajectory CSV + class report")
-    _add_common(sweep)
-    _add_params(sweep)
-    sweep.add_argument("--alpha-range", type=float, nargs=2, default=None)
-    sweep.add_argument("--points", type=int, default=None)
+    sweep = _add_command(subs, "toy-sweep", "1-D scan: trajectory CSV + class report",
+                         params=True)
+    sweep.add_argument("--alpha-range", type=float, nargs=2)
+    sweep.add_argument("--points", type=int)
 
-    find = subs.add_parser("find-eps", help="EP roots of the toy splitting")
-    _add_common(find, grid=True)
-    _add_params(find)
-    find.add_argument("--tolerance", type=float, default=None,
+    find = _add_command(subs, "find-eps", "EP roots of the toy splitting",
+                        grid=True, params=True)
+    find.add_argument("--tolerance", type=float,
                       help="EP residual bound of the scan-roots search")
-    find.add_argument("--alpha-bracket", type=float, nargs=2, default=None)
-    find.add_argument("--window", type=float, nargs=4, default=None,
-                      metavar=("P1LO", "P1HI", "P2LO", "P2HI"),
+    find.add_argument("--alpha-bracket", type=float, nargs=2)
+    find.add_argument("--window", type=float, nargs=4, metavar=_WINDOW,
                       help="run the generic 2-D grid search over (alpha, beta)")
 
-    surf = subs.add_parser("surface", help="sheet grid with branch cuts")
-    _add_common(surf, grid=True)
-    _add_params(surf)
-    surf.add_argument("--window", type=float, nargs=4, default=None,
-                      metavar=("P1LO", "P1HI", "P2LO", "P2HI"))
-    surf.add_argument("--delta-mode", default=None, choices=["raw", "delta"],
-                      dest="delta_mode")
+    _add_sheets(_add_command(subs, "surface", "sheet grid with branch cuts",
+                             grid=True, params=True))
+    _add_loop(_add_command(subs, "encircle", "loop monodromy of the toy model",
+                           params=True))
 
-    enc = subs.add_parser("encircle", help="loop monodromy of the toy model")
-    _add_common(enc)
-    _add_params(enc)
-    enc.add_argument("--circle", type=float, nargs=3, default=None,
-                     metavar=("CX", "CY", "R"))
-    enc.add_argument("--rect", type=float, nargs=4, default=None,
-                     metavar=("P1LO", "P1HI", "P2LO", "P2HI"))
-    enc.add_argument("--steps", type=int, default=None)
+    bscan = _add_command(subs, "beta-scan", "LZ-to-WB transition coefficient",
+                         params=True)
+    bscan.add_argument("--tolerance", type=float, help="beta_c bisection step")
+    bscan.add_argument("--beta-window", type=float, nargs=2)
+    bscan.add_argument("--alpha-range", type=float, nargs=2)
+    bscan.add_argument("--points", type=int)
 
-    bscan = subs.add_parser("beta-scan", help="LZ-to-WB transition coefficient")
-    _add_common(bscan)
-    _add_params(bscan)
-    bscan.add_argument("--tolerance", type=float, default=None,
-                       help="beta_c bisection step")
-    bscan.add_argument("--beta-window", type=float, nargs=2, default=None)
-    bscan.add_argument("--alpha-range", type=float, nargs=2, default=None)
-    bscan.add_argument("--points", type=int, default=None)
-
-    proj = subs.add_parser("project", help="lift plane points/curves to the sphere")
-    _add_common(proj)
-    proj.add_argument("--input", default=None,
-                      help="CSV with header n,chi (inf rows allowed)")
+    proj = _add_command(subs, "project", "lift plane points/curves to the sphere")
+    proj.add_argument("--input", help="CSV with header n,chi (inf rows allowed)")
     proj.add_argument("--point", type=float, nargs=2, action="append",
-                      default=None, metavar=("N", "CHI"))
+                      metavar=("N", "CHI"))
 
-    ing = subs.add_parser("ingest-classify", help="classify an external dataset")
-    _add_common(ing)
+    ing = _add_command(subs, "ingest-classify", "classify an external dataset")
     ing.add_argument("--input", required=True)
-    ing.add_argument("--modes", nargs=2, default=None)
-    ing.add_argument("--meta", action="append", default=None, metavar="KEY=VALUE")
+    ing.add_argument("--modes", nargs=2)
+    ing.add_argument("--meta", action="append", metavar="KEY=VALUE")
 
-    orc = subs.add_parser("oracle", help="analytic-oracle surface or loop")
-    _add_common(orc, grid=True)
-    orc.add_argument("--kind", default=None,
-                     choices=["two-point", "single-point"])
-    orc.add_argument("--z1", type=float, nargs=2, default=None, metavar=("RE", "IM"))
-    orc.add_argument("--z2", type=float, nargs=2, default=None, metavar=("RE", "IM"))
-    orc.add_argument("--z0", type=float, nargs=2, default=None, metavar=("RE", "IM"))
-    orc.add_argument("--order", type=int, default=None)
-    orc.add_argument("--mode", default=None, choices=["surface", "encircle"])
-    orc.add_argument("--window", type=float, nargs=4, default=None)
-    orc.add_argument("--circle", type=float, nargs=3, default=None)
-    orc.add_argument("--rect", type=float, nargs=4, default=None)
-    orc.add_argument("--delta-mode", default=None, choices=["raw", "delta"],
-                     dest="delta_mode")
-    orc.add_argument("--steps", type=int, default=None)
-
+    orc = _add_command(subs, "oracle", "analytic-oracle surface or loop", grid=True)
+    orc.add_argument("--kind", choices=["two-point", "single-point"])
+    for flag in ("--z1", "--z2", "--z0"):
+        orc.add_argument(flag, type=float, nargs=2, metavar=("RE", "IM"))
+    orc.add_argument("--order", type=int)
+    orc.add_argument("--mode", choices=["surface", "encircle"])
+    _add_sheets(orc)
+    _add_loop(orc)
     return parser
 
 
+def _checker(ok, what):
+    """A checker that raises ``<key> must be <what>, got <value>`` unless
+    ``ok(value)``."""
+    def check(key, value):
+        if not ok(value):
+            raise ValueError(f"{key} must be {what}, got {value!r}")
+    return check
+
+
+def _numbers(n):
+    return lambda v: (isinstance(v, list) and len(v) == n
+                      and all(map(is_real_number, v)))
+
+
+def _choice(*names):
+    return _checker(names.__contains__, "one of " + ", ".join(names))
+
+
+_int = _checker(lambda v: isinstance(v, int) and not isinstance(v, bool),
+                "an integer")
+_real = _checker(is_real_number, "a real number")
+_pair = _checker(_numbers(2), "a pair of numbers")
+_point = _checker(_numbers(2), "a pair of numbers [n, chi]")
+_window = _checker(_numbers(4), "four numbers [p1lo, p1hi, p2lo, p2hi]")
+_text = _checker(lambda v: isinstance(v, str), "a string")
+_object = _checker(lambda v: isinstance(v, dict), "an object")
+# ToyParams checks the values in params, as the loop classes do in a loop
+_params = _checker(lambda v: isinstance(v, dict) and v.keys() <= set(_PARAM_KEYS),
+                   "an object with keys among " + ", ".join(_PARAM_KEYS))
+_mode_pair = _checker(lambda v: isinstance(v, list) and len(v) == 2
+                      and all(isinstance(m, str) for m in v), "two mode names")
+
+
+def _points(key, value) -> None:
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list of [n, chi] pairs, got {value!r}")
+    for k, point in enumerate(value):
+        _point(f"{key}[{k}]", point)
+
+
+def _grid(key, value) -> tuple[int, int]:
+    """The sizes of an ``N1xN2`` grid string."""
+    try:
+        n1, n2 = value.lower().split("x")
+        return int(n1), int(n2)
+    except (AttributeError, ValueError):
+        raise ValueError(f"{key} must look like 256x64, got {value!r}") from None
+
+
+_LOOP_KEYS = {"circle": ("center", "radius"), "rect": ("window",),
+              "polyline": ("vertices",)}
+
+
+def _loop(key, value) -> None:
+    """An object with a kind and exactly that kind's keys."""
+    if not isinstance(value, dict) or "kind" not in value:
+        raise ValueError(f"{key} must be an object with a kind, got {value!r}")
+    kind = value["kind"]
+    if not (isinstance(kind, str) and kind in _LOOP_KEYS):
+        raise ValueError(f"unknown {key} kind {kind!r}")
+    for name in _LOOP_KEYS[kind]:
+        if name not in value:
+            raise ValueError(f"a {kind} {key} needs {name!r}")
+    extra = sorted(set(value) - {"kind", *_LOOP_KEYS[kind]})
+    if extra:
+        raise ValueError(
+            f"a {kind} {key} does not read {', '.join(map(repr, extra))}")
+    if kind == "rect":
+        _window("window", value["window"])
+
+
+def _loop_of(value):
+    """The loop a checked config ``loop`` object describes."""
+    if value["kind"] == "circle":
+        return CircleLoop(value["center"], value["radius"])
+    if value["kind"] == "rect":
+        a0, a1, b0, b1 = value["window"]
+        return PolylineLoop(((a0, b0), (a1, b0), (a1, b1), (a0, b1)))
+    return PolylineLoop(value["vertices"])
+
+
+# The config contract: every key a command or mode may read, and its
+# checker, which raises naming the key and never changes the value. The
+# order is the order in which flags are copied into the config.
+_CHECKS = {
+    "command": _text,
+    "out": _text,
+    "params": _params,
+    "preset": _choice(*sorted(PRESETS)),
+    "input": _text,
+    "alpha_range": _pair,
+    "points": {"toy-sweep": _int, "beta-scan": _int, "project": _points},
+    "alpha_bracket": _pair,
+    "beta_window": _pair,
+    "tolerance": _real,
+    "kind": _choice("two-point", "single-point"),
+    "mode": _choice("surface", "encircle"),
+    "z1": _pair,
+    "z2": _pair,
+    "z0": _pair,
+    "order": _int,
+    "window": _window,
+    "grid": _grid,
+    "delta_mode": _choice("raw", "delta"),
+    "loop": _loop,
+    "steps": _int,
+    "modes": _mode_pair,
+    "metadata": _object,
+}
+
+
 def _resolve(args) -> dict:
+    """The run's config: the layers merged, then checked by ``_check``."""
     cfg = json.loads(json.dumps(_DEFAULTS[args.command]))  # deep copy
+    loaded = {}
     if args.config:
         loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if isinstance(loaded.get("params"), dict) and "params" in cfg:
+        if not isinstance(loaded, dict):
+            raise ValueError(f"--config must hold a JSON object, got {loaded!r}")
+    if "params" in cfg:  # the commands with --preset
+        if "preset" in loaded:  # the base of the file's own params
+            _CHECKS["preset"]("preset", loaded["preset"])
+            cfg["params"].update(PRESETS[loaded["preset"]]["params"])
+        if isinstance(loaded.get("params"), dict):
             # a partial params dict overrides single defaults
             loaded["params"] = {**cfg["params"], **loaded["params"]}
-        cfg.update(loaded)
-    if getattr(args, "preset", None):
-        cfg.setdefault("params", {})
-        cfg["params"].update(PRESETS[args.preset]["params"])
-        cfg["preset"] = args.preset
-    if "params" in cfg:
+    cfg.update(loaded)
+    if "params" in _DEFAULTS[args.command] and isinstance(cfg["params"], dict):
+        if args.preset:
+            cfg["params"].update(PRESETS[args.preset]["params"])
         for key in _PARAM_KEYS:
-            val = getattr(args, key, None)
-            if val is not None:
-                cfg["params"][key] = val
+            if getattr(args, key) is not None:
+                cfg["params"][key] = getattr(args, key)
     flags = {}  # config key -> the flag that set it
-    for key in ("alpha_range", "points", "alpha_bracket", "window",
-                "delta_mode", "steps", "beta_window", "kind", "z1", "z2",
-                "z0", "order", "mode", "input", "modes", "tolerance", "grid"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-            flags[key] = "--" + key.replace("_", "-")
     if getattr(args, "circle", None) is not None:
         cfg["loop"] = {"kind": "circle", "center": list(args.circle[:2]),
                        "radius": args.circle[2]}
@@ -223,90 +318,49 @@ def _resolve(args) -> dict:
         flags["loop"] = "--rect"
     if getattr(args, "point", None):
         cfg["points"] = [list(p) for p in args.point]
-    if getattr(args, "meta", None):
-        meta = cfg.setdefault("metadata", {})
+    if getattr(args, "meta", None) and isinstance(cfg["metadata"], dict):
         for item in args.meta:
             key, _, value = item.partition("=")
-            meta[key] = value
-    cfg["out"] = args.out
-    cfg["command"] = args.command
-    if args.command in _MODE_DEFAULTS:
-        _apply_modes(cfg, flags)
+            cfg["metadata"][key] = value
+    given = vars(args)
+    for key in _CHECKS:
+        if given.get(key) is not None:
+            cfg[key] = given[key]
+            flags[key] = "--" + key.replace("_", "-")
+    _check(cfg, given, flags)
     return cfg
 
 
-def _apply_modes(cfg, flags) -> None:
-    """Fill in the defaults of the run's modes; reject other modes' keys."""
-    command, table = cfg["command"], _MODE_DEFAULTS[cfg["command"]]
+def _check(cfg, given, flags) -> None:
+    """Reject the keys that the command, its modes and its flags (``given``)
+    do not read, check the others, then fill in the modes' defaults."""
+    command, table = cfg["command"], _MODE_DEFAULTS.get(cfg["command"], {})
     if command == "find-eps":
-        modes = ["--window" if cfg["window"] else "without --window"]
-    else:
+        modes = ["--window" if cfg["window"] is not None else "without --window"]
+    elif command == "oracle":
         modes = [f"--kind {cfg['kind']}", f"--mode {cfg['mode']}"]
+    else:
+        modes = []
     for mode in modes:
         if mode not in table:
             raise ValueError(f"{command}: unknown choice {mode}")
     own = {key for mode in modes for key in table[mode]}
-    stray = [key for mode, defaults in table.items() if mode not in modes
-             for key in defaults if key in cfg and key not in own]
+    others = {key for defaults in table.values() for key in defaults} - own
+    defaults = _DEFAULTS[command]
+    reads = {*defaults, *own, *(_CHECKS.keys() & given.keys())}
+    stray = [key for key in cfg if key not in reads or key in others]
     if stray:
         named = ", ".join(flags.get(key, f"config key {key!r}") for key in stray)
-        raise ValueError(f"{command} {' '.join(modes)} does not read {named}")
+        raise ValueError(f"{' '.join([command, *modes])} does not read {named}")
+    for key, value in cfg.items():
+        if value is None and key in defaults and defaults[key] is None:
+            continue  # null where the default is null
+        check = _CHECKS[key]
+        (check[command] if isinstance(check, dict) else check)(key, value)
     for mode in modes:
         for key, value in table[mode].items():
-            cfg.setdefault(key, json.loads(json.dumps(value)))
-
-
-def _params(cfg) -> ToyParams:
-    return ToyParams(**cfg["params"])
-
-
-def _parse_grid(text) -> tuple[int, int]:
-    try:
-        n1, n2 = text.lower().split("x")
-        return int(n1), int(n2)
-    except ValueError:
-        raise ValueError(f"grid must look like 256x64, got {text!r}") from None
-
-
-_LOOP_KEYS = {"circle": ("center", "radius"), "rect": ("window",),
-              "polyline": ("vertices",)}
-
-
-def _loop_from(cfg_loop):
-    if not isinstance(cfg_loop, dict) or "kind" not in cfg_loop:
-        raise ValueError(f"loop must be an object with a kind, got {cfg_loop!r}")
-    kind = cfg_loop["kind"]
-    if kind not in _LOOP_KEYS:
-        raise ValueError(f"unknown loop kind {kind!r}")
-    for key in _LOOP_KEYS[kind]:
-        if key not in cfg_loop:
-            raise ValueError(f"a {kind} loop needs {key!r}")
-    if kind == "circle":
-        return CircleLoop(cfg_loop["center"], cfg_loop["radius"])
-    if kind == "rect":
-        window = cfg_loop["window"]
-        if not (isinstance(window, list) and len(window) == 4
-                and all(map(is_real_number, window))):
-            raise ValueError("window must be four numbers [p1lo, p1hi, p2lo, "
-                             f"p2hi], got {window!r}")
-        a0, a1, b0, b1 = window
-        return PolylineLoop(((a0, b0), (a1, b0), (a1, b1), (a0, b1)))
-    return PolylineLoop(cfg_loop["vertices"])
-
-
-def _integer(cfg, key) -> int:
-    """``cfg[key]``, which must be an integer."""
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _number(cfg, key) -> float:
-    """``cfg[key]``, which must be a real number."""
-    if not is_real_number(cfg[key]):
-        raise ValueError(f"{key} must be a real number, got {cfg[key]!r}")
-    return cfg[key]
+            if key not in cfg:
+                cfg[key] = json.loads(json.dumps(value))  # deep copy
 
 
 def _outdir(cfg) -> Path:
@@ -315,162 +369,106 @@ def _outdir(cfg) -> Path:
     return out
 
 
-def _cmd_toy_sweep(cfg) -> None:
-    p = _params(cfg)
-    lo, hi = cfg["alpha_range"]
-    alphas = np.linspace(lo, hi, int(cfg["points"]))
-    traj = sweep_toy(p, alphas)
+# Each runner writes its CSVs and returns the name and payload of its JSON
+# artifact, to which main adds the config.
+
+def _cmd_toy_sweep(cfg):
+    traj = sweep_toy(ToyParams(**cfg["params"]),
+                     np.linspace(*cfg["alpha_range"], cfg["points"]))
     report = classify(traj)
-    out = _outdir(cfg)
-    io_mod.write_trajectory_csv(out / "toy_sweep.csv", traj)
-    io_mod.write_json(out / "toy_sweep_report.json", {
-        "report": asdict(report),
-        "overlap_peaks": overlap_peaks(traj),
-        "config": cfg,
-    })
+    io_mod.write_trajectory_csv(_outdir(cfg) / "toy_sweep.csv", traj)
+    return "toy_sweep_report.json", {"report": asdict(report),
+                                     "overlap_peaks": overlap_peaks(traj)}
 
 
-def _cmd_find_eps(cfg) -> None:
-    p = _params(cfg)
-    if cfg.get("window"):
-        a0, a1, b0, b1 = cfg["window"]
-        coarse_n, n2 = _parse_grid(cfg["grid"])
-        if n2 != coarse_n:
-            raise ValueError(
-                f"find-eps needs a square grid, got {coarse_n}x{n2}")
-        result = grid_ep_search(eigenpair_sampler(p), ((a0, a1), (b0, b1)),
-                                coarse_n)
-        payload = {
-            "eps": [asdict(e) for e in result.locations],
-            "method": "grid-search",
-            "sampler_failures": result.sampler_failures,
-            "config": cfg,
-        }
-    else:
+def _cmd_find_eps(cfg):
+    p = ToyParams(**cfg["params"])
+    if cfg["window"] is None:
         roots = toy_ep_roots(p, tuple(cfg["alpha_bracket"]),
-                             residual_tol=_number(cfg, "tolerance"))
-        payload = {"eps": [asdict(e) for e in roots], "method": "scan-roots",
-                   "config": cfg}
-    io_mod.write_json(_outdir(cfg) / "find_eps.json", payload)
+                             residual_tol=cfg["tolerance"])
+        return "find_eps.json", {"eps": [asdict(e) for e in roots],
+                                 "method": "scan-roots"}
+    a0, a1, b0, b1 = cfg["window"]
+    coarse_n, n2 = _grid("grid", cfg["grid"])
+    if n2 != coarse_n:
+        raise ValueError(f"find-eps needs a square grid, got {coarse_n}x{n2}")
+    result = grid_ep_search(eigenpair_sampler(p), ((a0, a1), (b0, b1)),
+                            coarse_n)
+    return "find_eps.json", {"eps": [asdict(e) for e in result.locations],
+                             "method": "grid-search",
+                             "sampler_failures": result.sampler_failures}
 
 
-def _surface_manifest(grid, cfg) -> dict:
-    """Everything but the sheets, which the CSV beside it holds."""
-    return {
+def _sheets(cfg, sampler, name):
+    """Build the sheet grid, write its sheets to ``<name>.csv`` and return
+    the manifest ``<name>.json`` of the rest."""
+    n1, n2 = _grid("grid", cfg["grid"])
+    a0, a1, b0, b1 = cfg["window"]
+    grid = build_surface(sampler, ((a0, a1), (b0, b1)), n1, n2,
+                         cfg["delta_mode"])
+    io_mod.write_sheetgrid_csv(_outdir(cfg) / f"{name}.csv", grid)
+    return f"{name}.json", {
         "axis1": grid.axis1,
         "axis2": grid.axis2,
         "delta_mode": grid.delta_mode,
-        "cut_edges": {
-            "matched": [[list(u), list(v)] for u, v in grid.cut_cells.matched],
-            "re": [[list(u), list(v)] for u, v in grid.cut_cells.re],
-            "im": [[list(u), list(v)] for u, v in grid.cut_cells.im],
-        },
+        "cut_edges": {kind: [[list(u), list(v)]
+                             for u, v in getattr(grid.cut_cells, kind)]
+                      for kind in ("matched", "re", "im")},
         "missing": [list(n) for n in grid.missing],
-        "config": cfg,
     }
 
 
-def _cmd_surface(cfg) -> None:
-    p = _params(cfg)
-    n1, n2 = _parse_grid(cfg["grid"])
-    a0, a1, b0, b1 = cfg["window"]
-    grid = build_surface(eigenpair_sampler(p), ((a0, a1), (b0, b1)), n1, n2,
-                         cfg["delta_mode"])
-    out = _outdir(cfg)
-    io_mod.write_sheetgrid_csv(out / "surface.csv", grid)
-    io_mod.write_json(out / "surface.json", _surface_manifest(grid, cfg))
+def _cmd_surface(cfg):
+    return _sheets(cfg, eigenpair_sampler(ToyParams(**cfg["params"])),
+                   "surface")
 
 
-def _cmd_encircle(cfg) -> None:
-    steps = _integer(cfg, "steps")
-    p = _params(cfg)
-    loop = _loop_from(cfg["loop"])
+def _cmd_encircle(cfg):
+    p, loop = ToyParams(**cfg["params"]), _loop_of(cfg["loop"])
     known = []
     if p.gamma1 == p.gamma2 and p.beta == 1.0:
         known = toy_ep_roots(p, (0.01, 4.0))
-    result = encircle(eigenpair_sampler(p), loop, steps, known_eps=known)
-    io_mod.write_json(_outdir(cfg) / "encircle.json",
-                      {**asdict(result), "config": cfg})
+    return "encircle.json", asdict(encircle(eigenpair_sampler(p), loop,
+                                            cfg["steps"], known_eps=known))
 
 
-def _cmd_beta_scan(cfg) -> None:
-    tol = _number(cfg, "tolerance")
-    p = _params(cfg)
-    lo, hi = cfg["alpha_range"]
-    beta_c = beta_transition(
-        p, tuple(cfg["beta_window"]),
-        alpha_range=(lo, hi), n_alpha=int(cfg["points"]),
-        tol=tol,
-    )
-    io_mod.write_json(_outdir(cfg) / "beta_scan.json", {
-        "beta_c": beta_c,
-        "config": cfg,
-    })
+def _cmd_beta_scan(cfg):
+    return "beta_scan.json", {"beta_c": beta_transition(
+        ToyParams(**cfg["params"]), tuple(cfg["beta_window"]),
+        alpha_range=tuple(cfg["alpha_range"]), n_alpha=cfg["points"],
+        tol=cfg["tolerance"])}
 
 
-def _config_points(points) -> tuple[np.ndarray, np.ndarray]:
-    """The n and chi arrays of the config's ``points``, [n, chi] pairs."""
-    if not isinstance(points, list):
-        raise ValueError(
-            f"points must be a list of [n, chi] pairs, got {points!r}")
-    for k, point in enumerate(points):
-        if not (isinstance(point, list) and len(point) == 2
-                and all(map(is_real_number, point))):
-            raise ValueError(
-                f"points[{k}] must be a pair of numbers [n, chi], got {point!r}")
-    return np.array(points, dtype=float).reshape(-1, 2).T
-
-
-def _cmd_project(cfg) -> None:
+def _cmd_project(cfg):
     if cfg.get("input"):
         n, chi = io_mod.read_plane_csv(cfg["input"])
     else:
-        n, chi = _config_points(cfg["points"])
+        n, chi = np.array(cfg["points"], dtype=float).reshape(-1, 2).T
     lifted = lift_cut(n, chi)
-    out = _outdir(cfg)
-    io_mod.write_sphere_csv(out / "sphere.csv", lifted)
-    io_mod.write_json(out / "project.json", {
-        "n_points": len(lifted),
-        "config": cfg,
-    })
+    io_mod.write_sphere_csv(_outdir(cfg) / "sphere.csv", lifted)
+    return "project.json", {"n_points": len(lifted)}
 
 
-def _cmd_ingest_classify(cfg) -> None:
-    dataset = io_mod.ingest_csv(cfg["input"], metadata=cfg.get("metadata"))
-    modes = cfg.get("modes") or [None, None]
-    traj = dataset.to_trajectory(modes[0], modes[1])
-    report = classify(traj)
-    io_mod.write_json(_outdir(cfg) / "ingest_classify.json", {
-        "report": asdict(report),
-        "scan_name": dataset.scan_name,
-        "metadata": dataset.metadata,
-        "config": cfg,
-    })
+def _cmd_ingest_classify(cfg):
+    dataset = io_mod.ingest_csv(cfg["input"], metadata=cfg["metadata"])
+    report = classify(dataset.to_trajectory(*(cfg["modes"] or [None, None])))
+    return "ingest_classify.json", {"report": asdict(report),
+                                    "scan_name": dataset.scan_name,
+                                    "metadata": dataset.metadata}
 
 
-def _oracle_from(cfg) -> AnalyticOracle:
+def _cmd_oracle(cfg):
     if cfg["kind"] == "two-point":
-        return AnalyticOracle.two_point(complex(*cfg["z1"]), complex(*cfg["z2"]))
-    return AnalyticOracle.single_point(complex(*cfg["z0"]), int(cfg["order"]))
-
-
-def _cmd_oracle(cfg) -> None:
-    oracle = _oracle_from(cfg)
-    out = _outdir(cfg)
-    if cfg["mode"] == "surface":
-        n1, n2 = _parse_grid(cfg["grid"])
-        a0, a1, b0, b1 = cfg["window"]
-        grid = build_surface(oracle.sampler(), ((a0, a1), (b0, b1)), n1, n2,
-                             cfg["delta_mode"])
-        io_mod.write_sheetgrid_csv(out / "oracle_surface.csv", grid)
-        io_mod.write_json(out / "oracle_surface.json",
-                          _surface_manifest(grid, cfg))
+        oracle = AnalyticOracle.two_point(complex(*cfg["z1"]),
+                                          complex(*cfg["z2"]))
     else:
-        steps = _integer(cfg, "steps")
-        payload = asdict(encircle(oracle.sampler(), _loop_from(cfg["loop"]),
-                                  steps))
-        del payload["enclosed_eps"]  # the oracle has no known EPs
-        io_mod.write_json(out / "oracle_encircle.json", {**payload, "config": cfg})
+        oracle = AnalyticOracle.single_point(complex(*cfg["z0"]), cfg["order"])
+    if cfg["mode"] == "surface":
+        return _sheets(cfg, oracle.sampler(), "oracle_surface")
+    payload = asdict(encircle(oracle.sampler(), _loop_of(cfg["loop"]),
+                              cfg["steps"]))
+    del payload["enclosed_eps"]  # the oracle has no known EPs
+    return "oracle_encircle.json", payload
 
 
 _RUNNERS = {
@@ -493,7 +491,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _resolve(args)
-        _RUNNERS[args.command](cfg)
+        name, payload = _RUNNERS[args.command](cfg)
+        io_mod.write_json(_outdir(cfg) / name, {**payload, "config": cfg})
     except Exception as exc:
         message = "; ".join([str(exc), *getattr(exc, "__notes__", ())])
         print(json.dumps({

@@ -33,6 +33,15 @@ def is_real_number(value) -> bool:
             and not isinstance(value, bool))
 
 
+def check_window(window) -> None:
+    """Raise unless both axes of ``((p1lo, p1hi), (p2lo, p2hi))`` span a
+    finite, nonzero width; a reversed axis passes."""
+    for k, (lo, hi) in enumerate(window, start=1):
+        if not (math.isfinite(hi - lo) and lo != hi):
+            raise ValueError(f"window axis {k} must span a finite, nonzero "
+                             f"width, got ({float(lo)!r}, {float(hi)!r})")
+
+
 @dataclass(frozen=True)
 class Hamiltonian2:
     """2x2 complex matrix [[xi1, g], [g, xi2]] with symmetric coupling."""

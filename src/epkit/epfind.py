@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import abs_diff, eta_squared
+from .core import abs_diff, check_window, eta_squared
 from .toymodel import ToyParams, scan_entries
 
 # refined candidates closer than DEDUP_FACTOR * tolerance collapse to one EP
@@ -163,7 +163,7 @@ def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
     ``reject_rel`` x the median coarse gap (which rejects shallow avoided
     crossings). Sampler failures are counted in the result. Accepted points
     are deduplicated and sorted by (p1, p2). A window with lo >= hi on
-    either axis raises.
+    either axis, or an axis that is not finite, raises.
     """
     if coarse_n < 8:
         raise ValueError("coarse_n must be >= 8")
@@ -171,6 +171,7 @@ def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
     if not (p1lo < p1hi and p2lo < p2hi):
         raise ValueError(
             f"window must have lo < hi on both axes, got {window!r}")
+    check_window(window)
     diag = math.hypot(p1hi - p1lo, p2hi - p2lo)
     tol = refine_tol if refine_tol is not None else 1e-6 * diag
 

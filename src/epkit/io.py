@@ -55,6 +55,10 @@ class TrajectoryDataset:
         names = list(self.modes)
         mode_a = mode_a if mode_a is not None else names[0]
         mode_b = mode_b if mode_b is not None else names[1]
+        for name in (mode_a, mode_b):
+            if name not in self.modes:
+                raise ValueError(f"unknown mode {name!r}; the dataset has "
+                                 f"modes {', '.join(names)}")
         ts = self.scan_values
         pairs = np.stack([self.modes[mode_a], self.modes[mode_b]], axis=1)
         if ts[0] > ts[-1]:
@@ -226,6 +230,8 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):  # before int, which bool subclasses
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):

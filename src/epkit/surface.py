@@ -29,7 +29,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import abs_diff, is_real_number, principal_sqrt_grid
+from .core import (abs_diff, check_window, is_real_number,
+                   principal_sqrt_grid)
 from .crossing import pairing, parity_runs
 from .epfind import EPLocation, sample_points
 
@@ -214,10 +215,7 @@ def build_surface(sampler: Callable[[float, float], tuple[complex, complex]],
     if delta_mode not in (RAW, DELTA):
         raise ValueError(f"delta_mode must be '{RAW}' or '{DELTA}'")
     (p1lo, p1hi), (p2lo, p2hi) = window
-    for k, (lo, hi) in enumerate(window, start=1):
-        if not (math.isfinite(hi - lo) and lo != hi):  # reversed is fine
-            raise ValueError(f"window axis {k} must span a finite, nonzero "
-                             f"width, got ({float(lo)!r}, {float(hi)!r})")
+    check_window(window)
     axis1 = np.linspace(p1lo, p1hi, n1)
     axis2 = np.linspace(p2lo, p2hi, n2)
 
@@ -308,10 +306,14 @@ class PolylineLoop(_Loop):
                       for k, v in enumerate(self.vertices))
         segs = tuple(zip(verts, verts[1:] + verts[:1]))
         lengths = tuple(math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in segs)
+        total = sum(lengths)
+        if not 0 < total < math.inf:
+            raise ValueError("vertices must span a positive, finite perimeter, "
+                             f"got {self.vertices!r}")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "_segments", segs)
         object.__setattr__(self, "_lengths", lengths)
-        object.__setattr__(self, "_total", sum(lengths))
+        object.__setattr__(self, "_total", total)
 
     def points(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """The p1 and p2 arrays of the loop points at the array ``ts``, at

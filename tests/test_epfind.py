@@ -185,6 +185,14 @@ class TestGridEpSearch:
                            + re.escape(repr(window))):
             grid_ep_search(sample, window)
 
+    @pytest.mark.parametrize("window", [((2.5, math.inf), (0.45, 0.7)),
+                                        ((2.5, 3.0), (-math.inf, 0.7)),
+                                        ((-1e308, 1e308), (0.45, 0.7))])
+    def test_infinite_window_rejected(self, window):
+        with pytest.raises(ValueError, match="must span a finite, nonzero "
+                                             "width"):
+            grid_ep_search(oracle_sampler(Z1, Z2), window)
+
     def test_shallow_avoided_crossing_rejected(self):
         # a gap with a smooth nonzero dip is not an EP
         def dipped(p1, p2):

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import loop_reference as ref
@@ -308,14 +308,15 @@ loop_ts = st.one_of(st.sampled_from([0.0, 1.0]),
 @st.composite
 def any_loops(draw):
     """Circles, and polygons whose vertices may repeat (zero-length
-    segments, the last one included)."""
+    segments, the last one included) but not all coincide."""
     if draw(st.booleans()):
         return CircleLoop((draw(coordinates), draw(coordinates)),
                           draw(st.floats(1e-6, 10.0)))
-    pool = draw(st.lists(st.tuples(coordinates, coordinates), min_size=1,
-                         max_size=4))
-    return PolylineLoop(tuple(draw(st.lists(st.sampled_from(pool), min_size=3,
-                                            max_size=8))))
+    pool = draw(st.lists(st.tuples(coordinates, coordinates), min_size=2,
+                         max_size=4, unique=True))
+    vertices = draw(st.lists(st.sampled_from(pool), min_size=3, max_size=8))
+    assume(len(set(vertices)) > 1)  # a loop of zero perimeter is rejected
+    return PolylineLoop(tuple(vertices))
 
 
 class TestLoopKernels:

@@ -12,7 +12,7 @@ from epkit.cli import build_parser, main
 from epkit.crossing import classify, sweep_toy
 from epkit.io import (IngestError, TrajectoryDataset, ingest_csv,
                       write_trajectory_csv)
-from epkit.toymodel import ToyParams
+from epkit.toymodel import PRESETS, ToyParams
 
 
 def write_lines(path, lines):
@@ -112,6 +112,12 @@ class TestIngest:
         assert again.im_min_gap == direct.im_min_gap
         assert again.re_cross_points == direct.re_cross_points
         assert again.bifurcation_edges == direct.bifurcation_edges
+
+    def test_unknown_mode_is_named(self):
+        ds = TrajectoryDataset("s", [0, 1], {"1": [1j, 2j], "2": [2j, 1j]})
+        with pytest.raises(ValueError, match="unknown mode 'x'; the dataset "
+                                             "has modes 1, 2"):
+            ds.to_trajectory("1", "x")
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError, match="at least two"):
@@ -477,7 +483,11 @@ class TestCli:
          "radius must be positive and finite, got 0.0"),
         (("--rect", "0.4", "0.68", "0.95", "nan"),
          "vertex 2 must be two finite numbers, got (0.68, nan)"),
-    ], ids=["nan-center", "inf-radius", "zero-radius", "nan-vertex"])
+        (("--rect", "0.5", "0.5", "1.0", "1.0"),
+         "vertices must span a positive, finite perimeter, got ((0.5, 1.0), "
+         "(0.5, 1.0), (0.5, 1.0), (0.5, 1.0))"),
+    ], ids=["nan-center", "inf-radius", "zero-radius", "nan-vertex",
+            "zero-perimeter"])
     def test_loop_rejects_non_finite_geometry(self, tmp_path, capsys, argv,
                                               message):
         assert run_cli("encircle", *argv, "--out", str(tmp_path)) == 1
@@ -523,11 +533,19 @@ class TestCli:
         ({"kind": "polyline", "vertices": [[0.4, 0.95], [0.5, 1.05]]},
          "vertices must be at least 3 [p1, p2] points, "
          "got [[0.4, 0.95], [0.5, 1.05]]"),
+        ({"kind": "polyline", "vertices": [[0.5, 1.0]] * 3},
+         "vertices must span a positive, finite perimeter, "
+         "got [[0.5, 1.0], [0.5, 1.0], [0.5, 1.0]]"),
+        ({"kind": "circle", "center": [0.45, 1.0], "radius": 0.05,
+          "window": [0.4, 0.68, 0.95, 1.05], "steps": 64},
+         "a circle loop does not read 'steps', 'window'"),
+        ({"kind": ["circle"]}, "unknown loop kind ['circle']"),
     ], ids=["circle", "polyline", "no-kind", "not-an-object", "unknown-kind",
             "no-radius", "no-center", "no-window", "no-vertices",
             "number-center", "string-coordinate", "string-radius",
             "bool-radius", "short-window", "bool-window", "number-vertices",
-            "number-vertex", "two-vertices"])
+            "number-vertex", "two-vertices", "zero-perimeter", "extra-keys",
+            "list-kind"])
     def test_loop_config_rejects_malformed_points(self, tmp_path, capsys,
                                                   command, loop, message):
         path = tmp_path / "loop.json"
@@ -864,3 +882,203 @@ class TestStrictJson:
                                     "delta_mode", "missing"]
         rows = (tmp_path / "surface" / "surface.csv").read_text().splitlines()
         assert rows[1].split(",")[2:4] == ["nan"] * 2
+
+
+INGEST = ("--input", "sweep.csv")
+# every command and mode; each run is fed its own artifact config back
+ROUND_TRIPS = [
+    ("toy-sweep", "--preset", "class2", "--beta", "0.5", "--points", "201"),
+    ("find-eps", "--g-c", "0.051"),
+    ("find-eps", "--window", "0.3", "0.8", "0.9", "1.1", "--grid", "16x16"),
+    ("surface", "--grid", "32x16", "--delta-mode", "raw"),
+    ("encircle", "--steps", "64"),
+    ("encircle", "--preset", "double-ep", "--circle", "0.4541", "1.0", "0.05",
+     "--steps", "64"),
+    ("beta-scan", "--points", "201", "--tolerance", "1e-2"),
+    ("project", "--point", "2.9036", "0.5372", "--point", "1e200", "-0.0"),
+    ("project", "--input", "plane.csv"),
+    ("ingest-classify", *INGEST, "--modes", "2", "1", "--meta", "n_in=2.74"),
+    ("oracle", "--grid", "16x16"),
+    ("oracle", "--kind", "single-point", "--z0", "2.7", "0.6", "--order", "3",
+     "--grid", "16x16", "--window", "2.5", "3.0", "0.45", "0.7"),
+    ("oracle", "--mode", "encircle", *ORACLE_LOOP),
+    ("oracle", "--mode", "encircle", "--kind", "single-point", "--z0",
+     "2.6257", "0.6001", "--rect", "2.6", "2.65", "0.58", "0.62",
+     "--steps", "64"),
+]
+
+
+def _no_run(cfg):
+    raise AssertionError("ran before checking the config")
+
+
+class TestConfigContract:
+    """Each config key has one checker; a run reads only its own keys."""
+
+    @pytest.fixture(autouse=True)
+    def inputs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("toy-sweep", "--points", "201", "--out", "sweep") == 0
+        (tmp_path / "sweep.csv").write_bytes(
+            (tmp_path / "sweep" / "toy_sweep.csv").read_bytes())
+        write_lines(tmp_path / "plane.csv", ["n,chi", "2.6257,0.6001", "inf,1"])
+
+    @pytest.mark.parametrize("argv", ROUND_TRIPS, ids=" ".join)
+    def test_artifact_config_reproduces_every_artifact(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        (artifact,) = [name for name in first if name.endswith(".json")]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(json.loads(first[artifact])["config"]))
+        required = INGEST if argv[0] == "ingest-classify" else ()
+        for p in out.iterdir():
+            p.unlink()
+        assert run_cli(argv[0], *required, "--config", str(config),
+                       "--out", str(out)) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+    @pytest.mark.parametrize("command, config, message", [
+        (("encircle",), {"step": 64}, "encircle does not read config key 'step'"),
+        (("toy-sweep",), {"points": 801.9}, "points must be an integer, got 801.9"),
+        (("surface",), {"points": 801.9},
+         "surface does not read config key 'points'"),
+        (("toy-sweep",), {"points": True}, "points must be an integer, got True"),
+        (("beta-scan",), {"points": "801"},
+         "points must be an integer, got '801'"),
+        (("toy-sweep",), {"alpha_range": [0.2]},
+         "alpha_range must be a pair of numbers, got [0.2]"),
+        (("beta-scan",), {"beta_window": [0.7, "0.85"]},
+         "beta_window must be a pair of numbers, got [0.7, '0.85']"),
+        (("find-eps",), {"alpha_bracket": 0.3},
+         "alpha_bracket must be a pair of numbers, got 0.3"),
+        (("surface",), {"grid": 256}, "grid must look like 256x64, got 256"),
+        (("find-eps",), {"window": [0.3, 0.8, 0.9, 1.1], "grid": "48"},
+         "grid must look like 256x64, got '48'"),
+        (("surface",), {"window": [0.3, 0.8, 0.9]},
+         "window must be four numbers [p1lo, p1hi, p2lo, p2hi], "
+         "got [0.3, 0.8, 0.9]"),
+        (("find-eps",), {"window": []},
+         "window must be four numbers [p1lo, p1hi, p2lo, p2hi], got []"),
+        (("surface",), {"window": None},
+         "window must be four numbers [p1lo, p1hi, p2lo, p2hi], got None"),
+        (("surface",), {"delta_mode": "half"},
+         "delta_mode must be one of raw, delta, got 'half'"),
+        (("toy-sweep",), {"preset": "nosuch"},
+         "preset must be one of " + ", ".join(sorted(PRESETS))
+         + ", got 'nosuch'"),
+        (("project",), {"preset": "class2"},
+         "project does not read config key 'preset'"),
+        (("toy-sweep",), {"params": 5}, "params must be an object with keys "
+         "among g_c, beta, gamma1, gamma2, lambda_mode, got 5"),
+        (("toy-sweep",), {"params": {"gc": 0.05}}, "params must be an object "
+         "with keys among g_c, beta, gamma1, gamma2, lambda_mode, got "
+         "{'g_c': 0.043, 'beta': 0.76, 'gamma1': 1.05, 'gamma2': 1.07, "
+         "'gc': 0.05}"),
+        (("oracle",), {"z1": [2.6]}, "z1 must be a pair of numbers, got [2.6]"),
+        (("oracle", "--kind", "single-point"), {"order": 2.0},
+         "order must be an integer, got 2.0"),
+        (("project",), {"input": 5}, "input must be a string, got 5"),
+        (("ingest-classify", *INGEST), {"modes": ["1"]},
+         "modes must be two mode names, got ['1']"),
+        (("ingest-classify", *INGEST), {"modes": [1, 2]},
+         "modes must be two mode names, got [1, 2]"),
+        (("ingest-classify", *INGEST), {"metadata": [1]},
+         "metadata must be an object, got [1]"),
+        (("encircle",), [64], "--config must hold a JSON object, got [64]"),
+    ])
+    def test_rejects_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                     command, config, message):
+        monkeypatch.setitem(cli._RUNNERS, command[0], _no_run)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(*command, "--config", str(path), "--out", "out") == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"command": command[0], "type": "ValueError",
+                       "message": message}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--modes", "1", "x"), "unknown mode 'x'; the dataset has modes 1, 2"),
+        (("--config", "modes.json"),
+         "unknown mode 'x'; the dataset has modes 1, 2"),
+    ])
+    def test_ingest_names_an_unknown_mode(self, tmp_path, capsys, argv,
+                                          message):
+        (tmp_path / "modes.json").write_text(json.dumps({"modes": ["x", "1"]}))
+        assert run_cli("ingest-classify", *INGEST, *argv, "--out", "out") == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["message"]) == ("ValueError", message)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("window", [[2.5, math.inf, 0.45, 0.7],
+                                        [0.3, 0.8, -math.inf, 1.1]])
+    def test_find_eps_rejects_an_infinite_window(self, tmp_path, capsys,
+                                                 window):
+        (tmp_path / "config.json").write_text(json.dumps({"window": window}))
+        assert run_cli("find-eps", "--config", "config.json",
+                       "--out", "out") == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValueError"
+        assert "must span a finite, nonzero width" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, argv, params, preset", [
+        ({"preset": "class2"}, (), PRESETS["class2"]["params"], "class2"),
+        ({"preset": "class2", "params": {"beta": 0.5}}, (),
+         {**PRESETS["class2"]["params"], "beta": 0.5}, "class2"),
+        ({"preset": "class2", "params": {"beta": 0.5}},
+         ("--preset", "class1", "--g-c", "0.05"),
+         {**PRESETS["class1"]["params"], "g_c": 0.05}, "class1"),
+    ], ids=["preset", "params-over-preset", "flags-over-file"])
+    def test_file_preset_is_the_base_of_its_params(self, tmp_path, config,
+                                                   argv, params, preset):
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert run_cli("toy-sweep", "--config", "config.json", *argv,
+                       "--points", "201", "--out", "out") == 0
+        payload = json.loads((tmp_path / "out" /
+                              "toy_sweep_report.json").read_text())
+        assert payload["config"]["params"] == params
+        assert payload["config"]["preset"] == preset
+        if params == PRESETS["class2"]["params"]:
+            assert payload["report"]["label"] == "WB"
+
+    def test_metadata_booleans_stay_json_booleans(self, tmp_path):
+        (tmp_path / "config.json").write_text(json.dumps(
+            {"metadata": {"flag": True, "off": False, "count": 2}}))
+        assert run_cli("ingest-classify", *INGEST, "--config", "config.json",
+                       "--out", "out") == 0
+        text = (tmp_path / "out" / "ingest_classify.json").read_text()
+        assert json.loads(text)["metadata"] == {"flag": True, "off": False,
+                                                "count": 2}
+        assert '"flag": true' in text and '"count": 2' in text
+        io_mod.write_json(tmp_path / "np.json",
+                          {"a": np.bool_(True), "b": np.array([True, False])})
+        assert json.loads((tmp_path / "np.json").read_text()) == {
+            "a": True, "b": [True, False]}
+
+
+def readme_config_table():
+    """Each key of the README's config table and the commands it names."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI\n")[1]
+    table = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            key, read_by, _ = line.strip("|").split(" | ")
+            commands = (set(COMMAND_ARGS) if read_by.strip() == "every command"
+                        else {item.split("`")[1].split()[0]
+                              for item in read_by.split(", ")})
+            table.setdefault(key.strip().strip("`"), set()).update(commands)
+    return table
+
+
+def test_readme_config_table_lists_the_contract():
+    reads = {key: set() for key in cli._CHECKS}
+    for command, required in COMMAND_ARGS.items():
+        args = vars(build_parser().parse_args([command, *required]))
+        modes = cli._MODE_DEFAULTS.get(command, {}).values()
+        for key in {*cli._DEFAULTS[command], *(k for m in modes for k in m),
+                    *(k for k in cli._CHECKS if k in args)}:
+            reads[key].add(command)
+    assert readme_config_table() == reads

@@ -336,3 +336,10 @@ class TestLoops:
     def test_polyline_needs_three_vertices(self):
         with pytest.raises(ValueError):
             PolylineLoop(((0, 0), (1, 1)))
+
+    @pytest.mark.parametrize("vertices", [((0.5, 1.0),) * 3,
+                                          ((0, 0), (1e308, 0), (-1e308, 0))])
+    def test_polyline_needs_a_positive_finite_perimeter(self, vertices):
+        with pytest.raises(ValueError, match="vertices must span a positive, "
+                                             "finite perimeter"):
+            PolylineLoop(vertices)
