@@ -27,7 +27,7 @@ import numpy as np
 from . import io as io_mod
 from .core import is_real_number
 from .crossing import beta_transition, classify, overlap_peaks, sweep_toy
-from .epfind import grid_ep_search, toy_ep_roots
+from .epfind import equal_width_eps, grid_ep_search, toy_ep_roots
 from .sphere import lift_cut
 from .surface import (AnalyticOracle, CircleLoop, PolylineLoop, build_surface,
                       encircle)
@@ -195,6 +195,8 @@ def _choice(*names):
 
 _int = _checker(lambda v: isinstance(v, int) and not isinstance(v, bool),
                 "an integer")
+_count = _checker(lambda v: isinstance(v, int) and not isinstance(v, bool)
+                  and v >= 3, "an integer >= 3")
 _real = _checker(is_real_number, "a real number")
 _pair = _checker(_numbers(2), "a pair of numbers")
 _point = _checker(_numbers(2), "a pair of numbers [n, chi]")
@@ -266,7 +268,7 @@ _CHECKS = {
     "preset": _choice(*sorted(PRESETS)),
     "input": _text,
     "alpha_range": _pair,
-    "points": {"toy-sweep": _int, "beta-scan": _int, "project": _points},
+    "points": {"toy-sweep": _count, "beta-scan": _count, "project": _points},
     "alpha_bracket": _pair,
     "beta_window": _pair,
     "tolerance": _real,
@@ -425,9 +427,7 @@ def _cmd_surface(cfg):
 
 def _cmd_encircle(cfg):
     p, loop = ToyParams(**cfg["params"]), _loop_of(cfg["loop"])
-    known = []
-    if p.gamma1 == p.gamma2 and p.beta == 1.0:
-        known = toy_ep_roots(p, (0.01, 4.0))
+    known = equal_width_eps(p) if p.gamma1 == p.gamma2 else []
     return "encircle.json", asdict(encircle(eigenpair_sampler(p), loop,
                                             cfg["steps"], known_eps=known))
 

@@ -6,7 +6,9 @@ minima of the splitting and refine every seed together by Newton steps,
 one batch evaluation per step, on a function with a simple zero at a
 simple EP: eta^2 on the scan line, and on the grid the discriminant
 D = (a - b)^2 of the pair (a, b), which does not depend on their order.
-The gap |a - b| itself only has a square-root kink there.
+The gap |a - b| itself only has a square-root kink there. For equal
+widths the toy's EPs also have a closed form (``equal_width_eps``), which
+the tests check against the scan.
 """
 
 from __future__ import annotations
@@ -103,6 +105,44 @@ def toy_ep_roots(p: ToyParams, alpha_bracket: tuple[float, float], *,
              if fmin < residual_tol]
     roots.sort(key=lambda e: (e.p1, e.p2))
     return roots
+
+
+def equal_width_eps(p: ToyParams) -> list[EPLocation]:
+    """The EPs of an equal-width toy (gamma1 == gamma2), in closed form.
+
+    The level difference d = 1 - alpha/2 - sqrt(alpha) is then real, so
+    eta^2 = d^2/4 + g^2 vanishes only on beta = 1, where |d| exp(d^2) = 2 g_c
+    in either ``lambda_mode``. Bisects the root d0 of d exp(d^2) = 2 g_c
+    and maps d = +d0 and -d0 to alpha = s^2, s = sqrt(3 - 2d) - 1, keeping
+    the roots with s >= 0: for g_c > e/2, d0 > 1 and only -d0 is left.
+    ``p.beta`` is ignored. The EPs are sorted by alpha (+d0 first), with
+    the residual |lambda_plus - lambda_minus| = 2 sqrt|eta^2| of
+    :func:`toy_ep_roots`.
+    """
+    if p.gamma1 != p.gamma2:
+        raise ValueError(f"equal_width_eps needs gamma1 == gamma2, got "
+                         f"{p.gamma1} and {p.gamma2}")
+    # bisect h = d0/2 on (0, g_c] in log form, log h + 4 h^2 = log g_c,
+    # which no g_c overflows
+    lo, hi, target = 0.0, p.g_c, math.log(p.g_c)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if math.log(mid) + 4.0 * mid * mid < target:
+            lo = mid
+        else:
+            hi = mid
+    # d0 <= 1 exactly when 2 g_c <= e, and math.e is the largest float
+    # below e, so this keeps +d0 exactly when it has s >= 0
+    ds = (2.0 * lo, -2.0 * lo) if p.g_c <= math.e / 2 else (-2.0 * lo,)
+    # s = sqrt(3 - 2d) - 1, written without its cancellation near d = 1
+    alphas = np.array([(2.0 * (1.0 - d) / (1.0 + math.sqrt(3.0 - 2.0 * d))) ** 2
+                       for d in ds])
+    residuals = 2.0 * np.sqrt(np.abs(eta_squared(
+        *scan_entries(alphas, p, beta=1.0))))
+    return [EPLocation(p1=alpha, p2=1.0, residual=r)
+            for alpha, r in zip(alphas.tolist(), residuals.tolist())]
 
 
 def sample_points(sampler, p1: np.ndarray, p2: np.ndarray):

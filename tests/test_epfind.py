@@ -7,9 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epkit.core import principal_sqrt
-from epkit.epfind import grid_ep_search, sample_points, toy_ep_roots
+from epkit.epfind import (equal_width_eps, grid_ep_search, sample_points,
+                          toy_ep_roots)
 from epkit.surface import build_surface
-from epkit.toymodel import PRESETS, ToyParams, eigenpair_sampler
+from epkit.toymodel import (FULL_COMPLEX, PRESETS, REAL_PART, ToyParams,
+                            eigenpair_sampler)
 
 DOUBLE_EP = ToyParams(g_c=0.05, beta=1.0, gamma1=1.05, gamma2=1.05)
 EP1_ALPHA = 0.4541453828492342
@@ -117,6 +119,61 @@ class TestToyEpRoots:
         assert len(roots) == 2
         for got, alpha in zip(roots, expected):
             assert abs(got.p1 - alpha) < 1e-12
+
+
+SCAN_BRACKET = (0.01, 4.0)
+SCAN_STEP = (SCAN_BRACKET[1] - SCAN_BRACKET[0]) / 2000  # toy_ep_roots' grid
+
+
+class TestEqualWidthEps:
+    @given(st.floats(0.005, 3.0), st.floats(0.0, 2.0), st.floats(0.0, 1.0),
+           st.sampled_from([FULL_COMPLEX, REAL_PART]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_scan_roots(self, g_c, gamma, beta, mode):
+        p = ToyParams(g_c=g_c, beta=beta, gamma1=gamma, gamma2=gamma,
+                      lambda_mode=mode)
+        eps = equal_width_eps(p)
+        alphas = [ep.p1 for ep in eps]
+        # math.e is the largest float below e, so this is 2 g_c < e
+        assert len(eps) == (2 if 2.0 * g_c <= math.e else 1)
+        assert alphas == sorted(alphas)
+        assert all(ep.p2 == 1.0 and ep.residual < 1e-6 for ep in eps)
+        # every scan root is an EP, and the scan finds every EP that is an
+        # interior minimum of its grid, as those two steps inside are
+        roots = [r.p1 for r in toy_ep_roots(p.with_beta(1.0), SCAN_BRACKET)]
+        lo, hi = SCAN_BRACKET
+        inside = [a for a in alphas if lo + 2 * SCAN_STEP < a < hi - 2 * SCAN_STEP]
+        assert all(any(abs(a - r) < 1e-12 for a in alphas) for r in roots)
+        assert all(any(abs(a - r) < 1e-12 for r in roots) for a in inside)
+
+    @given(st.floats(0.005, 1.35))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_closed_form_reference(self, g_c):
+        p = ToyParams(g_c=g_c, beta=1.0, gamma1=1.0, gamma2=1.0)
+        got = [ep.p1 for ep in equal_width_eps(p)]
+        for alpha, expected in zip(got, closed_form_double_ep(g_c)):
+            assert abs(alpha - expected) < 1e-12
+
+    def test_published_double_ep(self):
+        ep1, ep2 = equal_width_eps(DOUBLE_EP)
+        assert ep1.p1 == pytest.approx(EP1_ALPHA, abs=1e-15)
+        assert ep2.p1 == pytest.approx(EP2_ALPHA, abs=1e-15)
+        assert ep1.p2 == ep2.p2 == 1.0
+        assert max(ep1.residual, ep2.residual) < 1e-8
+
+    def test_strong_coupling_leaves_one_ep(self):
+        # 2 g_c = e puts the d = +d0 EP at alpha = 0; above it, at alpha < 0
+        small, large = equal_width_eps(ToyParams(
+            g_c=math.e / 2, beta=1.0, gamma1=1.0, gamma2=1.0))
+        assert 0.0 <= small.p1 < 1e-30
+        (ep,) = equal_width_eps(ToyParams(g_c=math.nextafter(math.e / 2, 2.0),
+                                          beta=1.0, gamma1=1.0, gamma2=1.0))
+        assert ep.p1 == pytest.approx(large.p1, abs=1e-12)
+
+    def test_unequal_widths_rejected(self):
+        with pytest.raises(ValueError, match="gamma1 == gamma2, got 1.05 and"
+                                             " 1.07"):
+            equal_width_eps(ToyParams(**PRESETS["class3a"]["params"]))
 
 
 class TestGridEpSearch:

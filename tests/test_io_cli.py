@@ -184,6 +184,33 @@ class TestCli:
         assert payload["permutation"] == "identity"
         assert len(payload["enclosed_eps"]) == 2
 
+    @pytest.mark.parametrize("beta", ["0.9", "1.0", "0.0"])
+    def test_encircle_reports_eps_at_any_preset_beta(self, tmp_path, beta):
+        # the sampler treats beta as a free coordinate, so the loop winds
+        # around EP1 on beta = 1 whatever the params' beta
+        assert run_cli("encircle", "--preset", "double-ep", "--beta", beta,
+                       "--circle", "0.454", "1.0", "0.05",
+                       "--out", str(tmp_path)) == 0
+        payload = json.loads((tmp_path / "encircle.json").read_text())
+        assert (payload["permutation"], payload["winding"]) == ("swap", 1)
+        (ep,) = payload["enclosed_eps"]
+        assert abs(ep["p1"] - 0.454) < 1e-3 and ep["p2"] == 1.0
+
+    def test_encircle_reports_an_ep_below_alpha_one_hundredth(self, tmp_path):
+        # at g_c = 1.3 the d = +d0 EP sits at alpha = 2.18e-4
+        assert run_cli("encircle", "--g-c", "1.3", "--circle", "0.0005", "1.0",
+                       "0.0004", "--out", str(tmp_path)) == 0
+        payload = json.loads((tmp_path / "encircle.json").read_text())
+        assert (payload["permutation"], payload["winding"]) == ("swap", 1)
+        (ep,) = payload["enclosed_eps"]
+        assert abs(ep["p1"] - 2.1777188612384697e-4) < 1e-15
+
+    def test_encircle_unequal_widths_report_no_positions(self, tmp_path):
+        assert run_cli("encircle", "--preset", "class3a",
+                       "--out", str(tmp_path)) == 0
+        payload = json.loads((tmp_path / "encircle.json").read_text())
+        assert payload["enclosed_eps"] == []
+
     def test_beta_scan_window(self, tmp_path):
         assert run_cli("beta-scan", "--out", str(tmp_path)) == 0
         payload = json.loads((tmp_path / "beta_scan.json").read_text())
@@ -940,12 +967,16 @@ class TestConfigContract:
 
     @pytest.mark.parametrize("command, config, message", [
         (("encircle",), {"step": 64}, "encircle does not read config key 'step'"),
-        (("toy-sweep",), {"points": 801.9}, "points must be an integer, got 801.9"),
+        (("toy-sweep",), {"points": 801.9},
+         "points must be an integer >= 3, got 801.9"),
         (("surface",), {"points": 801.9},
          "surface does not read config key 'points'"),
-        (("toy-sweep",), {"points": True}, "points must be an integer, got True"),
+        (("toy-sweep",), {"points": True},
+         "points must be an integer >= 3, got True"),
+        (("toy-sweep",), {"points": -1}, "points must be an integer >= 3, got -1"),
+        (("beta-scan",), {"points": 2}, "points must be an integer >= 3, got 2"),
         (("beta-scan",), {"points": "801"},
-         "points must be an integer, got '801'"),
+         "points must be an integer >= 3, got '801'"),
         (("toy-sweep",), {"alpha_range": [0.2]},
          "alpha_range must be a pair of numbers, got [0.2]"),
         (("beta-scan",), {"beta_window": [0.7, "0.85"]},
@@ -996,6 +1027,18 @@ class TestConfigContract:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err == {"command": command[0], "type": "ValueError",
                        "message": message}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, points", [("toy-sweep", "-1"),
+                                                 ("beta-scan", "-5"),
+                                                 ("toy-sweep", "2")])
+    def test_points_flag_below_three_fails_naming_the_key(
+            self, tmp_path, capsys, monkeypatch, command, points):
+        monkeypatch.setitem(cli._RUNNERS, command, _no_run)
+        assert run_cli(command, "--points", points, "--out", "out") == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"command": command, "type": "ValueError",
+                       "message": f"points must be an integer >= 3, got {points}"}
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, message", [

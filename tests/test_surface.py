@@ -6,11 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import loop_reference as ref
-from epkit.epfind import EPLocation
+from epkit.epfind import EPLocation, equal_width_eps
 from epkit.surface import (DELTA, MAX_STEP_PHASE, RAW, AnalyticOracle,
                            CircleLoop, PolylineLoop, build_surface,
                            connected_components, encircle, oracle_eval)
-from epkit.toymodel import ToyParams, eigenpair_sampler
+from epkit.toymodel import (FULL_COMPLEX, REAL_PART, ToyParams,
+                            eigenpair_sampler)
 
 DOUBLE_EP = ToyParams(g_c=0.05, beta=1.0, gamma1=1.05, gamma2=1.05)
 EP1_ALPHA = 0.4541453828492342
@@ -297,6 +298,30 @@ class TestEncircle:
         assert [e.p1 for e in res.enclosed_eps] == [EP1_ALPHA]
         res = encircle(samp, BOTH_EP_RECT, 128, known_eps=known)
         assert len(res.enclosed_eps) == 2
+
+    @given(st.floats(0.01, 3.0), st.floats(0.5, 1.5), st.floats(0.0, 1.0),
+           st.sampled_from([FULL_COMPLEX, REAL_PART]), st.sampled_from([0, -1]),
+           st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(0.01, 0.6))
+    @settings(max_examples=60, deadline=None)
+    def test_winding_is_the_enclosed_charge(self, g_c, gamma, beta, mode,
+                                            near, dx, dy, radius):
+        # equal widths: the EPs are the closed-form ones, charge +1 where
+        # d = 1 - alpha/2 - sqrt(alpha) > 0 (the smaller alpha), -1 where
+        # d < 0, for a counter-clockwise loop in (alpha, beta); the circle
+        # is centred within 1.5 radii of the first or last EP
+        p = ToyParams(g_c=g_c, beta=beta, gamma1=gamma, gamma2=gamma,
+                      lambda_mode=mode)
+        eps = equal_width_eps(p)
+        cx, cy = eps[near].p1 + dx * radius, 1.0 + dy * radius
+        assume(cx - radius > 1e-3)  # the toy has no alpha < 0
+        assume(all(abs(math.hypot(ep.p1 - cx, ep.p2 - cy) - radius)
+                   > 0.1 * radius for ep in eps))
+        res = encircle(eigenpair_sampler(p), CircleLoop((cx, cy), radius), 64,
+                       known_eps=eps)
+        charge = [1 if 1.0 - ep.p1 / 2 - math.sqrt(ep.p1) > 0 else -1
+                  for ep in res.enclosed_eps]
+        assert res.winding == sum(charge)
+        assert (res.permutation == "swap") == (len(res.enclosed_eps) % 2 == 1)
 
     def test_loop_through_ep_fails(self):
         samp = eigenpair_sampler(DOUBLE_EP)
