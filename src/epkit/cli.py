@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -189,6 +190,11 @@ def _numbers(n):
                       and all(map(is_real_number, v)))
 
 
+def _coordinates(point):
+    """A config point, null read as inf: artifacts write inf as null."""
+    return [math.inf if c is None else c for c in point]
+
+
 def _choice(*names):
     return _checker(names.__contains__, "one of " + ", ".join(names))
 
@@ -199,7 +205,8 @@ _count = _checker(lambda v: isinstance(v, int) and not isinstance(v, bool)
                   and v >= 3, "an integer >= 3")
 _real = _checker(is_real_number, "a real number")
 _pair = _checker(_numbers(2), "a pair of numbers")
-_point = _checker(_numbers(2), "a pair of numbers [n, chi]")
+_point = _checker(lambda v: isinstance(v, list) and _numbers(2)(_coordinates(v)),
+                  "a pair of numbers [n, chi]")
 _window = _checker(_numbers(4), "four numbers [p1lo, p1hi, p2lo, p2hi]")
 _text = _checker(lambda v: isinstance(v, str), "a string")
 _object = _checker(lambda v: isinstance(v, dict), "an object")
@@ -443,7 +450,8 @@ def _cmd_project(cfg):
     if cfg.get("input"):
         n, chi = io_mod.read_plane_csv(cfg["input"])
     else:
-        n, chi = np.array(cfg["points"], dtype=float).reshape(-1, 2).T
+        n, chi = np.array([_coordinates(point) for point in cfg["points"]],
+                          dtype=float).reshape(-1, 2).T
     lifted = lift_cut(n, chi)
     io_mod.write_sphere_csv(_outdir(cfg) / "sphere.csv", lifted)
     return "project.json", {"n_points": len(lifted)}

@@ -69,12 +69,14 @@ def toy_ep_roots(p: ToyParams, alpha_bracket: tuple[float, float], *,
                  n_scan: int = 2001, residual_tol: float = 1e-10) -> list[EPLocation]:
     """All alpha in the bracket where the splitting vanishes, at fixed beta.
 
-    Scans |eta^2| on a dense grid and refines all its local minima together
-    by Newton steps on the complex eta^2: the real step Re(w / w'), w' from
-    central differences, each iterate clipped to the minimum's neighbouring
-    grid points. Keeps the best iterate of each minimum if its |eta^2| is
-    below ``residual_tol``, which must be positive and finite. An empty
-    list means no EP in the bracket.
+    Scans |eta^2| on a dense grid and refines all its local minima, either
+    end of the bracket included, together by Newton steps on the complex
+    eta^2: the real step Re(w / w'), w' from central differences (centred
+    at least one difference step above alpha = 0), each iterate clipped to
+    the minimum's neighbouring grid points. Keeps the
+    best iterate of each minimum if its |eta^2| is below ``residual_tol``,
+    which must be positive and finite. An empty list means no EP in the
+    bracket.
     """
     lo, hi = float(alpha_bracket[0]), float(alpha_bracket[1])
     if not (0.0 <= lo < hi):
@@ -83,15 +85,16 @@ def toy_ep_roots(p: ToyParams, alpha_bracket: tuple[float, float], *,
         raise ValueError(
             f"residual_tol must be positive and finite, got {residual_tol!r}")
     grid = np.linspace(lo, hi, n_scan)
-    f = np.abs(_eta_squared(grid, p))
-    k = np.flatnonzero((f[1:-1] <= f[:-2]) & (f[1:-1] < f[2:])) + 1
-    left, right = grid[k - 1], grid[k + 1]
+    f = np.pad(np.abs(_eta_squared(grid, p)), 1, constant_values=np.inf)
+    k = np.flatnonzero((f[1:-1] <= f[:-2]) & (f[1:-1] < f[2:]))
+    left, right = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, n_scan - 1)]
 
     cur = best = grid[k]
     best_val = np.full(k.size, np.inf)
     for _ in range(SCAN_NEWTON_STEPS):
         h = 1e-7 * (1.0 + np.abs(cur))
-        w, wp, wm = _eta_squared(np.concatenate([cur, cur + h, cur - h]),
+        c = np.maximum(cur, h)  # the difference stencil stays at alpha >= 0
+        w, wp, wm = _eta_squared(np.concatenate([cur, c + h, c - h]),
                                  p).reshape(3, -1)
         val = np.abs(w)
         better = val < best_val

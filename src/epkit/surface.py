@@ -2,22 +2,17 @@
 
 Sheets are matched by row-major continuation: each cell continues from
 its left neighbour, or from the one in the previous row where that is
-missing (first column, failed cell). The continuation is deterministic
-and linear-time; the *position* of the resulting cuts is path dependent,
-exactly as a branch cut should be, so tests downstream assert topology
-(component counts, endpoints at the EPs, monodromy), not exact geometry.
+missing (first column, failed cell). Cut extraction distinguishes:
 
-Cut extraction distinguishes:
+  - matched cuts: grid edges where the matched assignment itself jumps.
+    Only these depend on the path of the continuation, as a branch cut
+    should, so tests assert their topology, not their geometry.
+  - per-component seams: edges where the real (or imaginary) part of the
+    pair difference a - b touches or crosses zero, read from a - b and
+    D = (a - b)^2, which do not depend on the order of the pair. The real
+    seam joins the two EPs while the imaginary seams leave them outward.
 
-  - matched cuts: grid edges where the matched assignment itself jumps
-    (sheet values change discontinuously);
-  - per-component seams: edges where the real (or imaginary) parts of the
-    two matched sheets cross or touch. These carry the structure seen in
-    the half-difference surfaces: the real seam joins the two EPs while
-    the imaginary seams leave them outward.
-
-All cut logic runs on the half-difference field (sheet1 - sheet2)/2 and
-is therefore identical in raw and delta modes.
+Neither depends on the delta mode.
 """
 
 from __future__ import annotations
@@ -45,6 +40,8 @@ SWAP = "swap"
 
 MAX_STEP_PHASE = math.pi / 4  # radians, per accepted loop step
 MAX_STEP_SHIFT = 0.2  # mean and half-gap move per accepted step, in gaps
+MATCHED_CUT_JUMP = 10.0  # edge jump, in medians of the jumps along its axis
+SEAM_CONTACT = 1e-3  # |component| of a - b, in its max over the grid
 
 
 @dataclass
@@ -167,48 +164,56 @@ def _edges_where(ok, rule) -> list[Edge]:
             for i, j, k in np.argwhere(flags).tolist()]
 
 
-def _matched_cut_edges(e, ok, theta):
+def _matched_cut_edges(e, ok):
     def jumps(u, v):
         jump = abs_diff(e[u], e[v])
         both = ok[u] & ok[v]
         med = float(np.median(jump[both])) if both.any() else 0.0
-        return (jump > theta * med) & (med > 0)
+        return (jump > MATCHED_CUT_JUMP * med) & (med > 0)
     return _edges_where(ok, jumps)
 
 
-def _component_seam_edges(d, ok, contact_rel, crossing_rel):
-    """Edges where a component of the two sheets touches or crosses.
+def _seam_edges(diff, ok):
+    """The ``re`` and ``im`` seams: edges where the real (imaginary) part
+    of the pair difference ``diff`` touches or crosses zero.
 
-    ``d`` is the matched component difference on nodes. An edge belongs to
-    the seam when an endpoint lies within ``contact_rel`` x max|d| of
-    coincidence, or when d changes sign across the edge at small magnitude
-    (large-magnitude flips are matching discontinuities, not seams).
+    An edge is a contact when an endpoint's |component| is at most
+    ``SEAM_CONTACT`` x its max over the grid (no seam if that is 0), and a
+    crossing when D = diff**2 crosses the negative (``re``) or positive
+    (``im``) real axis: Im D changes sign, with Re D < 0 (> 0) at both
+    ends. Both rules hold for -diff too. The signs of D are read from
+    diff, since its square can overflow.
     """
-    scale = float(np.max(np.abs(d[ok]))) if ok.any() else 0.0
-    if scale <= 0.0:
-        return []
-    tau = contact_rel * scale
-    veto = crossing_rel * scale
+    x, y = diff.real, diff.imag
+    re_d = np.abs(x) - np.abs(y)  # the sign of Re D = x**2 - y**2
+    im_d = np.sign(x) * np.sign(y)  # the sign of Im D = 2 x y
 
-    def seam(u, v):
-        lo = np.minimum(np.abs(d[u]), np.abs(d[v]))
-        return (lo <= tau) | ((d[u] * d[v] < 0) & (lo <= veto))
-    return _edges_where(ok, seam)
+    def seams(part, side):
+        mag = np.abs(part)
+        scale = float(np.max(mag[ok])) if ok.any() else 0.0
+        if scale <= 0.0:
+            return []
+
+        def seam(u, v):
+            return ((np.minimum(mag[u], mag[v]) <= SEAM_CONTACT * scale)
+                    | ((side * re_d[u] > 0) & (side * re_d[v] > 0)
+                       & (im_d[u] * im_d[v] < 0)))
+        return _edges_where(ok, seam)
+    return seams(x, -1.0), seams(y, 1.0)
 
 
 def build_surface(sampler: Callable[[float, float], tuple[complex, complex]],
                   window: tuple[tuple[float, float], tuple[float, float]],
                   n1: int, n2: int, delta_mode: str = DELTA, *,
-                  theta: float = 10.0, contact_rel: float = 1e-3,
-                  crossing_rel: float = 0.05,
                   max_missing_frac: float = 0.01) -> SheetGrid:
     """Sample, match, and cut-extract the two eigenvalue sheets.
 
     The sampler is called once on the whole grid (see
-    :func:`~epkit.epfind.sample_points`). Sampler failures mark cells missing
-    (skipped by matching and cut extraction); more than
-    ``max_missing_frac`` missing cells aborts. A window axis that is not
-    finite or has no width raises; a reversed one mirrors the axis.
+    :func:`~epkit.epfind.sample_points`). A cell where it fails or returns
+    a value that is not finite is missing (skipped by matching and cut
+    extraction); more than ``max_missing_frac`` missing cells aborts. A
+    window axis that is not finite or has no width raises; a reversed one
+    mirrors the axis.
     """
     if n1 < 16 or n2 < 16:
         raise ValueError("grid must be at least 16 x 16")
@@ -219,24 +224,18 @@ def build_surface(sampler: Callable[[float, float], tuple[complex, complex]],
     axis1 = np.linspace(p1lo, p1hi, n1)
     axis2 = np.linspace(p2lo, p2hi, n2)
 
-    va, vb, failed = sample_points(sampler, *np.meshgrid(axis1, axis2,
-                                                          indexing="ij"))
-    if len(failed) > max_missing_frac * n1 * n2:
+    va, vb, _ = sample_points(sampler, *np.meshgrid(axis1, axis2,
+                                                     indexing="ij"))
+    ok = np.isfinite(va) & np.isfinite(vb)  # a failed cell is NaN
+    missing = list(map(tuple, np.argwhere(~ok).tolist()))
+    if len(missing) > max_missing_frac * n1 * n2:
         raise RuntimeError(
-            f"{len(failed)} of {n1 * n2} cells failed to sample"
+            f"{len(missing)} of {n1 * n2} cells failed to sample"
         )
-    missing = [divmod(k, n2) for k in failed]
-    ok = np.ones((n1, n2), dtype=bool)
-    ok.flat[list(failed)] = False
 
     a, b = _match_grid(va, vb, ok)
     e = 0.5 * (a - b)
-
-    cuts = CutSet(
-        matched=_matched_cut_edges(e, ok, theta),
-        re=_component_seam_edges(2.0 * e.real, ok, contact_rel, crossing_rel),
-        im=_component_seam_edges(2.0 * e.imag, ok, contact_rel, crossing_rel),
-    )
+    cuts = CutSet(_matched_cut_edges(e, ok), *_seam_edges(va - vb, ok))
 
     if delta_mode == DELTA:
         sheet1, sheet2 = e, -e

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -182,7 +183,8 @@ def component_analysis(ts: np.ndarray, d: np.ndarray, gap_floor: float) -> dict:
 # ---- 2-D grids: sampling, row-major matching, cut edges, gap minima ----------
 
 def sample_grid(sampler, axis1, axis2):
-    """Point-by-point sampling; returns (va, vb, missing)."""
+    """Point-by-point sampling; returns (va, vb, missing). A point is
+    missing where the sampler raises or returns a value that is not finite."""
     n1, n2 = axis1.size, axis2.size
     va = np.full((n1, n2), np.nan, dtype=complex)
     vb = np.full((n1, n2), np.nan, dtype=complex)
@@ -193,6 +195,7 @@ def sample_grid(sampler, axis1, axis2):
                 va[i, j], vb[i, j] = sampler(float(axis1[i]), float(axis2[j]))
             except Exception:
                 va[i, j] = vb[i, j] = np.nan
+            if not (cmath.isfinite(va[i, j]) and cmath.isfinite(vb[i, j])):
                 missing.append((i, j))
     return va, vb, missing
 
@@ -248,6 +251,9 @@ def matched_cut_edges(e, ok, theta):
 
 
 def component_seam_edges(d, ok, contact_rel, crossing_rel):
+    """The seam rule on a matched component difference ``d``, used before
+    the seams were read from the discriminant: a contact, or a sign change
+    of d below ``crossing_rel`` x max|d|."""
     scale = float(np.max(np.abs(d[ok]))) if ok.any() else 0.0
     if scale <= 0.0:
         return []
@@ -263,6 +269,34 @@ def component_seam_edges(d, ok, contact_rel, crossing_rel):
         elif d[u] * d[v] < 0 and lo <= veto:
             out.append((u, v))
     return out
+
+
+def seam_edges(diff, ok, contact):
+    """The ``re`` and ``im`` seams of the pair difference ``diff``: per edge,
+    a contact (an endpoint's |component| at most ``contact`` x its max) or
+    a crossing of D = diff**2 over the negative (re) or positive (im) real
+    axis, with the signs of D in exact rational arithmetic."""
+    def signs(z):  # of (Re D, Im D); None where z is NaN
+        if not cmath.isfinite(z):
+            return None
+        x, y = Fraction(z.real), Fraction(z.imag)
+        return [(w > 0) - (w < 0) for w in (x * x - y * y, 2 * x * y)]
+
+    seams = []
+    for comp, side in ((diff.real, -1), (diff.imag, 1)):
+        scale = float(np.max(np.abs(comp[ok]))) if ok.any() else 0.0
+        out = []
+        for u, v in grid_edges(*diff.shape):
+            if scale <= 0.0 or not (ok[u] and ok[v]):
+                continue
+            su, sv = signs(diff[u]), signs(diff[v])
+            if min(abs(comp[u]), abs(comp[v])) <= contact * scale:
+                out.append((u, v))
+            elif (su is not None and sv is not None and su[0] == sv[0] == side
+                  and su[1] * sv[1] < 0):
+                out.append((u, v))
+        seams.append(out)
+    return tuple(seams)
 
 
 def local_minima(gaps):

@@ -99,6 +99,22 @@ class TestToyEpRoots:
         with pytest.raises(ValueError):
             toy_ep_roots(DOUBLE_EP, (0.8, 0.3))
 
+    @pytest.mark.parametrize("bracket", [(0.3, 0.6215), (0.4541, 0.8)])
+    def test_finds_an_ep_next_to_either_end(self, bracket):
+        # each bracket ends just past an EP, so that EP's scan minimum is an
+        # end of the scan grid
+        roots = [r.p1 for r in toy_ep_roots(DOUBLE_EP, bracket)]
+        assert roots == pytest.approx([EP1_ALPHA, EP2_ALPHA], abs=1e-9)
+
+    @pytest.mark.parametrize("lo", [0.0, 1e-9])
+    def test_a_minimum_at_alpha_zero_is_refined(self, lo):
+        # for g_c > e/2, |eta^2| rises from alpha = 0, so the first scan
+        # point seeds Newton; its difference stencil stays at alpha >= 0
+        p = ToyParams(g_c=1.5, beta=1.0, gamma1=1.05, gamma2=1.05)
+        roots = toy_ep_roots(p, (lo, 4.0))
+        assert [r.p1 for r in roots] == pytest.approx(
+            [e.p1 for e in equal_width_eps(p)], abs=1e-9)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_a_bad_residual_tol(self, tol):
         with pytest.raises(ValueError, match=rf"^residual_tol must be positive"
@@ -122,7 +138,6 @@ class TestToyEpRoots:
 
 
 SCAN_BRACKET = (0.01, 4.0)
-SCAN_STEP = (SCAN_BRACKET[1] - SCAN_BRACKET[0]) / 2000  # toy_ep_roots' grid
 
 
 class TestEqualWidthEps:
@@ -138,11 +153,11 @@ class TestEqualWidthEps:
         assert len(eps) == (2 if 2.0 * g_c <= math.e else 1)
         assert alphas == sorted(alphas)
         assert all(ep.p2 == 1.0 and ep.residual < 1e-6 for ep in eps)
-        # every scan root is an EP, and the scan finds every EP that is an
-        # interior minimum of its grid, as those two steps inside are
+        # every scan root is an EP, and the scan finds every EP in its
+        # bracket, next to an end too
         roots = [r.p1 for r in toy_ep_roots(p.with_beta(1.0), SCAN_BRACKET)]
         lo, hi = SCAN_BRACKET
-        inside = [a for a in alphas if lo + 2 * SCAN_STEP < a < hi - 2 * SCAN_STEP]
+        inside = [a for a in alphas if lo <= a <= hi]
         assert all(any(abs(a - r) < 1e-12 for a in alphas) for r in roots)
         assert all(any(abs(a - r) < 1e-12 for r in roots) for a in inside)
 

@@ -9,6 +9,7 @@ must give the permutation, or the error, of depth-first continuation.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import loop_reference as ref
+from epkit import surface
 from epkit.core import abs_diff
 from epkit.epfind import _local_minima, grid_ep_search, sample_points
-from epkit.surface import (AnalyticOracle, CircleLoop, PolylineLoop,
-                           _component_seam_edges, _match_grid,
-                           _matched_cut_edges, build_surface, encircle)
+from epkit.surface import (MATCHED_CUT_JUMP, SEAM_CONTACT, AnalyticOracle,
+                           CircleLoop, PolylineLoop, _match_grid,
+                           _matched_cut_edges, _seam_edges, build_surface,
+                           encircle)
 from epkit.toymodel import (FULL_COMPLEX, PRESETS, REAL_PART, ToyParams,
                             eigenpair_sampler)
 
@@ -68,10 +71,29 @@ def fields(draw, min_side=1, max_side=12):
     return va, vb, ok
 
 
+def table_sampler(va, vb, ok, batch=True):
+    """A sampler of the field (va, vb) on the unit square that raises on the
+    holes; its batch call raises when the grid has one, so those grids go
+    through the fallback."""
+    n1, n2 = va.shape
+
+    def table(p1, p2):
+        i = np.rint(np.asarray(p1) * (n1 - 1)).astype(int)
+        j = np.rint(np.asarray(p2) * (n2 - 1)).astype(int)
+        if not batch and np.ndim(p1):
+            raise TypeError("scalar sampler")
+        if not ok[i, j].all():
+            raise RuntimeError("hole")
+        if np.ndim(p1):
+            return va[i, j], vb[i, j]
+        return complex(va[i, j]), complex(vb[i, j])
+    return table
+
+
 class TestMatchAndCuts:
     @given(fields(), st.sampled_from([2.0, 10.0]))
     @SETTINGS
-    def test_matching_and_cuts_match_loop(self, field, theta):
+    def test_matching_and_cuts_match_loop(self, field, jump):
         va, vb, ok = field
         a, b = _match_grid(va, vb, ok)
         ra, rb = ref.match_grid(va, vb, ok)
@@ -79,11 +101,12 @@ class TestMatchAndCuts:
         np.testing.assert_array_equal(bits(b), bits(rb))
 
         e = 0.5 * (ra - rb)
-        assert _matched_cut_edges(e, ok, theta) == ref.matched_cut_edges(e, ok, theta)
-        for d in (2.0 * e.real, 2.0 * e.imag):
-            for rel in ((1e-3, 0.05), (0.5, 1.0), (1.0, 1.0)):  # lo == tau
-                assert (_component_seam_edges(d, ok, *rel)
-                        == ref.component_seam_edges(d, ok, *rel))
+        with mock.patch.object(surface, "MATCHED_CUT_JUMP", jump):
+            assert _matched_cut_edges(e, ok) == ref.matched_cut_edges(e, ok, jump)
+        for contact in (SEAM_CONTACT, 0.5, 1.0):  # 1.0: lo == tau
+            with mock.patch.object(surface, "SEAM_CONTACT", contact):
+                assert (_seam_edges(va - vb, ok)
+                        == ref.seam_edges(va - vb, ok, contact))
 
     def test_abs_diff_rounds_like_abs(self):
         # the loops compare abs() of complex scalars; np.abs would not match
@@ -94,54 +117,64 @@ class TestMatchAndCuts:
         np.testing.assert_array_equal(bits(abs_diff(u, v)), bits(expected))
 
     def test_contact_bound_is_inclusive(self):
-        # two nodes exactly at contact_rel x max|d| touch: their edges are seams
-        d = np.ones((16, 16))
-        d[5, 5:7] = 1e-3
+        # two nodes exactly at SEAM_CONTACT x max|Re| touch: their edges are
+        # re seams; no Im part means no im seam
+        d = np.ones((16, 16), dtype=complex)
+        d[5, 5:7] = SEAM_CONTACT
         ok = np.ones((16, 16), dtype=bool)
-        seams = _component_seam_edges(d, ok, 1e-3, 0.05)
-        assert seams == ref.component_seam_edges(d, ok, 1e-3, 0.05)
-        assert ((5, 5), (5, 6)) in seams and len(seams) == 7
+        seams = _seam_edges(d, ok)
+        assert seams == ref.seam_edges(d, ok, SEAM_CONTACT)
+        assert ((5, 5), (5, 6)) in seams[0] and len(seams[0]) == 7
+        assert seams[1] == []
 
     def test_all_zero_component_has_no_seams(self):
         # scale == 0: every node coincides, and no seam is reported
-        d = np.zeros((16, 16))
+        d = np.zeros((16, 16), dtype=complex)
         ok = np.ones((16, 16), dtype=bool)
-        assert _component_seam_edges(d, ok, 1e-3, 0.05) == []
-        assert ref.component_seam_edges(d, ok, 1e-3, 0.05) == []
+        assert _seam_edges(d, ok) == ref.seam_edges(d, ok, SEAM_CONTACT) == ([], [])
 
-    @given(fields(min_side=16, max_side=18), st.booleans())
+    @given(fields(min_side=16, max_side=18), st.booleans(),
+           st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
-    def test_build_surface_matches_loop_pipeline(self, field, batch):
-        # a table sampler that raises on the holes; its batch call raises
-        # when the grid has one, so those grids go through the fallback
+    def test_build_surface_matches_loop_pipeline(self, field, batch, seed):
         va, vb, ok = field
         n1, n2 = va.shape
-
-        def table(p1, p2):
-            i = np.rint(np.asarray(p1) * (n1 - 1)).astype(int)
-            j = np.rint(np.asarray(p2) * (n2 - 1)).astype(int)
-            if not batch and np.ndim(p1):
-                raise TypeError("scalar sampler")
-            if not ok[i, j].all():
-                raise RuntimeError("hole")
-            if np.ndim(p1):
-                return va[i, j], vb[i, j]
-            return complex(va[i, j]), complex(vb[i, j])
-
-        grid = build_surface(table, ((0.0, 1.0), (0.0, 1.0)), n1, n2, "raw",
-                             max_missing_frac=1.0)
+        table = table_sampler(va, vb, ok, batch)
+        window = ((0.0, 1.0), (0.0, 1.0))
+        grid = build_surface(table, window, n1, n2, "raw", max_missing_frac=1.0)
         axis = np.linspace(0.0, 1.0, n1), np.linspace(0.0, 1.0, n2)
         sa, sb, missing = ref.sample_grid(table, *axis)
         assert grid.missing == missing
+        ok = ok & np.isfinite(va)  # a NaN sample value is a missing cell here
         ra, rb = ref.match_grid(sa, sb, ok)
         np.testing.assert_array_equal(bits(grid.sheet1), bits(ra))
         np.testing.assert_array_equal(bits(grid.sheet2), bits(rb))
         e = 0.5 * (ra - rb)
-        assert grid.cut_cells.matched == ref.matched_cut_edges(e, ok, 10.0)
-        assert grid.cut_cells.re == ref.component_seam_edges(2.0 * e.real, ok,
-                                                             1e-3, 0.05)
-        assert grid.cut_cells.im == ref.component_seam_edges(2.0 * e.imag, ok,
-                                                             1e-3, 0.05)
+        assert grid.cut_cells.matched == ref.matched_cut_edges(e, ok,
+                                                               MATCHED_CUT_JUMP)
+        seams = (grid.cut_cells.re, grid.cut_cells.im)
+        assert seams == ref.seam_edges(sa - sb, ok, SEAM_CONTACT)
+
+        # the seams do not depend on the sampler's order at any cell
+        swap = np.random.default_rng(seed).random((n1, n2)) < 0.5
+        swapped = build_surface(table_sampler(np.where(swap, vb, va),
+                                              np.where(swap, va, vb), ok, batch),
+                                window, n1, n2, "raw", max_missing_frac=1.0)
+        assert (swapped.cut_cells.re, swapped.cut_cells.im) == seams
+
+    def test_matched_pair_rule_agrees_on_the_default_toy_window(self):
+        # the seams used to come from the matched sheets, with a veto on
+        # their sign flips above 0.05 x max; on the `surface` command's
+        # default window and grid the two rules flag the same edges
+        grid = build_surface(eigenpair_sampler(ToyParams(
+            **PRESETS["double-ep"]["params"])), ((0.3, 0.8), (0.9, 1.0)), 256, 64)
+        e = grid.sheet1
+        ok = np.ones(e.shape, dtype=bool)
+        assert grid.cut_cells.re == ref.component_seam_edges(
+            2.0 * e.real, ok, SEAM_CONTACT, 0.05)
+        assert grid.cut_cells.im == ref.component_seam_edges(
+            2.0 * e.imag, ok, SEAM_CONTACT, 0.05)
+        assert (len(grid.cut_cells.re), len(grid.cut_cells.im)) == (314, 574)
 
 
 class TestLocalMinima:

@@ -162,6 +162,14 @@ class TestCli:
         assert abs(alphas[0] - 0.454) < 1e-3
         assert abs(alphas[1] - 0.621) < 1e-3
 
+    def test_find_eps_bracket_from_alpha_zero(self, tmp_path):
+        # the one EP left for g_c > e/2, found from a bracket starting at 0
+        assert run_cli("find-eps", "--preset", "double-ep", "--g-c", "1.5",
+                       "--alpha-bracket", "0", "4", "--out", str(tmp_path)) == 0
+        payload = json.loads((tmp_path / "find_eps.json").read_text())
+        assert [e["p1"] for e in payload["eps"]] == pytest.approx([1.5641],
+                                                                  abs=1e-4)
+
     def test_find_eps_grid_search_window(self, tmp_path):
         assert run_cli("find-eps", "--window", "0.3", "0.8", "0.9", "1.0",
                        "--out", str(tmp_path)) == 0
@@ -923,6 +931,7 @@ ROUND_TRIPS = [
      "--steps", "64"),
     ("beta-scan", "--points", "201", "--tolerance", "1e-2"),
     ("project", "--point", "2.9036", "0.5372", "--point", "1e200", "-0.0"),
+    ("project", "--point", "inf", "-0.0"),  # written as [null, -0.0]
     ("project", "--input", "plane.csv"),
     ("ingest-classify", *INGEST, "--modes", "2", "1", "--meta", "n_in=2.74"),
     ("oracle", "--grid", "16x16"),

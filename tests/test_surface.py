@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import loop_reference as ref
+from epkit.cli import CAVITY_EP1, CAVITY_EP2
 from epkit.epfind import EPLocation, equal_width_eps
 from epkit.surface import (DELTA, MAX_STEP_PHASE, RAW, AnalyticOracle,
                            CircleLoop, PolylineLoop, build_surface,
@@ -140,6 +141,33 @@ class TestBuildSurface:
             assert touches_boundary
             assert near_ep <= 2 * h1
 
+    @pytest.mark.parametrize("kind, n1, n2, counts", [
+        ("toy", 256, 64, (1, 2)), ("toy", 128, 128, (1, 2)),
+        ("oracle", 256, 64, (2, 2))])
+    def test_every_seam_component_ends_at_an_ep(self, kind, n1, n2, counts):
+        # the toy over both EPs, and the `oracle` command's default window;
+        # a component that does not reach the window edge joins both EPs
+        if kind == "toy":
+            sampler, window = eigenpair_sampler(DOUBLE_EP), ((0.3, 0.8), (0.9, 1.1))
+            eps = [(ep.p1, ep.p2) for ep in equal_width_eps(DOUBLE_EP)]
+        else:
+            oracle = AnalyticOracle.two_point(complex(*CAVITY_EP1),
+                                              complex(*CAVITY_EP2))
+            sampler, window = oracle.sampler(), ((2.5, 3.0), (0.45, 0.7))
+            eps = [(z.real, z.imag) for z in oracle.branch_points()]
+        grid = build_surface(sampler, window, n1, n2)
+        h1, h2 = grid.axis1[1] - grid.axis1[0], grid.axis2[1] - grid.axis2[0]
+        for edges, count in zip((grid.cut_cells.re, grid.cut_cells.im), counts):
+            comps = connected_components(edges)
+            assert len(comps) == count
+            for comp in comps:
+                i, j = np.array(sorted(comp)).T
+                cells = [np.min(np.maximum(np.abs(grid.axis1[i] - x) / h1,
+                                           np.abs(grid.axis2[j] - y) / h2))
+                         for x, y in eps]  # to the nearest node, in cells
+                on_edge = np.any((i == 0) | (i == n1 - 1) | (j == 0) | (j == n2 - 1))
+                assert (min(cells) if on_edge else max(cells)) <= 1.0
+
     def test_delta_sheets_are_exact_negatives(self):
         grid = build_surface(eigenpair_sampler(DOUBLE_EP), TOY_WINDOW, 32, 16,
                              DELTA)
@@ -221,6 +249,26 @@ class TestBuildSurface:
 
         grid = build_surface(flaky, TOY_WINDOW, 32, 16)
         assert grid.missing == [(0, 0)]
+
+    def test_a_nan_value_is_a_missing_cell(self):
+        # a sampler may return NaN instead of raising; that cell is missing,
+        # and the grid-wide scales of the cut rules skip it
+        base = eigenpair_sampler(DOUBLE_EP)
+        hole = (np.linspace(0.3, 0.8, 256)[3], np.linspace(0.9, 1.0, 64)[3])
+
+        def holed(p1, p2):
+            la, lb = base(p1, p2)
+            bad = (np.asarray(p1) == hole[0]) & (np.asarray(p2) == hole[1])
+            return np.where(bad, np.nan, la), np.where(bad, np.nan, lb)
+
+        clean = build_surface(base, TOY_WINDOW, 256, 64).cut_cells
+        cuts = build_surface(holed, TOY_WINDOW, 256, 64)
+        assert cuts.missing == [(3, 3)]
+        cuts = cuts.cut_cells
+        assert cuts.matched == clean.matched and len(cuts.matched) == 7
+        for kind in ("re", "im"):
+            assert getattr(cuts, kind) == [
+                edge for edge in getattr(clean, kind) if (3, 3) not in edge]
 
     @pytest.mark.parametrize("window", [((-1e308, 1e308), (0.9, 1.0)),
                                         ((0.3, 0.8), (-math.inf, 1.0)),
