@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -159,6 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
     proj.add_argument("--input", help="CSV with header n,chi (inf rows allowed)")
     proj.add_argument("--point", type=float, nargs=2, action="append",
                       metavar=("N", "CHI"))
+    # argparse reads an argument as a flag unless it looks like a negative
+    # number; -1e5, -inf and -infinity are coordinates too
+    proj._negative_number_matcher = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.IGNORECASE)
 
     ing = _add_command(subs, "ingest-classify", "classify an external dataset")
     ing.add_argument("--input", required=True)

@@ -29,6 +29,7 @@ LZ = "LZ"
 WB = "WB"
 
 AMBIGUITY_TOL = 1e-14
+MIN_SCAN_POINTS = 3  # the fewest points a ScanTrajectory holds
 
 
 class UnclassifiableScanError(RuntimeError):
@@ -55,8 +56,8 @@ class ScanTrajectory:
         self.branch_a = np.asarray(self.branch_a, dtype=complex)
         self.branch_b = np.asarray(self.branch_b, dtype=complex)
         n = self.ts.size
-        if n < 3:
-            raise ValueError("a scan needs at least 3 points")
+        if n < MIN_SCAN_POINTS:
+            raise ValueError(f"a scan needs at least {MIN_SCAN_POINTS} points")
         if self.branch_a.size != n or self.branch_b.size != n:
             raise ValueError("branches must match the scan length")
         if not np.all(np.diff(self.ts) > 0):

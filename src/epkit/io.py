@@ -4,6 +4,14 @@ Trajectory CSVs carry one scan column followed by re_<name>/im_<name>
 pairs, one pair per mode. Grids are exported in long format with one row
 per node. All writers format floats with ``repr`` (shortest round-trip)
 and sort JSON keys, so identical inputs produce byte-identical files.
+
+The two readers, ``ingest_csv`` and ``read_plane_csv``, check the header
+with ``csv.reader``, then read every data cell in one ``np.loadtxt`` call
+and check the cells as arrays. Where that call or a check fails, a
+per-row reader reads the file again, one ``float`` per cell, and either
+raises :class:`IngestError` naming the line of the first error or reads
+what ``loadtxt`` does not (``1_0``, a quoted cell). Both ways give
+bitwise the same arrays.
 """
 
 from __future__ import annotations
@@ -12,11 +20,12 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .crossing import ScanTrajectory, match_branches
+from .crossing import MIN_SCAN_POINTS, ScanTrajectory, match_branches
 from .surface import DELTA, SheetGrid
 
 
@@ -86,37 +95,92 @@ def _parse_float(text: str, line_num: int, column: str) -> float:
     return value
 
 
+def _first_row(reader) -> list[str]:
+    try:
+        return next(reader)
+    except StopIteration:
+        raise IngestError("line 1: empty file") from None
+
+
+def _trajectory_header(reader) -> list[str]:
+    """The stripped header ``scan,re_<k>,im_<k>,...``, checked."""
+    header = [h.strip() for h in _first_row(reader)]
+    if len(header) < 5 or (len(header) - 1) % 2 != 0:
+        raise IngestError(
+            "line 1: header must be scan followed by re_<k>,im_<k> pairs"
+        )
+    for re_col, im_col in zip(header[1::2], header[2::2]):
+        if not (re_col.startswith("re_") and im_col.startswith("im_")):
+            raise IngestError(
+                f"line 1: expected re_<k>,im_<k> pair, got {re_col!r},{im_col!r}"
+            )
+        if re_col[3:] != im_col[3:]:
+            raise IngestError(
+                f"line 1: mismatched pair {re_col!r},{im_col!r}"
+            )
+    return header
+
+
+def _plane_header(reader) -> None:
+    if [h.strip() for h in _first_row(reader)[:2]] != ["n", "chi"]:
+        raise IngestError("line 1: expected header n,chi")
+
+
+def _read_cells(path, check_header):
+    """The checked header and every data cell as one float array, or None
+    for the array where one ``np.loadtxt`` call cannot stand in for
+    ``csv.reader``: the first data row is blank (``loadtxt`` warns on a
+    file with no data), or ``loadtxt`` rejects a cell or row, be it
+    malformed or only spelled in a way ``float`` or ``csv`` reads
+    (``1_0``, non-ASCII digits, a quoted cell, which may span lines).
+    """
+    with Path(path).open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = check_header(reader)
+        try:  # UnicodeDecodeError is a ValueError too
+            first = handle.readline()
+            if not first.strip():
+                return header, None
+            return header, np.loadtxt(chain((first,), handle), delimiter=",",
+                                      comments=None, ndmin=2)
+        except ValueError:
+            return header, None
+
+
 def ingest_csv(path, metadata: dict | None = None) -> TrajectoryDataset:
     """Parse a trajectory CSV with header ``scan,re_1,im_1,re_2,im_2[,...]``.
 
-    Ragged rows, non-numeric cells, and non-monotone scan columns raise
-    :class:`IngestError` naming the offending line.
+    Ragged rows, non-numeric or non-finite cells, non-monotone scan columns
+    and fewer than ``MIN_SCAN_POINTS`` rows raise :class:`IngestError`
+    naming the line of the first error in the file.
     """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError("line 1: empty file") from None
-        header = [h.strip() for h in header]
-        if len(header) < 5 or (len(header) - 1) % 2 != 0:
-            raise IngestError(
-                "line 1: header must be scan followed by re_<k>,im_<k> pairs"
-            )
-        mode_names = []
-        for k in range(1, len(header), 2):
-            re_col, im_col = header[k], header[k + 1]
-            if not (re_col.startswith("re_") and im_col.startswith("im_")):
-                raise IngestError(
-                    f"line 1: expected re_<k>,im_<k> pair, got {re_col!r},{im_col!r}"
-                )
-            if re_col[3:] != im_col[3:]:
-                raise IngestError(
-                    f"line 1: mismatched pair {re_col!r},{im_col!r}"
-                )
-            mode_names.append(re_col[3:])
+    header, cells = _read_cells(path, _trajectory_header)
+    if cells is None or not _rows_pass(cells, len(header)):
+        return _ingest_rows(path, metadata)
+    columns = cells.T.copy()
+    modes = {}
+    for name, re, im in zip(header[1::2], columns[1::2], columns[2::2]):
+        z = np.empty(len(cells), dtype=complex)
+        z.real, z.imag = re, im  # re + 1j*im would turn an im of -0.0 into 0.0
+        modes[name[3:]] = z
+    return TrajectoryDataset(scan_name=header[0], scan_values=columns[0],
+                             modes=modes, metadata=dict(metadata or {}))
 
+
+def _rows_pass(cells: np.ndarray, width: int) -> bool:
+    """Whether trajectory cells pass every row check of ``_ingest_rows``."""
+    steps = np.diff(cells[:, 0])
+    return (cells.shape[1] == width and len(cells) >= MIN_SCAN_POINTS
+            and np.isfinite(cells).all()
+            and ((steps > 0).all() or (steps < 0).all()))
+
+
+def _ingest_rows(path, metadata: dict | None) -> TrajectoryDataset:
+    """``ingest_csv`` one cell at a time, raising at the first bad line."""
+    with Path(path).open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = _trajectory_header(reader)
+        mode_names = [h[3:] for h in header[1::2]]
         scan: list[float] = []
         series: list[list[complex]] = [[] for _ in mode_names]
         for row in reader:
@@ -141,9 +205,10 @@ def ingest_csv(path, metadata: dict | None = None) -> TrajectoryDataset:
                 re = _parse_float(row[1 + 2 * m], line_num, f"re_{name}")
                 im = _parse_float(row[2 + 2 * m], line_num, f"im_{name}")
                 series[m].append(complex(re, im))
-
-    if len(scan) < 2:
-        raise IngestError(f"line {2 + len(scan)}: need at least 2 data rows")
+        if len(scan) < MIN_SCAN_POINTS:
+            raise IngestError(
+                f"line {reader.line_num}: need at least {MIN_SCAN_POINTS} data"
+                f" rows, got {len(scan)}")
     return TrajectoryDataset(
         scan_name=header[0],
         scan_values=np.array(scan),
@@ -193,17 +258,20 @@ def read_plane_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """The n and chi columns of a plane-point CSV with header ``n,chi``.
 
     Infinite cells are allowed (the point at infinity); an empty file, a
-    row with fewer than two cells, and a non-numeric or NaN cell raise
-    :class:`IngestError` naming the offending line.
+    bad header, a row with fewer than two cells, and a non-numeric or NaN
+    cell raise :class:`IngestError` naming the line of the first error.
     """
+    _, cells = _read_cells(path, _plane_header)
+    if cells is None or cells.shape[1] < 2 or np.isnan(cells[:, :2]).any():
+        return _plane_rows(path)
+    return cells[:, :2].T
+
+
+def _plane_rows(path) -> tuple[np.ndarray, np.ndarray]:
+    """``read_plane_csv`` one cell at a time, raising at the first bad line."""
     with Path(path).open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError("line 1: empty file") from None
-        if [h.strip() for h in header[:2]] != ["n", "chi"]:
-            raise ValueError(f"{path}: expected header n,chi")
+        _plane_header(reader)
         points: list[tuple[float, float]] = []
         for row in reader:
             line_num = reader.line_num

@@ -79,6 +79,22 @@ class TestIngest:
         with pytest.raises(IngestError, match="line 4: .* column 'im_1'"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("lines, message", [
+        (["scan,re_1,im_1,re_2,im_2", "0,1,0,2,0", "1,1,0,2,0"],
+         "line 3: need at least 3 data rows, got 2"),
+        (["scan,re_1,im_1,re_2,im_2", "", "", "0,1,0,2,0"],
+         "line 4: need at least 3 data rows, got 1"),
+        (["scan,re_1,im_1,re_2,im_2", "0,1,0,2,0", "1,1,0,2,0", "", " "],
+         "line 5: need at least 3 data rows, got 2"),
+        (["scan,re_1,im_1,re_2,im_2"], "line 1: need at least 3 data rows, got 0"),
+    ], ids=["two-rows", "blank-lines-before", "blank-lines-after", "header-only"])
+    def test_too_few_rows_name_the_last_line(self, tmp_path, lines, message):
+        path = tmp_path / "short.csv"
+        write_lines(path, lines)
+        with pytest.raises(IngestError) as info:
+            ingest_csv(path)
+        assert str(info.value) == message
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "hdr.csv"
         write_lines(path, ["scan,re_1,im_1,re_2", "0,1,0,2"])
@@ -296,7 +312,8 @@ class TestCli:
          "line 3: non-numeric value 'x' in column 'n'"),
         (["n,chi", "1,2", "", "4"], "line 4: expected 2 cells, got 1"),
         (["n,chi", "1,nan"], "line 2: NaN in column 'chi'"),
-    ], ids=["empty", "non-numeric", "one-cell", "nan"])
+        (["x,y", "1,2"], "line 1: expected header n,chi"),
+    ], ids=["empty", "non-numeric", "one-cell", "nan", "header"])
     def test_project_input_errors_name_the_line(self, tmp_path, capsys,
                                                 lines, message):
         src = tmp_path / "cut.csv"
@@ -383,6 +400,16 @@ class TestCli:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == "IngestError"
         assert "line 3" in err["error"]["message"]
+
+    def test_ingest_two_rows_fails_at_the_boundary(self, tmp_path, capsys):
+        # was "a scan needs at least 3 points" from inside the classifier
+        short = tmp_path / "short.csv"
+        write_lines(short, ["scan,re_1,im_1,re_2,im_2", "0,1,0,2,0", "1,1,0,2,0"])
+        assert run_cli("ingest-classify", "--input", str(short),
+                       "--out", str(tmp_path)) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "IngestError"
+        assert err["message"] == "line 3: need at least 3 data rows, got 2"
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -932,6 +959,7 @@ ROUND_TRIPS = [
     ("beta-scan", "--points", "201", "--tolerance", "1e-2"),
     ("project", "--point", "2.9036", "0.5372", "--point", "1e200", "-0.0"),
     ("project", "--point", "inf", "-0.0"),  # written as [null, -0.0]
+    ("project", "--point", "-inf", "2", "--point", "-1e5", "-Infinity"),
     ("project", "--input", "plane.csv"),
     ("ingest-classify", *INGEST, "--modes", "2", "1", "--meta", "n_in=2.74"),
     ("oracle", "--grid", "16x16"),
