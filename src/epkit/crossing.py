@@ -1,8 +1,8 @@
 """1-D scan analysis: branch matching, crossing classification, transitions.
 
-A scan produces an unordered eigenvalue pair per point; greedy continuity
-matching turns it into two branches. Classification then inspects the
-matched real and imaginary differences:
+A scan produces an unordered eigenvalue pair per point. Classification
+inspects the real and imaginary parts of the pair difference, each point's
+sign taken nearer the previous point's, so no pair order matters:
 
   LZ  - real parts avoid while imaginary parts cross (real-dominated
         coupling);
@@ -10,6 +10,7 @@ matched real and imaginary differences:
         finite interval) while imaginary parts stay separated or bifurcate
         around the contact region (imaginary-dominated coupling).
 
+Greedy continuity matching turns the pairs into two branches for export.
 Sticking renders as a run of gaps at rounding level, so contact is judged
 against ``gap_floor`` rather than exact zeros.
 """
@@ -17,7 +18,7 @@ against ``gap_floor`` rather than exact zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -42,14 +43,13 @@ class UnclassifiableScanError(RuntimeError):
 
 @dataclass
 class ScanTrajectory:
-    """Continuity-matched eigenvalue branches over a strictly increasing scan."""
+    """Two eigenvalue series, in any pair order, over an increasing scan."""
 
     ts: np.ndarray
     branch_a: np.ndarray
     branch_b: np.ndarray
     vectors_a: Optional[np.ndarray] = None  # (N, 2) unit eigenvectors, if tracked
     vectors_b: Optional[np.ndarray] = None
-    ambiguous: list[int] = field(default_factory=list)
 
     def __post_init__(self):
         self.ts = np.asarray(self.ts, dtype=float)
@@ -76,12 +76,11 @@ class ClassReport:
 
 def pairing(ref_a, ref_b, a, b, tol: float):
     """Greedy keep/swap rule of pairs (a, b) against reference pairs: where
-    swapping costs less, where the costs tie within ``tol``, and where the
-    rule keeps the order instead (ties, and costs that are NaN)."""
+    swapping costs less, and where the rule keeps the order instead (costs
+    that tie within ``tol``, and costs that are NaN)."""
     straight = abs_diff(a, ref_a) + abs_diff(b, ref_b)
     cross = abs_diff(b, ref_a) + abs_diff(a, ref_b)
-    gap = np.abs(straight - cross)
-    return cross < straight, gap <= tol, ~(gap > tol)
+    return cross < straight, ~(np.abs(straight - cross) > tol)
 
 
 def parity_runs(flip, restart):
@@ -104,8 +103,8 @@ def match_branches(ts, pairs, vectors=None) -> ScanTrajectory:
     """Greedy continuity matching of per-point unordered eigenvalue pairs.
 
     At each step the pairing minimizing the summed jump is chosen; when
-    both pairings agree within ``AMBIGUITY_TOL`` the previous ordering is
-    kept and the point index is flagged. ``vectors`` (N, 2, 2), ordered
+    both pairings agree within ``AMBIGUITY_TOL`` the point keeps its
+    sampled order and a new run starts there. ``vectors`` (N, 2, 2), ordered
     like ``pairs``, are permuted alongside when given. Raises
     ``ValueError`` on a pair that is not finite.
     """
@@ -122,8 +121,8 @@ def match_branches(ts, pairs, vectors=None) -> ScanTrajectory:
         if vectors.shape != (pairs.shape[0], 2, 2):
             raise ValueError("vectors must have shape (N, 2, 2)")
 
-    flip, tie, restart = pairing(pairs[:-1, 0], pairs[:-1, 1], pairs[1:, 0],
-                                 pairs[1:, 1], AMBIGUITY_TOL)
+    flip, restart = pairing(pairs[:-1, 0], pairs[:-1, 1], pairs[1:, 0],
+                            pairs[1:, 1], AMBIGUITY_TOL)
     _, swapped = parity_runs(np.concatenate(([False], flip)),
                              np.concatenate(([True], restart)))
     a = np.where(swapped, pairs[:, 1], pairs[:, 0])
@@ -132,16 +131,15 @@ def match_branches(ts, pairs, vectors=None) -> ScanTrajectory:
     if vectors is not None:
         va = np.where(swapped[:, None], vectors[:, 1], vectors[:, 0])
         vb = np.where(swapped[:, None], vectors[:, 0], vectors[:, 1])
-    ambiguous = (np.flatnonzero(tie) + 1).tolist()
-    return ScanTrajectory(ts, a, b, va, vb, ambiguous)
+    return ScanTrajectory(ts, a, b, va, vb)
 
 
-def sweep_toy(p: ToyParams, alphas, with_vectors: bool = True) -> ScanTrajectory:
-    """Scan the toy model over alpha and return matched branches."""
+def sweep_toy(p: ToyParams, alphas) -> ScanTrajectory:
+    """Scan the toy model over alpha: matched branches and eigenvectors."""
     alphas = np.asarray(alphas, dtype=float)
     entries = scan_entries(alphas, p)
     pairs = np.stack(eigvalues_grid(*entries), axis=1)
-    vectors = np.stack(eigvectors_grid(*entries), axis=1) if with_vectors else None
+    vectors = np.stack(eigvectors_grid(*entries), axis=1)
     return match_branches(alphas, pairs, vectors)
 
 
@@ -176,7 +174,11 @@ def _component_analysis(ts: np.ndarray, d: np.ndarray, gap_floor: float) -> dict
 
 def classify(traj: ScanTrajectory, gap_floor: float = 1e-9,
              edge_factor: float = 5.0) -> ClassReport:
-    """Label a matched scan as Landau-Zener (LZ) or width bifurcation (WB).
+    """Label a scan as Landau-Zener (LZ) or width bifurcation (WB).
+
+    ``d = branch_a - branch_b`` takes at each point the sign nearer the
+    previous point's, so no pair order changes the label; only a step with
+    ``|d[k+1] + d[k]| == |d[k+1] - d[k]|`` keeps the sampled order.
 
     Raises :class:`UnclassifiableScanError` when both components cross or
     both avoid (which happens exactly at the transition point).
@@ -187,6 +189,10 @@ def classify(traj: ScanTrajectory, gap_floor: float = 1e-9,
     region is resolved.
     """
     d = traj.branch_a - traj.branch_b
+    flip = abs_diff(d[1:], -d[:-1]) < abs_diff(d[1:], d[:-1])
+    _, odd = parity_runs(np.concatenate(([False], flip)),
+                         np.arange(d.size) == 0)
+    d = np.where(odd, -d, d)
     re = _component_analysis(traj.ts, d.real, gap_floor)
     im = _component_analysis(traj.ts, d.imag, gap_floor)
 
@@ -240,8 +246,8 @@ def beta_transition(p: ToyParams, beta_window: tuple[float, float], *,
     alphas = np.linspace(alpha_range[0], alpha_range[1], n_alpha)
 
     def label_at(beta: float) -> str:
-        traj = sweep_toy(p.with_beta(beta), alphas, with_vectors=False)
-        return classify(traj, gap_floor=gap_floor).label
+        pair = eigvalues_grid(*scan_entries(alphas, p, beta=beta))
+        return classify(ScanTrajectory(alphas, *pair), gap_floor=gap_floor).label
 
     lab_lo, lab_hi = label_at(lo), label_at(hi)
     if lab_lo == lab_hi:

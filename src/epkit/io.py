@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .crossing import MIN_SCAN_POINTS, ScanTrajectory, match_branches
+from .crossing import MIN_SCAN_POINTS, ScanTrajectory
 from .surface import DELTA, SheetGrid
 
 
@@ -51,13 +51,18 @@ class TrajectoryDataset:
             self.modes[name] = series
             if series.size != self.scan_values.size:
                 raise ValueError(f"mode {name!r} length does not match the scan")
+            finite = np.isfinite(series)
+            if not finite.all():
+                k = int(np.argmin(finite))
+                raise ValueError(f"mode {name!r} row {k} is not finite: "
+                                 f"{complex(series[k])!r}")
         d = np.diff(self.scan_values)
         if not (np.all(d > 0) or np.all(d < 0)):
             raise ValueError("scan values must be strictly monotone")
 
     def to_trajectory(self, mode_a: str | None = None,
                       mode_b: str | None = None) -> ScanTrajectory:
-        """Continuity-match two mode series (default: the first two).
+        """Two distinct mode series (default: the first two), in file order.
 
         Decreasing scans are reversed so the trajectory is increasing.
         """
@@ -68,11 +73,13 @@ class TrajectoryDataset:
             if name not in self.modes:
                 raise ValueError(f"unknown mode {name!r}; the dataset has "
                                  f"modes {', '.join(names)}")
-        ts = self.scan_values
-        pairs = np.stack([self.modes[mode_a], self.modes[mode_b]], axis=1)
+        if mode_a == mode_b:
+            raise ValueError(f"modes {mode_a!r} and {mode_b!r} are the same "
+                             "series; name two different modes")
+        ts, a, b = self.scan_values, self.modes[mode_a], self.modes[mode_b]
         if ts[0] > ts[-1]:
-            ts, pairs = ts[::-1], pairs[::-1]
-        return match_branches(ts, pairs)
+            ts, a, b = ts[::-1], a[::-1], b[::-1]
+        return ScanTrajectory(ts, a, b)
 
 
 def _parse_number(text: str, line_num: int, column: str) -> float:
@@ -95,11 +102,20 @@ def _parse_float(text: str, line_num: int, column: str) -> float:
     return value
 
 
-def _first_row(reader) -> list[str]:
+def _rows(reader):
+    """The rows of a ``csv.reader``; a ``csv.Error``, such as a cell longer
+    than ``csv.field_size_limit()``, raises :class:`IngestError` naming
+    the line."""
     try:
-        return next(reader)
-    except StopIteration:
-        raise IngestError("line 1: empty file") from None
+        yield from reader
+    except csv.Error as err:
+        raise IngestError(f"line {reader.line_num}: {err}") from None
+
+
+def _first_row(reader) -> list[str]:
+    for row in _rows(reader):
+        return row
+    raise IngestError("line 1: empty file")
 
 
 def _trajectory_header(reader) -> list[str]:
@@ -183,7 +199,7 @@ def _ingest_rows(path, metadata: dict | None) -> TrajectoryDataset:
         mode_names = [h[3:] for h in header[1::2]]
         scan: list[float] = []
         series: list[list[complex]] = [[] for _ in mode_names]
-        for row in reader:
+        for row in _rows(reader):
             line_num = reader.line_num
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -273,7 +289,7 @@ def _plane_rows(path) -> tuple[np.ndarray, np.ndarray]:
         reader = csv.reader(handle)
         _plane_header(reader)
         points: list[tuple[float, float]] = []
-        for row in reader:
+        for row in _rows(reader):
             line_num = reader.line_num
             if not row or all(not cell.strip() for cell in row):
                 continue

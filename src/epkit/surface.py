@@ -133,7 +133,7 @@ def _match_grid(va, vb, ok):
     left[:, 1:] = ok[:, 1:] & ok[:, :-1]
     flip = np.zeros_like(ok)
     restart = ~left
-    flip[:, 1:], _, tie = pairing(va[:, :-1], vb[:, :-1], va[:, 1:], vb[:, 1:], 0.0)
+    flip[:, 1:], tie = pairing(va[:, :-1], vb[:, :-1], va[:, 1:], vb[:, 1:], 0.0)
     restart[:, 1:] |= tie
     start, odd = parity_runs(flip, restart)
 
@@ -141,8 +141,8 @@ def _match_grid(va, vb, ok):
     from_above[1:] = ok[1:] & ok[:-1] & ~left[1:]
     i, j = np.nonzero(from_above)
     up_flip = np.zeros_like(ok)
-    up_flip[i, j], _, tie = pairing(va[i - 1, j], vb[i - 1, j], va[i, j],
-                                    vb[i, j], 0.0)
+    up_flip[i, j], tie = pairing(va[i - 1, j], vb[i - 1, j], va[i, j],
+                                 vb[i, j], 0.0)
     from_above[i[tie], j[tie]] = False  # a tie keeps the sampler order
 
     swapped = odd.copy()

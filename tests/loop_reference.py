@@ -1,6 +1,7 @@
-"""Per-point loop implementations of the scan, grid and loop paths, and
+"""Per-point loop implementations of the scan, grid and loop paths,
 :mod:`cmath` and :mod:`math` versions of the scalar square-root, oracle
-and loop-geometry kernels, kept as references.
+and loop-geometry kernels, and the crossing label as read from matched
+branches, kept as references.
 
 The library computes these quantities with array operations; the tests in
 test_reference_oracles.py, test_grid_reference.py, test_core.py and
@@ -17,7 +18,9 @@ import numpy as np
 
 from epkit.core import (DEGENERACY_THRESHOLD, DiscreteField, Hamiltonian2,
                         overlap, splitting)
-from epkit.crossing import AMBIGUITY_TOL
+from epkit import crossing
+from epkit.crossing import (AMBIGUITY_TOL, LZ, WB, ClassReport,
+                            UnclassifiableScanError)
 from epkit.surface import IDENTITY, SWAP, CircleLoop
 from epkit.toymodel import build_hamiltonian
 
@@ -178,6 +181,37 @@ def component_analysis(ts: np.ndarray, d: np.ndarray, gap_floor: float) -> dict:
         "avoided": (not sign_change) and (not contact),
         "bifurcated": contact and ends_coincide and absd.max() > gap_floor,
     }
+
+
+def matched_classify(ts, pairs, gap_floor: float = 1e-9,
+                     edge_factor: float = 5.0) -> ClassReport:
+    """The crossing label read from matched branches, without aligning the
+    pair difference: greedy matching, then the label rules on the matched
+    ``a - b``. Matching is the array ``match_branches``, which
+    test_reference_oracles.py holds bitwise to :func:`match_branches` here;
+    the per-point loop would take minutes over the scans this is checked on.
+    """
+    traj = crossing.match_branches(ts, pairs)
+    d = traj.branch_a - traj.branch_b
+    re = crossing._component_analysis(traj.ts, d.real, gap_floor)
+    im = crossing._component_analysis(traj.ts, d.imag, gap_floor)
+    if re["avoided"] and im["crossed"]:
+        label = LZ
+    elif re["crossed"] and (im["avoided"] or im["bifurcated"]):
+        label = WB
+    else:
+        raise UnclassifiableScanError(
+            "scan fits neither the LZ nor the WB pattern",
+            diagnostics={"re": re, "im": im})
+    edges = None
+    if label == WB:
+        imd = np.abs(d.imag)
+        above = imd > edge_factor * max(float(np.median(imd)), gap_floor)
+        if above.any():
+            k = np.flatnonzero(above)
+            edges = (float(traj.ts[k[0]]), float(traj.ts[k[-1]]))
+    return ClassReport(label, re["min_gap"], im["min_gap"],
+                       re["cross_points"], im["cross_points"], edges)
 
 
 # ---- 2-D grids: sampling, row-major matching, cut edges, gap minima ----------

@@ -13,11 +13,11 @@ import numpy as np
 from epkit.cli import main as cli_main
 from epkit.core import eigvalues_grid
 from epkit.crossing import overlap_peaks, sweep_toy
-from epkit.epfind import toy_ep_roots
+from epkit.epfind import grid_ep_search, toy_ep_roots
 from epkit.sphere import PlanePoint, lift_cut, to_plane, to_sphere
 from epkit.surface import (AnalyticOracle, CircleLoop, PolylineLoop,
                            build_surface, connected_components, encircle)
-from epkit.toymodel import ToyParams, eigenpair_sampler, scan_entries
+from epkit.toymodel import ToyParams, eigenpair_sampler, preset, scan_entries
 
 DOUBLE_EP = ToyParams(g_c=0.05, beta=1.0, gamma1=1.05, gamma2=1.05)
 
@@ -130,6 +130,28 @@ def test_criterion_4_monodromy():
             loop = PolylineLoop(verts)
             assert encircle(toy, loop, 128).permutation == "identity"
             assert encircle(oracle, loop, 128).permutation == "identity"
+
+
+def test_criterion_4_preset_ep_charges():
+    # (alpha, beta) and charge of each EP, as in the README's charge table
+    table = {"transition": [((0.4813, 0.7645), 1), ((0.6272, 1.2403), -1)],
+             "class4": [((0.4489, 1.2403), 1), ((0.5921, 0.7645), -1)]}
+    with criterion(4, "over [0.3, 0.8] x [0.6, 1.4] the transition and class4 "
+                      "presets have one EP pair of charges +1/-1 (0.02 "
+                      "circles), and a loop around both is the identity"):
+        for name, expected in table.items():
+            sampler = eigenpair_sampler(preset(name))
+            eps = grid_ep_search(sampler, ((0.3, 0.8), (0.6, 1.4))).locations
+            got = [((round(e.p1, 4), round(e.p2, 4)),
+                    encircle(sampler, CircleLoop((e.p1, e.p2), 0.02)).winding)
+                   for e in eps]
+            assert got == expected, name
+            (a1, b1), (a2, b2) = [(e.p1, e.p2) for e in eps]
+            lo, hi = min(b1, b2) - 0.05, max(b1, b2) + 0.05
+            both = PolylineLoop(((a1 - 0.05, lo), (a2 + 0.05, lo),
+                                 (a2 + 0.05, hi), (a1 - 0.05, hi)))
+            res = encircle(sampler, both)
+            assert (res.permutation, res.winding) == ("identity", 0), name
 
 
 def test_criterion_5_branch_cut_topology():

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from epkit import crossing
-from epkit.crossing import (LZ, WB, UnclassifiableScanError, beta_transition,
-                            classify, match_branches, overlap_curve,
-                            overlap_peaks, sweep_toy)
-from epkit.core import DiscreteField, shannon_entropy
-from epkit.toymodel import ToyParams, preset
+from epkit.crossing import (LZ, WB, ScanTrajectory, UnclassifiableScanError,
+                            beta_transition, classify, match_branches,
+                            overlap_curve, overlap_peaks, sweep_toy)
+from epkit.core import DiscreteField, eigvalues_grid, shannon_entropy
+from epkit.toymodel import ToyParams, preset, scan_entries
 
 DOUBLE_EP = ToyParams(g_c=0.05, beta=1.0, gamma1=1.05, gamma2=1.05)
 EP1_ALPHA = 0.4541453828492342
@@ -20,7 +20,6 @@ class TestMatchBranches:
         traj = match_branches(ts, pairs)
         assert np.all(traj.branch_a == 1.0)
         assert np.all(traj.branch_b == 2j)
-        assert traj.ambiguous == []
 
     def test_synthetic_square_root_pair(self):
         # lambda(t) = +/- sqrt(t + 0.01i): smooth two-branch field; the
@@ -40,18 +39,19 @@ class TestMatchBranches:
     def test_toy_scan_through_both_eps_converges(self):
         jumps = []
         for n in (400, 800):
-            traj = sweep_toy(DOUBLE_EP, np.linspace(0.3, 0.8, n),
-                             with_vectors=False)
+            traj = sweep_toy(DOUBLE_EP, np.linspace(0.3, 0.8, n))
             jumps.append(np.abs(np.diff(traj.branch_a)).max())
         assert jumps[1] < jumps[0]
 
-    def test_ambiguous_points_are_flagged(self):
+    def test_tie_keeps_the_sampled_order(self):
         ts = np.array([0.0, 1.0, 2.0])
         pairs = np.array([[1 + 0j, -1 + 0j],
                           [1j, -1j],  # equidistant under either pairing
                           [1 + 0j, -1 + 0j]])
-        traj = match_branches(ts, pairs)
-        assert 1 in traj.ambiguous
+        for order in (pairs, pairs[:, ::-1]):
+            traj = match_branches(ts, order)
+            np.testing.assert_array_equal(traj.branch_a, order[:, 0])
+            np.testing.assert_array_equal(traj.branch_b, order[:, 1])
 
     @pytest.mark.parametrize("bad", [complex("nan"), complex(0, float("inf")),
                                      complex(float("-inf"), 0)])
@@ -71,8 +71,7 @@ class TestMatchBranches:
 
 class TestClassify:
     def test_class1_is_lz(self):
-        traj = sweep_toy(preset("class1"), np.linspace(0.2, 1.0, 801),
-                         with_vectors=False)
+        traj = sweep_toy(preset("class1"), np.linspace(0.2, 1.0, 801))
         report = classify(traj)
         assert report.label == LZ
         assert report.re_cross_points == []
@@ -80,8 +79,7 @@ class TestClassify:
         assert report.re_min_gap > 1e-9
 
     def test_double_ep_scan_is_wb_with_edges(self):
-        traj = sweep_toy(DOUBLE_EP, np.linspace(0.3, 0.8, 2001),
-                         with_vectors=False)
+        traj = sweep_toy(DOUBLE_EP, np.linspace(0.3, 0.8, 2001))
         report = classify(traj)
         assert report.label == WB
         assert report.bifurcation_edges is not None
@@ -91,7 +89,7 @@ class TestClassify:
 
     def test_real_coupling_scan_is_lz_at_the_level_crossing(self):
         p = ToyParams(g_c=0.043, beta=0.0, gamma1=1.05, gamma2=1.07)
-        traj = sweep_toy(p, np.linspace(0.2, 1.0, 1601), with_vectors=False)
+        traj = sweep_toy(p, np.linspace(0.2, 1.0, 1601))
         report = classify(traj)
         assert report.label == LZ
         # the avoided crossing sits where the level real parts would cross
@@ -100,8 +98,7 @@ class TestClassify:
         assert abs(traj.ts[np.argmin(gap)] - alpha_cross) < 0.05
 
     def test_class2_is_wb(self):
-        traj = sweep_toy(preset("class2"), np.linspace(0.2, 1.0, 801),
-                         with_vectors=False)
+        traj = sweep_toy(preset("class2"), np.linspace(0.2, 1.0, 801))
         report = classify(traj)
         assert report.label == WB
         assert len(report.re_cross_points) >= 1
@@ -112,16 +109,14 @@ class TestClassify:
         ("class4", WB), ("class5", LZ),
     ])
     def test_reference_classes(self, name, expected):
-        traj = sweep_toy(preset(name), np.linspace(0.2, 1.0, 801),
-                         with_vectors=False)
+        traj = sweep_toy(preset(name), np.linspace(0.2, 1.0, 801))
         assert classify(traj).label == expected
 
     @pytest.mark.parametrize("name", ["class1", "class3a"])
     def test_stable_under_resolution_doubling(self, name):
         labels = set()
         for n in (401, 801, 1601):
-            traj = sweep_toy(preset(name), np.linspace(0.2, 1.0, n),
-                             with_vectors=False)
+            traj = sweep_toy(preset(name), np.linspace(0.2, 1.0, n))
             labels.add(classify(traj).label)
         assert len(labels) == 1
 
@@ -133,9 +128,18 @@ class TestClassify:
             classify(match_branches(ts, pairs))
         assert "re" in err.value.diagnostics
 
+    def test_exact_pi_turn_keeps_the_sampled_order(self):
+        # |d1 + d0| == |d1 - d0|: D = d**2 goes from 2i to -2i, by pi either
+        # way round, so the samples cannot tell whether it crossed the
+        # negative real axis (Re d changes sign) or the positive one (Im d)
+        ts = np.arange(3.0)
+        for d, label in (([1 + 1j, -1 + 1j, -1 + 1j], WB),
+                         ([1 + 1j, 1 - 1j, 1 - 1j], LZ)):
+            d = np.array(d)
+            assert classify(ScanTrajectory(ts, d / 2, -d / 2)).label == label
+
     def test_wb_real_parts_coincide_between_edges(self):
-        traj = sweep_toy(DOUBLE_EP, np.linspace(0.3, 0.8, 2001),
-                         with_vectors=False)
+        traj = sweep_toy(DOUBLE_EP, np.linspace(0.3, 0.8, 2001))
         report = classify(traj)
         lo, hi = report.bifurcation_edges
         inside = (traj.ts > lo) & (traj.ts < hi)
@@ -170,7 +174,7 @@ class TestBetaTransition:
         def no_sweep(*args, **kwargs):
             raise AssertionError("swept before checking tol")
 
-        monkeypatch.setattr(crossing, "sweep_toy", no_sweep)
+        monkeypatch.setattr(crossing, "eigvalues_grid", no_sweep)
         p = ToyParams(g_c=0.043, beta=0.0, gamma1=1.05, gamma2=1.07)
         with pytest.raises(ValueError, match=rf"^tol must be positive and "
                                              rf"finite, got {tol!r}$"):
@@ -178,7 +182,7 @@ class TestBetaTransition:
 
     def test_tolerance_below_float_spacing_stops(self, monkeypatch):
         # the bracket shrinks to two adjacent floats and can split no further
-        sweep, calls = crossing.sweep_toy, []
+        sweep, calls = crossing.eigvalues_grid, []
 
         def bounded_sweep(*args, **kwargs):
             calls.append(None)
@@ -186,7 +190,7 @@ class TestBetaTransition:
                 raise AssertionError("bisection did not stop")
             return sweep(*args, **kwargs)
 
-        monkeypatch.setattr(crossing, "sweep_toy", bounded_sweep)
+        monkeypatch.setattr(crossing, "eigvalues_grid", bounded_sweep)
         p = ToyParams(g_c=0.043, beta=0.0, gamma1=1.05, gamma2=1.07)
         beta_c = beta_transition(p, (0.7, 0.85), tol=1e-300)
         assert abs(beta_c - beta_transition(p, (0.7, 0.85), tol=1e-12)) < 1e-12
@@ -219,8 +223,9 @@ class TestOverlapPeaks:
         assert overlap_peaks(traj) == []
 
     def test_requires_vectors(self):
-        traj = sweep_toy(DOUBLE_EP, np.linspace(0.3, 0.8, 64),
-                         with_vectors=False)
+        alphas = np.linspace(0.3, 0.8, 64)
+        traj = ScanTrajectory(alphas,
+                              *eigvalues_grid(*scan_entries(alphas, DOUBLE_EP)))
         with pytest.raises(ValueError, match="no eigenvectors"):
             overlap_peaks(traj)
 

@@ -116,7 +116,7 @@ class TestIngest:
 
     def test_round_trip_classification_identical(self, tmp_path):
         p = ToyParams(g_c=0.05, beta=1.0, gamma1=1.05, gamma2=1.05)
-        traj = sweep_toy(p, np.linspace(0.3, 0.8, 501), with_vectors=False)
+        traj = sweep_toy(p, np.linspace(0.3, 0.8, 501))
         direct = classify(traj)
 
         path = tmp_path / "sweep.csv"
@@ -135,12 +135,41 @@ class TestIngest:
                                              "has modes 1, 2"):
             ds.to_trajectory("1", "x")
 
+    def test_same_mode_twice_is_rejected(self):
+        ds = TrajectoryDataset("s", [0, 1, 2], {"1": [1j] * 3, "2": [2j] * 3})
+        with pytest.raises(ValueError, match="^modes '1' and '1' are the same "
+                                             "series; name two different modes$"):
+            ds.to_trajectory("1", "1")
+
+    @pytest.mark.parametrize("scan", [[0, 1, 2], [2, 1, 0]])
+    def test_trajectory_keeps_the_file_order(self, scan):
+        a, b = np.array([1, 2j, 3]), np.array([3j, 2, 1j])
+        traj = TrajectoryDataset("s", scan, {"a": a, "b": b}).to_trajectory()
+        step = 1 if scan[0] < scan[-1] else -1
+        np.testing.assert_array_equal(traj.ts, [0, 1, 2])
+        np.testing.assert_array_equal(traj.branch_a, a[::step])
+        np.testing.assert_array_equal(traj.branch_b, b[::step])
+
     def test_dataset_validation(self):
         with pytest.raises(ValueError, match="at least two"):
             TrajectoryDataset("s", [0, 1], {"1": [1j, 2j]})
         with pytest.raises(ValueError, match="monotone"):
             TrajectoryDataset("s", [0, 1, 0.5],
                               {"1": [1j] * 3, "2": [2j] * 3})
+        with pytest.raises(ValueError, match=r"^mode '2' row 1 is not finite: "
+                                             r"\(nan\+0j\)$"):
+            TrajectoryDataset("s", [0, 1, 2],
+                              {"1": [1j] * 3, "2": [2j, math.nan, 2j]})
+
+    def test_cell_over_the_field_limit_names_its_line(self, tmp_path):
+        # malformed (line 5 repeats a scan value), so the per-row reader
+        # reads it and meets the long cell first
+        path = tmp_path / "long.csv"
+        write_lines(path, ["scan,re_1,im_1,re_2,im_2", "0,1,0,2,0", "1,1,0,2,0",
+                           "2,1,0,2," + "0" * 140_001, "2,1,0,2,0"])
+        with pytest.raises(IngestError) as info:
+            ingest_csv(path)
+        assert str(info.value) == "line 4: field larger than field limit (131072)"
 
 
 def run_cli(*argv):
@@ -165,6 +194,17 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
         "encircle", "project", "ingest-classify", "oracle"]
     for argv in commands:
         assert main(argv[1:]) == 0, argv
+
+
+def test_readme_library_example_runs(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library example\n")[1]
+    block = section.split("```python\n")[1].split("```")[0]
+    exec(compile(block, "<README library example>", "exec"), {})
+    roots, report, loop = capsys.readouterr().out.splitlines()
+    assert [round(float(x), 4) for x in roots.split()] == [0.4541, 0.6214]
+    assert report.startswith("WB (0.45")
+    assert loop == "swap 1"
 
 
 class TestCli:
@@ -313,7 +353,9 @@ class TestCli:
         (["n,chi", "1,2", "", "4"], "line 4: expected 2 cells, got 1"),
         (["n,chi", "1,nan"], "line 2: NaN in column 'chi'"),
         (["x,y", "1,2"], "line 1: expected header n,chi"),
-    ], ids=["empty", "non-numeric", "one-cell", "nan", "header"])
+        (["n,chi", "1,2", "1," + "2" * 140_001, "x,3"],
+         "line 3: field larger than field limit (131072)"),
+    ], ids=["empty", "non-numeric", "one-cell", "nan", "header", "field-limit"])
     def test_project_input_errors_name_the_line(self, tmp_path, capsys,
                                                 lines, message):
         src = tmp_path / "cut.csv"
@@ -400,6 +442,39 @@ class TestCli:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == "IngestError"
         assert "line 3" in err["error"]["message"]
+
+    @pytest.mark.parametrize("lines, argv, error", [
+        (["0,1,0,2,0", "1,1,0,2,0", "2,1,0,2,0"], ("--modes", "2", "2"),
+         ("ValueError", "modes '2' and '2' are the same series; name two "
+                        "different modes")),
+        # malformed (line 4 repeats a scan value): the per-row reader meets
+        # the long cell first
+        (["0,1,0,2,0", "1,1,0,2," + "0" * 140_001, "1,1,0,2,0"], (),
+         ("IngestError", "line 3: field larger than field limit (131072)")),
+    ], ids=["same-mode", "field-limit"])
+    def test_ingest_fails_at_the_boundary(self, tmp_path, capsys, lines, argv,
+                                          error):
+        src = tmp_path / "in.csv"
+        write_lines(src, ["scan,re_1,im_1,re_2,im_2", *lines])
+        assert run_cli("ingest-classify", "--input", str(src), *argv,
+                       "--out", str(tmp_path / "out")) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["message"]) == error
+
+    def test_scan_results_need_no_matching(self, tmp_path, monkeypatch):
+        assert run_cli("toy-sweep", "--preset", "class2", "--points", "401",
+                       "--out", str(tmp_path)) == 0
+
+        def no_matching(*args, **kwargs):
+            raise AssertionError("matched branches")
+
+        monkeypatch.setattr(crossing, "match_branches", no_matching)
+        assert run_cli("beta-scan", "--preset", "transition",
+                       "--beta-window", "0.7", "0.85", "--out", str(tmp_path)) == 0
+        assert run_cli("ingest-classify", "--input",
+                       str(tmp_path / "toy_sweep.csv"), "--out", str(tmp_path)) == 0
+        report = json.loads((tmp_path / "ingest_classify.json").read_text())
+        assert report["report"]["label"] == "WB"
 
     def test_ingest_two_rows_fails_at_the_boundary(self, tmp_path, capsys):
         # was "a scan needs at least 3 points" from inside the classifier
@@ -490,7 +565,7 @@ class TestCli:
         def no_sweep(*args, **kwargs):  # a bisection that ran would hang
             raise AssertionError("swept before checking the tolerance")
 
-        monkeypatch.setattr(crossing, "sweep_toy", no_sweep)
+        monkeypatch.setattr(crossing, "eigvalues_grid", no_sweep)
         assert run_cli(*argv, "--out", str(tmp_path)) == 1
         err = json.loads(capsys.readouterr().out)["error"]
         assert err == {"command": argv[0], "type": "ValueError",
@@ -641,7 +716,7 @@ class TestCli:
         def no_sweep(*args, **kwargs):
             raise AssertionError("swept before checking the config")
 
-        monkeypatch.setattr(crossing, "sweep_toy", no_sweep)
+        monkeypatch.setattr(crossing, "eigvalues_grid", no_sweep)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         assert run_cli(*command, "--config", str(path),

@@ -4,18 +4,21 @@ Matching, peak detection and crossing analysis must agree exactly; the
 eigenpairs agree to rounding. With equal widths and beta = 1 the entries
 have no mixed real/imaginary products, so the array and scalar arithmetic
 coincide and the comparison holds up to the EPs themselves; elsewhere the
-per-point splitting rounds differently, which an EP would amplify.
+per-point splitting rounds differently, which an EP would amplify. The
+order-free crossing label must equal the label read from matched branches,
+and no pair order may change it.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import loop_reference as ref
-from epkit.core import (Hamiltonian2, diagonalize, eigvalues_grid,
+from epkit.core import (Hamiltonian2, abs_diff, diagonalize, eigvalues_grid,
                         eigvectors_grid)
-from epkit.crossing import (ScanTrajectory, _component_analysis, match_branches,
+from epkit.crossing import (ScanTrajectory, UnclassifiableScanError,
+                            _component_analysis, classify, match_branches,
                             overlap_curve, overlap_peaks, sweep_toy)
 from epkit.epfind import toy_ep_roots
 from epkit.toymodel import (FULL_COMPLEX, PRESETS, REAL_PART, ToyParams,
@@ -49,6 +52,12 @@ def scrambled_pairs(draw):
     return pairs
 
 
+def assert_ties_keep_sampled_order(traj, pairs, ties):
+    """At a step whose two pairings cost the same, the pair is as sampled."""
+    np.testing.assert_array_equal(traj.branch_a[ties], pairs[ties, 0])
+    np.testing.assert_array_equal(traj.branch_b[ties], pairs[ties, 1])
+
+
 def phase_distance(fast, reference):
     """Largest |fast - reference * phase| over rows, with the best unit phase."""
     inner = np.sum(np.conj(reference) * fast, axis=-1)
@@ -76,12 +85,12 @@ class TestMatchBranches:
                    + 1j * rng.standard_normal((len(pairs), 2, 2)))
         ts = np.arange(len(pairs), dtype=float)
         fast = match_branches(ts, pairs, vectors)
-        a, b, va, vb, ambiguous = ref.match_branches(pairs, vectors)
+        a, b, va, vb, ties = ref.match_branches(pairs, vectors)
         np.testing.assert_array_equal(fast.branch_a, a)
         np.testing.assert_array_equal(fast.branch_b, b)
         np.testing.assert_array_equal(fast.vectors_a, va)
         np.testing.assert_array_equal(fast.vectors_b, vb)
-        assert fast.ambiguous == ambiguous
+        assert_ties_keep_sampled_order(fast, pairs, ties)
 
     def test_overflowed_jumps_keep_the_order_like_the_loop(self):
         # row 1 swaps; from row 1 to row 2 both jump sums overflow to inf,
@@ -90,10 +99,10 @@ class TestMatchBranches:
                          dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             fast = match_branches(np.arange(4.0), pairs)
-            a, b, _, _, ambiguous = ref.match_branches(pairs)
+            a, b, _, _, ties = ref.match_branches(pairs)
         np.testing.assert_array_equal(fast.branch_a, a)
         np.testing.assert_array_equal(fast.branch_b, b)
-        assert fast.ambiguous == ambiguous
+        assert_ties_keep_sampled_order(fast, pairs, ties)
 
 
 def entries_near_eps(rng, n):
@@ -161,10 +170,10 @@ class TestEigenpairs:
         alphas = np.unique(alphas)
         fast = sweep_toy(p, alphas)
         pairs, vectors = ref.sweep_pairs(p, alphas)
-        a, b, va, vb, ambiguous = ref.match_branches(pairs, vectors)
+        a, b, va, vb, ties = ref.match_branches(pairs, vectors)
         np.testing.assert_array_equal(fast.branch_a, a)
         np.testing.assert_array_equal(fast.branch_b, b)
-        assert fast.ambiguous == ambiguous
+        assert_ties_keep_sampled_order(fast, pairs, ties)
         assert phase_distance(fast.vectors_a, va) < 1e-12
         assert phase_distance(fast.vectors_b, vb) < 1e-12
 
@@ -226,6 +235,76 @@ class TestOverlapsAndClasses:
                     == ref.component_analysis(traj.ts, part, 1e-9))
         o = ref.overlap_curve(traj.vectors_a, traj.vectors_b)
         assert overlap_peaks(traj) == ref.overlap_peaks(traj.ts, o)
+
+
+def outcome(label_scan, *args):
+    """A scan's ClassReport, or the type, message and diagnostics of the
+    UnclassifiableScanError it raises."""
+    try:
+        return label_scan(*args)
+    except UnclassifiableScanError as err:
+        return type(err), str(err), err.diagnostics
+
+
+# one entry per distinct preset once beta is overridden
+DISTINCT_PRESETS = sorted({tuple(sorted((k, v) for k, v in p["params"].items()
+                                        if k != "beta")): name
+                           for name, p in sorted(PRESETS.items())}.values())
+
+
+def pair_sequence(seed):
+    """(N, 2) finite pairs whose difference jumps at random, with parts that
+    are separated, at rounding level or exactly zero, or follows a smooth
+    crossing; and random per-row swaps to apply."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 41))
+    if rng.random() < 0.5:
+        kind = rng.integers(0, 3, (2, n))
+        re, im = np.where(kind == 0, 0.0, np.where(
+            kind == 1, rng.choice([-1e-10, 1e-10], (2, n)),
+            rng.uniform(-10, 10, (2, n))))
+        d = re + 1j * im
+    else:
+        t = np.linspace(-1, 1, n)
+        c = rng.uniform(-2, 2, 6)
+        d = (c[0] + 1j * c[1]) * t + (c[2] + 1j * c[3]) * np.sqrt(
+            t + 0.01j * rng.integers(0, 2)) + c[4]
+    mean = rng.uniform(-10, 10, n) + 1j * rng.uniform(-10, 10, n)
+    return np.stack([mean + d, mean - d], axis=1), rng.random(n) < 0.5
+
+
+class TestOrderFreeClassify:
+    @pytest.mark.parametrize("name", DISTINCT_PRESETS)
+    @pytest.mark.parametrize("mode", [FULL_COMPLEX, REAL_PART])
+    def test_equals_the_matched_label(self, name, mode):
+        # every beta in [0, 1] at 41 values, four resolutions, the pair
+        # as sampled and scrambled per point
+        rng = np.random.default_rng(16)
+        for beta in np.linspace(0.0, 1.0, 41):
+            p = ToyParams(**{**PRESETS[name]["params"], "beta": beta,
+                             "lambda_mode": mode})
+            for n in (51, 201, 801, 4001):
+                alphas = np.linspace(0.2, 1.0, n)
+                pairs = np.stack(eigvalues_grid(*scan_entries(alphas, p)), axis=1)
+                expected = outcome(ref.matched_classify, alphas, pairs)
+                swap = rng.random(n) < 0.5
+                for order in (pairs, np.where(swap[:, None], pairs[:, ::-1], pairs)):
+                    got = outcome(classify, ScanTrajectory(alphas, *order.T))
+                    assert got == expected, (name, mode, beta, n)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=500, deadline=None)
+    def test_no_pair_order_changes_the_label(self, seed):
+        pairs, swap = pair_sequence(seed)
+        ts = np.arange(len(pairs), dtype=float)
+        d = pairs[:, 0] - pairs[:, 1]
+        separated = (np.abs(d[:-1]) > 1e-9) & (np.abs(d[1:]) > 1e-9)
+        # D turns by exactly pi: the samples cannot tell the signs apart
+        tied = abs_diff(d[1:], -d[:-1]) == abs_diff(d[1:], d[:-1])
+        assume(not np.any(separated & tied))
+        swapped = np.where(swap[:, None], pairs[:, ::-1], pairs)
+        assert (outcome(classify, ScanTrajectory(ts, *swapped.T))
+                == outcome(classify, ScanTrajectory(ts, *pairs.T)))
 
 
 class TestToyEntries:
