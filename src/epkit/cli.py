@@ -27,13 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from . import io as io_mod
-from .core import is_real_number
+from .core import eigvectors_grid, is_real_number
 from .crossing import beta_transition, classify, overlap_peaks, sweep_toy
 from .epfind import equal_width_eps, grid_ep_search, toy_ep_roots
 from .sphere import lift_cut
 from .surface import (AnalyticOracle, CircleLoop, PolylineLoop, build_surface,
                       encircle)
-from .toymodel import PRESETS, ToyParams, eigenpair_sampler
+from .toymodel import PRESETS, ToyParams, eigenpair_sampler, scan_entries
 
 CAVITY_EP1 = (2.6257, 0.6001)
 CAVITY_EP2 = (2.9036, 0.5372)
@@ -387,12 +387,14 @@ def _outdir(cfg) -> Path:
 # artifact, to which main adds the config.
 
 def _cmd_toy_sweep(cfg):
-    traj = sweep_toy(ToyParams(**cfg["params"]),
-                     np.linspace(*cfg["alpha_range"], cfg["points"]))
+    p = ToyParams(**cfg["params"])
+    alphas = np.linspace(*cfg["alpha_range"], cfg["points"])
+    traj = sweep_toy(p, alphas)
     report = classify(traj)
     io_mod.write_trajectory_csv(_outdir(cfg) / "toy_sweep.csv", traj)
+    peaks = overlap_peaks(alphas, *eigvectors_grid(*scan_entries(alphas, p)))
     return "toy_sweep_report.json", {"report": asdict(report),
-                                     "overlap_peaks": overlap_peaks(traj)}
+                                     "overlap_peaks": peaks}
 
 
 def _cmd_find_eps(cfg):

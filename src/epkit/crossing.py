@@ -12,7 +12,8 @@ sign taken nearer the previous point's, so no pair order matters:
 
 Greedy continuity matching turns the pairs into two branches for export.
 Sticking renders as a run of gaps at rounding level, so contact is judged
-against ``gap_floor`` rather than exact zeros.
+against ``GAP_FLOOR`` rather than exact zeros. The eigenstate overlap reads
+the eigenvector pair in either order too.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import abs_diff, eigvalues_grid, eigvectors_grid
+from .core import abs_diff, eigvalues_grid
 from .toymodel import ToyParams, scan_entries
 
 LZ = "LZ"
@@ -31,6 +32,9 @@ WB = "WB"
 
 AMBIGUITY_TOL = 1e-14
 MIN_SCAN_POINTS = 3  # the fewest points a ScanTrajectory holds
+GAP_FLOOR = 1e-9  # a component gap at or below this is contact
+EDGE_FACTOR = 5.0  # WB edges: imaginary gap above this times its baseline
+OVERLAP_FLOOR = 1e-6  # overlap maxima at or below this are no peaks
 
 
 class UnclassifiableScanError(RuntimeError):
@@ -48,8 +52,6 @@ class ScanTrajectory:
     ts: np.ndarray
     branch_a: np.ndarray
     branch_b: np.ndarray
-    vectors_a: Optional[np.ndarray] = None  # (N, 2) unit eigenvectors, if tracked
-    vectors_b: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.ts = np.asarray(self.ts, dtype=float)
@@ -99,14 +101,13 @@ def parity_runs(flip, restart):
     return start, (flips - np.take_along_axis(flips, start, axis=-1)) % 2 == 1
 
 
-def match_branches(ts, pairs, vectors=None) -> ScanTrajectory:
+def match_branches(ts, pairs) -> ScanTrajectory:
     """Greedy continuity matching of per-point unordered eigenvalue pairs.
 
     At each step the pairing minimizing the summed jump is chosen; when
     both pairings agree within ``AMBIGUITY_TOL`` the point keeps its
-    sampled order and a new run starts there. ``vectors`` (N, 2, 2), ordered
-    like ``pairs``, are permuted alongside when given. Raises
-    ``ValueError`` on a pair that is not finite.
+    sampled order and a new run starts there. Raises ``ValueError`` on a
+    pair that is not finite.
     """
     ts = np.asarray(ts, dtype=float)
     pairs = np.asarray(pairs, dtype=complex)
@@ -116,10 +117,6 @@ def match_branches(ts, pairs, vectors=None) -> ScanTrajectory:
     if not finite.all():
         k = int(np.argmin(finite))
         raise ValueError(f"pairs row {k} is not finite: {pairs[k].tolist()}")
-    if vectors is not None:
-        vectors = np.asarray(vectors, dtype=complex)
-        if vectors.shape != (pairs.shape[0], 2, 2):
-            raise ValueError("vectors must have shape (N, 2, 2)")
 
     flip, restart = pairing(pairs[:-1, 0], pairs[:-1, 1], pairs[1:, 0],
                             pairs[1:, 1], AMBIGUITY_TOL)
@@ -127,20 +124,14 @@ def match_branches(ts, pairs, vectors=None) -> ScanTrajectory:
                              np.concatenate(([True], restart)))
     a = np.where(swapped, pairs[:, 1], pairs[:, 0])
     b = np.where(swapped, pairs[:, 0], pairs[:, 1])
-    va = vb = None
-    if vectors is not None:
-        va = np.where(swapped[:, None], vectors[:, 1], vectors[:, 0])
-        vb = np.where(swapped[:, None], vectors[:, 0], vectors[:, 1])
-    return ScanTrajectory(ts, a, b, va, vb)
+    return ScanTrajectory(ts, a, b)
 
 
 def sweep_toy(p: ToyParams, alphas) -> ScanTrajectory:
-    """Scan the toy model over alpha: matched branches and eigenvectors."""
+    """Scan the toy model over alpha: matched branches."""
     alphas = np.asarray(alphas, dtype=float)
-    entries = scan_entries(alphas, p)
-    pairs = np.stack(eigvalues_grid(*entries), axis=1)
-    vectors = np.stack(eigvectors_grid(*entries), axis=1)
-    return match_branches(alphas, pairs, vectors)
+    pairs = np.stack(eigvalues_grid(*scan_entries(alphas, p)), axis=1)
+    return match_branches(alphas, pairs)
 
 
 def _component_analysis(ts: np.ndarray, d: np.ndarray, gap_floor: float) -> dict:
@@ -172,8 +163,7 @@ def _component_analysis(ts: np.ndarray, d: np.ndarray, gap_floor: float) -> dict
     }
 
 
-def classify(traj: ScanTrajectory, gap_floor: float = 1e-9,
-             edge_factor: float = 5.0) -> ClassReport:
+def classify(traj: ScanTrajectory) -> ClassReport:
     """Label a scan as Landau-Zener (LZ) or width bifurcation (WB).
 
     ``d = branch_a - branch_b`` takes at each point the sign nearer the
@@ -184,8 +174,8 @@ def classify(traj: ScanTrajectory, gap_floor: float = 1e-9,
     both avoid (which happens exactly at the transition point).
 
     ``bifurcation_edges`` brackets the region where the imaginary gap
-    exceeds ``edge_factor`` times its baseline (the scan median, floored
-    at ``gap_floor``); reported for WB scans only, and only when the
+    exceeds ``EDGE_FACTOR`` times its baseline (the scan median, floored
+    at ``GAP_FLOOR``); reported for WB scans only, and only when the
     region is resolved.
     """
     d = traj.branch_a - traj.branch_b
@@ -193,8 +183,8 @@ def classify(traj: ScanTrajectory, gap_floor: float = 1e-9,
     _, odd = parity_runs(np.concatenate(([False], flip)),
                          np.arange(d.size) == 0)
     d = np.where(odd, -d, d)
-    re = _component_analysis(traj.ts, d.real, gap_floor)
-    im = _component_analysis(traj.ts, d.imag, gap_floor)
+    re = _component_analysis(traj.ts, d.real, GAP_FLOOR)
+    im = _component_analysis(traj.ts, d.imag, GAP_FLOOR)
 
     if re["avoided"] and im["crossed"]:
         label = LZ
@@ -209,8 +199,8 @@ def classify(traj: ScanTrajectory, gap_floor: float = 1e-9,
     edges = None
     if label == WB:
         imd = np.abs(d.imag)
-        baseline = max(float(np.median(imd)), gap_floor)
-        above = imd > edge_factor * baseline
+        baseline = max(float(np.median(imd)), GAP_FLOOR)
+        above = imd > EDGE_FACTOR * baseline
         if above.any():
             first = int(np.argmax(above))
             last = int(above.size - 1 - np.argmax(above[::-1]))
@@ -228,15 +218,16 @@ def classify(traj: ScanTrajectory, gap_floor: float = 1e-9,
 
 def beta_transition(p: ToyParams, beta_window: tuple[float, float], *,
                     alpha_range: tuple[float, float] = (0.2, 1.0),
-                    n_alpha: int = 801, tol: float = 1e-3,
-                    gap_floor: float = 1e-9) -> float:
+                    n_alpha: int = 801, tol: float = 1e-3) -> float:
     """Bisect the LZ-to-WB transition coefficient beta_c in a window.
 
     ``p.beta`` is ignored; the scan setup (alpha range and resolution) is
     held fixed while beta is bisected on the classification label, until
     the bracket is at most ``tol`` wide or cannot be split further. Raises
     ``ValueError`` when both window ends carry the same label, and before
-    any sweep when ``tol`` is not positive and finite.
+    any sweep when ``tol`` is not positive and finite. A window end that
+    fits neither label raises :class:`UnclassifiableScanError`, with a note
+    that names its beta.
     """
     lo, hi = float(beta_window[0]), float(beta_window[1])
     if not (0.0 <= lo < hi <= 1.0):
@@ -247,9 +238,16 @@ def beta_transition(p: ToyParams, beta_window: tuple[float, float], *,
 
     def label_at(beta: float) -> str:
         pair = eigvalues_grid(*scan_entries(alphas, p, beta=beta))
-        return classify(ScanTrajectory(alphas, *pair), gap_floor=gap_floor).label
+        return classify(ScanTrajectory(alphas, *pair)).label
 
-    lab_lo, lab_hi = label_at(lo), label_at(hi)
+    def end_label(beta: float) -> str:
+        try:
+            return label_at(beta)
+        except UnclassifiableScanError as exc:
+            exc.add_note(f"at the beta window end beta={beta!r}")
+            raise
+
+    lab_lo, lab_hi = end_label(lo), end_label(hi)
     if lab_lo == lab_hi:
         raise ValueError(
             f"no transition in window: label {lab_lo} at both ends ({lo}, {hi})"
@@ -273,23 +271,28 @@ def beta_transition(p: ToyParams, beta_window: tuple[float, float], *,
     return 0.5 * (lo + hi)
 
 
-def overlap_curve(traj: ScanTrajectory) -> np.ndarray:
-    """Eigenstate overlap |<v_a, v_b>| / (|v_a| |v_b|) along the scan."""
-    if traj.vectors_a is None or traj.vectors_b is None:
-        raise ValueError("trajectory carries no eigenvectors")
-    va, vb = traj.vectors_a, traj.vectors_b
+def overlap_curve(va, vb) -> np.ndarray:
+    """Eigenstate overlap |<v_a, v_b>| / (|v_a| |v_b|) of (N, 2) vector rows.
+
+    Swapping the pair at any point changes no bit of the result.
+    """
+    va, vb = np.asarray(va, dtype=complex), np.asarray(vb, dtype=complex)
+    # <v_a, v_b> from real products, whose imaginary part only changes sign
+    re = np.sum(va.real * vb.real + va.imag * vb.imag, axis=1)
+    im = np.sum(va.real * vb.imag - va.imag * vb.real, axis=1)
     na = np.sqrt(np.sum(np.abs(va) ** 2, axis=1))
     nb = np.sqrt(np.sum(np.abs(vb) ** 2, axis=1))
-    return np.abs(np.sum(np.conj(va) * vb, axis=1)) / (na * nb)
+    return np.hypot(re, im) / (na * nb)
 
 
-def overlap_peaks(traj: ScanTrajectory, floor: float = 1e-6) -> list[float]:
+def overlap_peaks(ts, va, vb) -> list[float]:
     """Scan positions of local maxima of the eigenstate overlap.
 
-    Maxima at or below ``floor`` are ignored, so fully decoupled scans
-    report no peaks.
+    ``va`` and ``vb`` are (N, 2) vector rows, the pair in either order at
+    each point. Maxima at or below ``OVERLAP_FLOOR`` are ignored, so fully
+    decoupled scans report no peaks.
     """
-    o = overlap_curve(traj)
+    o = overlap_curve(va, vb)
     mid = o[1:-1]
-    peak = (mid > o[:-2]) & (mid > o[2:]) & (mid > floor)
-    return traj.ts[1:-1][peak].tolist()
+    peak = (mid > o[:-2]) & (mid > o[2:]) & (mid > OVERLAP_FLOOR)
+    return np.asarray(ts, dtype=float)[1:-1][peak].tolist()

@@ -24,8 +24,12 @@ from .toymodel import ToyParams, scan_entries
 
 # refined candidates closer than DEDUP_FACTOR * tolerance collapse to one EP
 DEDUP_FACTOR = 10.0
+SCAN_POINTS = 2001  # of the |eta^2| scan that seeds toy_ep_roots
+# grid_ep_search accepts a refined gap below both of these bounds
+REFINE_REL = 1e-6  # times the window diagonal
+REJECT_REL = 1e-3  # times the median coarse gap
 # Newton steps per seed. Each step squares the error once it is small, so
-# from a minimum of the 2001-point scan a few steps reach float resolution;
+# from a minimum of the SCAN_POINTS-point scan a few steps reach float resolution;
 # a coarse-grid minimum can be a whole cell away and needs up to about 12.
 SCAN_NEWTON_STEPS = 8
 GRID_NEWTON_STEPS = 16
@@ -66,17 +70,17 @@ def _eta_squared(alphas: np.ndarray, p: ToyParams) -> np.ndarray:
 
 
 def toy_ep_roots(p: ToyParams, alpha_bracket: tuple[float, float], *,
-                 n_scan: int = 2001, residual_tol: float = 1e-10) -> list[EPLocation]:
+                 residual_tol: float = 1e-10) -> list[EPLocation]:
     """All alpha in the bracket where the splitting vanishes, at fixed beta.
 
-    Scans |eta^2| on a dense grid and refines all its local minima, either
-    end of the bracket included, together by Newton steps on the complex
-    eta^2: the real step Re(w / w'), w' from central differences (centred
-    at least one difference step above alpha = 0), each iterate clipped to
-    the minimum's neighbouring grid points. Keeps the
-    best iterate of each minimum if its |eta^2| is below ``residual_tol``,
-    which must be positive and finite. An empty list means no EP in the
-    bracket.
+    Scans |eta^2| at ``SCAN_POINTS`` (2001) evenly spaced alpha and refines
+    all its local minima, either end of the bracket included, together by
+    Newton steps on the complex eta^2: the real step Re(w / w'), w' from
+    central differences (centred at least one difference step above
+    alpha = 0), each iterate clipped to the minimum's neighbouring scan
+    points. Keeps the best iterate of each minimum if its |eta^2| is below
+    ``residual_tol``, which must be positive and finite. An empty list
+    means no EP in the bracket.
     """
     lo, hi = float(alpha_bracket[0]), float(alpha_bracket[1])
     if not (0.0 <= lo < hi):
@@ -84,10 +88,10 @@ def toy_ep_roots(p: ToyParams, alpha_bracket: tuple[float, float], *,
     if not 0 < residual_tol < math.inf:
         raise ValueError(
             f"residual_tol must be positive and finite, got {residual_tol!r}")
-    grid = np.linspace(lo, hi, n_scan)
+    grid = np.linspace(lo, hi, SCAN_POINTS)
     f = np.pad(np.abs(_eta_squared(grid, p)), 1, constant_values=np.inf)
     k = np.flatnonzero((f[1:-1] <= f[:-2]) & (f[1:-1] < f[2:]))
-    left, right = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, n_scan - 1)]
+    left, right = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, SCAN_POINTS - 1)]
 
     cur = best = grid[k]
     best_val = np.full(k.size, np.inf)
@@ -191,9 +195,7 @@ def _local_minima(gaps: np.ndarray) -> list[tuple[int, int]]:
 
 def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
                    window: tuple[tuple[float, float], tuple[float, float]],
-                   coarse_n: int = 48, *,
-                   refine_tol: float | None = None,
-                   reject_rel: float = 1e-3) -> GridSearchResult:
+                   coarse_n: int = 48) -> GridSearchResult:
     """Locate EPs of a generic eigenvalue-pair sampler in a rectangle.
 
     Coarse-scans the gap on a ``coarse_n`` x ``coarse_n`` grid and refines
@@ -202,8 +204,8 @@ def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
     on five points of every seed, each iterate clipped to the window. A seed
     is dropped at its first sampler failure. The gap is evaluated again at
     each seed's best iterate, which is accepted only below both the
-    refinement tolerance (default ``1e-6`` x window diagonal) and
-    ``reject_rel`` x the median coarse gap (which rejects shallow avoided
+    tolerance ``REFINE_REL`` (1e-6) x window diagonal and ``REJECT_REL``
+    (1e-3) x the median coarse gap (which rejects shallow avoided
     crossings). Sampler failures are counted in the result. Accepted points
     are deduplicated and sorted by (p1, p2). A window with lo >= hi on
     either axis, or an axis that is not finite, raises.
@@ -215,8 +217,7 @@ def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
         raise ValueError(
             f"window must have lo < hi on both axes, got {window!r}")
     check_window(window)
-    diag = math.hypot(p1hi - p1lo, p2hi - p2lo)
-    tol = refine_tol if refine_tol is not None else 1e-6 * diag
+    tol = REFINE_REL * math.hypot(p1hi - p1lo, p2hi - p2lo)
 
     p1s = np.linspace(p1lo, p1hi, coarse_n)
     p2s = np.linspace(p2lo, p2hi, coarse_n)
@@ -267,7 +268,7 @@ def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
     accepted = [EPLocation(q1, q2, r) for q1, q2, r in
                 zip(best[:, 0].tolist(), best[:, 1].tolist(),
                     abs_diff(a, b).tolist())
-                if r < tol and r < reject_rel * median_gap]
+                if r < tol and r < REJECT_REL * median_gap]
 
     # deduplicate: the two sheets share each minimum, and neighboring seeds
     # converge to the same point

@@ -13,7 +13,7 @@ difference or only its real part, selected by ``lambda_mode``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,9 +50,6 @@ class ToyParams:
             raise ValueError(
                 f"lambda_mode must be one of {_MODES}, got {self.lambda_mode!r}"
             )
-
-    def with_beta(self, beta: float) -> "ToyParams":
-        return replace(self, beta=beta)
 
 
 def xi(alpha: float, p: ToyParams) -> tuple[complex, complex]:

@@ -11,8 +11,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from epkit.cli import main as cli_main
-from epkit.core import eigvalues_grid
-from epkit.crossing import overlap_peaks, sweep_toy
+from epkit.core import eigvalues_grid, eigvectors_grid
+from epkit.crossing import overlap_peaks
 from epkit.epfind import grid_ep_search, toy_ep_roots
 from epkit.sphere import PlanePoint, lift_cut, to_plane, to_sphere
 from epkit.surface import (AnalyticOracle, CircleLoop, PolylineLoop,
@@ -197,8 +197,9 @@ def test_criterion_6_width_bifurcation_structure():
         lp, lm = eigvalues_grid(*scan_entries(outside, DOUBLE_EP))
         assert np.max(np.abs(lp.imag - lm.imag)) < 1e-10
 
-        traj = sweep_toy(DOUBLE_EP, np.linspace(0.3, 0.8, 2001))
-        peaks = overlap_peaks(traj)
+        alphas = np.linspace(0.3, 0.8, 2001)
+        vp, vm = eigvectors_grid(*scan_entries(alphas, DOUBLE_EP))
+        peaks = overlap_peaks(alphas, vp, vm)
         assert len(peaks) == 2
         assert abs(peaks[0] - ep1) <= 0.01
         assert abs(peaks[1] - ep2) <= 0.01

@@ -5,7 +5,7 @@ from epkit import crossing
 from epkit.crossing import (LZ, WB, ScanTrajectory, UnclassifiableScanError,
                             beta_transition, classify, match_branches,
                             overlap_curve, overlap_peaks, sweep_toy)
-from epkit.core import DiscreteField, eigvalues_grid, shannon_entropy
+from epkit.core import DiscreteField, eigvectors_grid, shannon_entropy
 from epkit.toymodel import ToyParams, preset, scan_entries
 
 DOUBLE_EP = ToyParams(g_c=0.05, beta=1.0, gamma1=1.05, gamma2=1.05)
@@ -169,6 +169,31 @@ class TestBetaTransition:
         with pytest.raises(ValueError):
             beta_transition(p, (0.9, 0.7))
 
+    @staticmethod
+    def fail_call(monkeypatch, n):
+        """Make the n-th classify call raise, as a scan on the transition."""
+        real, calls = crossing.classify, []
+
+        def classify_or_fail(traj):
+            calls.append(None)
+            if len(calls) == n:
+                raise UnclassifiableScanError("scan fits neither pattern")
+            return real(traj)
+
+        monkeypatch.setattr(crossing, "classify", classify_or_fail)
+
+    def test_unclassifiable_window_end_names_its_beta(self, monkeypatch):
+        self.fail_call(monkeypatch, 2)  # the upper end
+        p = ToyParams(g_c=0.043, beta=0.0, gamma1=1.05, gamma2=1.07)
+        with pytest.raises(UnclassifiableScanError) as info:
+            beta_transition(p, (0.7, 0.85))
+        assert info.value.__notes__ == ["at the beta window end beta=0.85"]
+
+    def test_unclassifiable_midpoint_is_the_transition(self, monkeypatch):
+        self.fail_call(monkeypatch, 3)  # the first midpoint
+        p = ToyParams(g_c=0.043, beta=0.0, gamma1=1.05, gamma2=1.07)
+        assert beta_transition(p, (0.7, 0.85)) == 0.5 * (0.7 + 0.85)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_a_bad_tolerance_before_sweeping(self, tol, monkeypatch):
         def no_sweep(*args, **kwargs):
@@ -196,56 +221,51 @@ class TestBetaTransition:
         assert abs(beta_c - beta_transition(p, (0.7, 0.85), tol=1e-12)) < 1e-12
 
 
+def eigvectors(p, alphas):
+    """The unmatched pair (v_plus, v_minus) of (N, 2) rows along a scan."""
+    return eigvectors_grid(*scan_entries(alphas, p))
+
+
 class TestOverlapPeaks:
     def test_wb_scan_has_peaks_at_both_eps(self):
-        traj = sweep_toy(DOUBLE_EP, np.linspace(0.3, 0.8, 2001))
-        peaks = overlap_peaks(traj)
+        alphas = np.linspace(0.3, 0.8, 2001)
+        peaks = overlap_peaks(alphas, *eigvectors(DOUBLE_EP, alphas))
         assert len(peaks) == 2
         assert peaks[0] == pytest.approx(EP1_ALPHA, abs=0.01)
         assert peaks[1] == pytest.approx(EP2_ALPHA, abs=0.01)
 
     def test_lz_scan_has_single_central_peak(self):
         p = ToyParams(g_c=0.043, beta=0.0, gamma1=1.05, gamma2=1.07)
-        traj = sweep_toy(p, np.linspace(0.2, 1.0, 1601))
-        peaks = overlap_peaks(traj)
+        alphas = np.linspace(0.2, 1.0, 1601)
+        peaks = overlap_peaks(alphas, *eigvectors(p, alphas))
         assert len(peaks) == 1
-        report = classify(traj)
+        report = classify(sweep_toy(p, alphas))
         # the peak sits inside the avoided-crossing region, near where the
         # imaginary parts cross
         assert abs(peaks[0] - report.im_cross_points[0]) < 0.1
 
     def test_decoupled_scan_has_no_peaks(self):
         ts = np.linspace(0, 1, 101)
-        pairs = np.stack([ts + 1j, 2.0 - ts + 2j], axis=1)
-        vectors = np.tile(np.array([[[1, 0], [0, 1]]], dtype=complex),
-                          (101, 1, 1))
-        traj = match_branches(ts, pairs, vectors)
-        assert overlap_peaks(traj) == []
-
-    def test_requires_vectors(self):
-        alphas = np.linspace(0.3, 0.8, 64)
-        traj = ScanTrajectory(alphas,
-                              *eigvalues_grid(*scan_entries(alphas, DOUBLE_EP)))
-        with pytest.raises(ValueError, match="no eigenvectors"):
-            overlap_peaks(traj)
+        va = np.tile(np.array([1, 0], dtype=complex), (101, 1))
+        assert overlap_peaks(ts, va, va[:, ::-1]) == []
 
     def test_entropy_maxima_track_overlap_peaks_wb(self):
         # between the EPs the intensities are exactly (1/2, 1/2), so the
         # entropy maximum is a plateau at log 2 whose edges sit at the
         # overlap peaks
-        traj = sweep_toy(DOUBLE_EP, np.linspace(0.3, 0.8, 1001))
-        h = np.array([shannon_entropy(DiscreteField(v))
-                      for v in traj.vectors_a])
-        step = traj.ts[1] - traj.ts[0]
-        plateau = traj.ts[h >= h.max() - 1e-9]
-        for op in overlap_peaks(traj):
+        alphas = np.linspace(0.3, 0.8, 1001)
+        vp, vm = eigvectors(DOUBLE_EP, alphas)
+        h = np.array([shannon_entropy(DiscreteField(v)) for v in vp])
+        step = alphas[1] - alphas[0]
+        plateau = alphas[h >= h.max() - 1e-9]
+        for op in overlap_peaks(alphas, vp, vm):
             assert np.min(np.abs(plateau - op)) <= step + 1e-12
 
     def test_entropy_argmax_tracks_overlap_argmax_lz(self):
         p = ToyParams(g_c=0.043, beta=0.0, gamma1=1.05, gamma2=1.07)
-        traj = sweep_toy(p, np.linspace(0.2, 1.0, 1601))
-        o = overlap_curve(traj)
-        h = np.array([shannon_entropy(DiscreteField(v))
-                      for v in traj.vectors_a])
-        step = traj.ts[1] - traj.ts[0]
-        assert abs(traj.ts[np.argmax(o)] - traj.ts[np.argmax(h)]) <= step + 1e-12
+        alphas = np.linspace(0.2, 1.0, 1601)
+        vp, vm = eigvectors(p, alphas)
+        o = overlap_curve(vp, vm)
+        h = np.array([shannon_entropy(DiscreteField(v)) for v in vp])
+        step = alphas[1] - alphas[0]
+        assert abs(alphas[np.argmax(o)] - alphas[np.argmax(h)]) <= step + 1e-12

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -155,7 +156,8 @@ class TestEqualWidthEps:
         assert all(ep.p2 == 1.0 and ep.residual < 1e-6 for ep in eps)
         # every scan root is an EP, and the scan finds every EP in its
         # bracket, next to an end too
-        roots = [r.p1 for r in toy_ep_roots(p.with_beta(1.0), SCAN_BRACKET)]
+        roots = [r.p1 for r in toy_ep_roots(dataclasses.replace(p, beta=1.0),
+                                              SCAN_BRACKET)]
         lo, hi = SCAN_BRACKET
         inside = [a for a in alphas if lo <= a <= hi]
         assert all(any(abs(a - r) < 1e-12 for a in alphas) for r in roots)

@@ -548,6 +548,18 @@ class TestCli:
         assert err["type"] == "ValueError" and "8x400" in err["message"]
         assert not (tmp_path / "find_eps.json").exists()
 
+    def test_beta_scan_names_an_unclassifiable_window_end(self, tmp_path,
+                                                          capsys):
+        # below beta = 1 the equal-width double-EP scans fit neither label
+        assert run_cli("beta-scan", "--preset", "double-ep", "--beta-window",
+                       "0.7", "0.85", "--out", str(tmp_path)) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"command": "beta-scan",
+                       "type": "UnclassifiableScanError",
+                       "message": "scan fits neither the LZ nor the WB "
+                                  "pattern; at the beta window end beta=0.7"}
+        assert not (tmp_path / "beta_scan.json").exists()
+
     @pytest.mark.parametrize("argv, message", [
         (("beta-scan", "--tolerance", "0"), "tol must be positive and finite, "
                                             "got 0.0"),

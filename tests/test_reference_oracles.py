@@ -77,19 +77,13 @@ toy_params = st.builds(
 
 
 class TestMatchBranches:
-    @given(scrambled_pairs(), st.integers(0, 2**32 - 1))
+    @given(scrambled_pairs())
     @SETTINGS
-    def test_matches_loop(self, pairs, seed):
-        rng = np.random.default_rng(seed)
-        vectors = (rng.standard_normal((len(pairs), 2, 2))
-                   + 1j * rng.standard_normal((len(pairs), 2, 2)))
-        ts = np.arange(len(pairs), dtype=float)
-        fast = match_branches(ts, pairs, vectors)
-        a, b, va, vb, ties = ref.match_branches(pairs, vectors)
+    def test_matches_loop(self, pairs):
+        fast = match_branches(np.arange(len(pairs), dtype=float), pairs)
+        a, b, _, _, ties = ref.match_branches(pairs)
         np.testing.assert_array_equal(fast.branch_a, a)
         np.testing.assert_array_equal(fast.branch_b, b)
-        np.testing.assert_array_equal(fast.vectors_a, va)
-        np.testing.assert_array_equal(fast.vectors_b, vb)
         assert_ties_keep_sampled_order(fast, pairs, ties)
 
     def test_overflowed_jumps_keep_the_order_like_the_loop(self):
@@ -170,12 +164,12 @@ class TestEigenpairs:
         alphas = np.unique(alphas)
         fast = sweep_toy(p, alphas)
         pairs, vectors = ref.sweep_pairs(p, alphas)
-        a, b, va, vb, ties = ref.match_branches(pairs, vectors)
+        a, b, _, _, ties = ref.match_branches(pairs)
         np.testing.assert_array_equal(fast.branch_a, a)
         np.testing.assert_array_equal(fast.branch_b, b)
         assert_ties_keep_sampled_order(fast, pairs, ties)
-        assert phase_distance(fast.vectors_a, va) < 1e-12
-        assert phase_distance(fast.vectors_b, vb) < 1e-12
+        vp, vm = eigvectors_grid(*scan_entries(alphas, p))
+        assert phase_distance(np.stack([vp, vm], axis=1), vectors) < 1e-12
 
     @given(toy_params, st.integers(0, 2**32 - 1))
     @SETTINGS
@@ -193,16 +187,36 @@ class TestEigenpairs:
         assert phase_distance(fast, vectors[ok]) < 1e-10
 
 
+def matched_overlap(p, alphas):
+    """The unmatched pair (v_plus, v_minus) along a toy scan, and the loop
+    overlap of the pair as the loop matching orders it."""
+    entries = scan_entries(alphas, p)
+    vp, vm = eigvectors_grid(*entries)
+    pairs = np.stack(eigvalues_grid(*entries), axis=1)
+    _, _, va, vb, _ = ref.match_branches(pairs, np.stack([vp, vm], axis=1))
+    return vp, vm, ref.overlap_curve(va, vb)
+
+
 class TestOverlapsAndClasses:
     @given(toy_params, st.integers(0, 2**32 - 1))
     @SETTINGS
     def test_overlap_curve_and_peaks_match_loop(self, p, seed):
-        alphas = np.sort(np.random.default_rng(seed).uniform(0.0, 3.0, 200))
-        traj = sweep_toy(p, np.unique(alphas))
-        o = overlap_curve(traj)
-        expected = ref.overlap_curve(traj.vectors_a, traj.vectors_b)
-        np.testing.assert_allclose(o, expected, rtol=0, atol=1e-14)
-        assert overlap_peaks(traj) == ref.overlap_peaks(traj.ts, expected)
+        alphas = np.unique(np.random.default_rng(seed).uniform(0.0, 3.0, 200))
+        vp, vm, expected = matched_overlap(p, alphas)
+        np.testing.assert_allclose(overlap_curve(vp, vm), expected, rtol=0,
+                                   atol=1e-14)
+        assert overlap_peaks(alphas, vp, vm) == ref.overlap_peaks(alphas, expected)
+
+    @given(toy_params, st.integers(0, 2**32 - 1))
+    @SETTINGS
+    def test_overlap_takes_the_pair_in_either_order(self, p, seed):
+        rng = np.random.default_rng(seed)
+        alphas = np.unique(rng.uniform(0.0, 3.0, 200))
+        vp, vm = eigvectors_grid(*scan_entries(alphas, p))
+        swap = (rng.random(alphas.size) < 0.5)[:, None]
+        va, vb = np.where(swap, vm, vp), np.where(swap, vp, vm)
+        np.testing.assert_array_equal(overlap_curve(va, vb), overlap_curve(vp, vm))
+        assert overlap_peaks(alphas, va, vb) == overlap_peaks(alphas, vp, vm)
 
     @given(st.lists(st.tuples(unit_lattice, unit_lattice), min_size=3, max_size=40))
     @SETTINGS
@@ -210,10 +224,10 @@ class TestOverlapsAndClasses:
         # few distinct vectors give equal overlaps at neighbouring points
         v = np.array(picks, dtype=complex)
         ts = np.arange(len(v), dtype=float)
-        traj = ScanTrajectory(ts, ts + 0j, ts + 1j, v[:, 0], v[:, 1])
-        expected = ref.overlap_curve(traj.vectors_a, traj.vectors_b)
-        np.testing.assert_allclose(overlap_curve(traj), expected, rtol=0, atol=1e-14)
-        assert overlap_peaks(traj) == ref.overlap_peaks(ts, expected)
+        expected = ref.overlap_curve(v[:, 0], v[:, 1])
+        np.testing.assert_allclose(overlap_curve(v[:, 0], v[:, 1]), expected,
+                                   rtol=0, atol=1e-14)
+        assert overlap_peaks(ts, v[:, 0], v[:, 1]) == ref.overlap_peaks(ts, expected)
 
     @given(st.lists(st.sampled_from([0.0, 1e-10, -1e-10, 0.3, -0.3, 2.0, -1.5]),
                     min_size=3, max_size=60),
@@ -228,13 +242,14 @@ class TestOverlapsAndClasses:
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_preset_reports_match_loop(self, name):
-        traj = sweep_toy(preset(name), np.linspace(0.2, 1.0, 2001))
+        alphas = np.linspace(0.2, 1.0, 2001)
+        traj = sweep_toy(preset(name), alphas)
         d = traj.branch_a - traj.branch_b
         for part in (d.real, d.imag):
-            assert (_component_analysis(traj.ts, part, 1e-9)
-                    == ref.component_analysis(traj.ts, part, 1e-9))
-        o = ref.overlap_curve(traj.vectors_a, traj.vectors_b)
-        assert overlap_peaks(traj) == ref.overlap_peaks(traj.ts, o)
+            assert (_component_analysis(alphas, part, 1e-9)
+                    == ref.component_analysis(alphas, part, 1e-9))
+        vp, vm, o = matched_overlap(preset(name), alphas)
+        assert overlap_peaks(alphas, vp, vm) == ref.overlap_peaks(alphas, o)
 
 
 def outcome(label_scan, *args):
