@@ -29,10 +29,11 @@ import numpy as np
 from . import io as io_mod
 from .core import eigvectors_grid, is_real_number
 from .crossing import beta_transition, classify, overlap_peaks, sweep_toy
-from .epfind import equal_width_eps, grid_ep_search, toy_ep_roots
+from .epfind import (MIN_SEARCH_GRID, equal_width_eps, grid_ep_search,
+                     toy_ep_roots)
 from .sphere import lift_cut
-from .surface import (AnalyticOracle, CircleLoop, PolylineLoop, build_surface,
-                      encircle)
+from .surface import (MIN_LOOP_STEPS, AnalyticOracle, CircleLoop, PolylineLoop,
+                      build_surface, encircle)
 from .toymodel import PRESETS, ToyParams, eigenpair_sampler, scan_entries
 
 CAVITY_EP1 = (2.6257, 0.6001)
@@ -204,12 +205,24 @@ def _choice(*names):
     return _checker(names.__contains__, "one of " + ", ".join(names))
 
 
+def _then(check, ok, what):
+    """``check``, then ``_checker(ok, what)`` on the value it passed."""
+    def both(key, value):
+        check(key, value)
+        _checker(ok, what)(key, value)
+    return both
+
+
 _int = _checker(lambda v: isinstance(v, int) and not isinstance(v, bool),
                 "an integer")
 _count = _checker(lambda v: isinstance(v, int) and not isinstance(v, bool)
                   and v >= 3, "an integer >= 3")
 _real = _checker(is_real_number, "a real number")
 _pair = _checker(_numbers(2), "a pair of numbers")
+_range = _then(_pair, lambda v: -math.inf < v[0] < v[1] < math.inf,
+               "finite with lo < hi")
+_steps = _then(_int, lambda v: v >= MIN_LOOP_STEPS,
+               f"at least {MIN_LOOP_STEPS}")
 _point = _checker(lambda v: isinstance(v, list) and _numbers(2)(_coordinates(v)),
                   "a pair of numbers [n, chi]")
 _window = _checker(_numbers(4), "four numbers [p1lo, p1hi, p2lo, p2hi]")
@@ -236,6 +249,10 @@ def _grid(key, value) -> tuple[int, int]:
         return int(n1), int(n2)
     except (AttributeError, ValueError):
         raise ValueError(f"{key} must look like 256x64, got {value!r}") from None
+
+
+_search_grid = _then(_grid, lambda v: min(_grid("grid", v)) >= MIN_SEARCH_GRID,
+                     f"at least {MIN_SEARCH_GRID}x{MIN_SEARCH_GRID}")
 
 
 _LOOP_KEYS = {"circle": ("center", "radius"), "rect": ("window",),
@@ -279,9 +296,9 @@ _CHECKS = {
     "params": _params,
     "preset": _choice(*sorted(PRESETS)),
     "input": _text,
-    "alpha_range": _pair,
+    "alpha_range": _range,
     "points": {"toy-sweep": _count, "beta-scan": _count, "project": _points},
-    "alpha_bracket": _pair,
+    "alpha_bracket": _range,
     "beta_window": _pair,
     "tolerance": _real,
     "kind": _choice("two-point", "single-point"),
@@ -291,10 +308,10 @@ _CHECKS = {
     "z0": _pair,
     "order": _int,
     "window": _window,
-    "grid": _grid,
+    "grid": {"find-eps": _search_grid, "surface": _grid, "oracle": _grid},
     "delta_mode": _choice("raw", "delta"),
     "loop": _loop,
-    "steps": _int,
+    "steps": _steps,
     "modes": _mode_pair,
     "metadata": _object,
 }

@@ -10,7 +10,9 @@ sign taken nearer the previous point's, so no pair order matters:
         finite interval) while imaginary parts stay separated or bifurcate
         around the contact region (imaginary-dominated coupling).
 
-Greedy continuity matching turns the pairs into two branches for export.
+Greedy continuity matching turns the pairs into two branches for export:
+a scan is one row of the grid matcher :func:`match_grid`, and only an exact
+tie of the two pairings keeps the sampled order.
 Sticking renders as a run of gaps at rounding level, so contact is judged
 against ``GAP_FLOOR`` rather than exact zeros. The eigenstate overlap reads
 the eigenvector pair in either order too.
@@ -30,7 +32,6 @@ from .toymodel import ToyParams, scan_entries
 LZ = "LZ"
 WB = "WB"
 
-AMBIGUITY_TOL = 1e-14
 MIN_SCAN_POINTS = 3  # the fewest points a ScanTrajectory holds
 GAP_FLOOR = 1e-9  # a component gap at or below this is contact
 EDGE_FACTOR = 5.0  # WB edges: imaginary gap above this times its baseline
@@ -76,13 +77,13 @@ class ClassReport:
     bifurcation_edges: Optional[tuple[float, float]] = None
 
 
-def pairing(ref_a, ref_b, a, b, tol: float):
+def pairing(ref_a, ref_b, a, b):
     """Greedy keep/swap rule of pairs (a, b) against reference pairs: where
-    swapping costs less, and where the rule keeps the order instead (costs
-    that tie within ``tol``, and costs that are NaN)."""
+    swapping costs less, and where the rule keeps the order because neither
+    pairing costs less (the costs are equal, or one is NaN)."""
     straight = abs_diff(a, ref_a) + abs_diff(b, ref_b)
     cross = abs_diff(b, ref_a) + abs_diff(a, ref_b)
-    return cross < straight, ~(np.abs(straight - cross) > tol)
+    return cross < straight, ~((cross < straight) | (straight < cross))
 
 
 def parity_runs(flip, restart):
@@ -101,13 +102,45 @@ def parity_runs(flip, restart):
     return start, (flips - np.take_along_axis(flips, start, axis=-1)) % 2 == 1
 
 
+def match_grid(va, vb, ok):
+    """Row-major continuation of unordered pairs; returns matched (a, b).
+
+    An ok cell continues from its left neighbour if that is ok, else from
+    the one above, else it is a seed; a seed, and a cell whose pairings
+    tie, keeps the sampled order. Each row is a segmented parity
+    (:func:`parity_runs`); only runs that start from the cell above depend
+    on the previous row.
+    """
+    left = np.zeros_like(ok)
+    left[:, 1:] = ok[:, 1:] & ok[:, :-1]
+    flip = np.zeros_like(ok)
+    restart = ~left
+    flip[:, 1:], tie = pairing(va[:, :-1], vb[:, :-1], va[:, 1:], vb[:, 1:])
+    restart[:, 1:] |= tie
+    start, odd = parity_runs(flip, restart)
+
+    from_above = np.zeros_like(ok)
+    from_above[1:] = ok[1:] & ok[:-1] & ~left[1:]
+    i, j = np.nonzero(from_above)
+    up_flip = np.zeros_like(ok)
+    up_flip[i, j], tie = pairing(va[i - 1, j], vb[i - 1, j], va[i, j],
+                                 vb[i, j])
+    from_above[i[tie], j[tie]] = False  # a tie keeps the sampled order
+
+    swapped = odd.copy()
+    for r in np.flatnonzero(from_above.any(axis=1)).tolist():
+        base = from_above[r] & (swapped[r - 1] ^ up_flip[r])
+        swapped[r] = base[start[r]] ^ odd[r]
+    return np.where(swapped, vb, va), np.where(swapped, va, vb)
+
+
 def match_branches(ts, pairs) -> ScanTrajectory:
     """Greedy continuity matching of per-point unordered eigenvalue pairs.
 
-    At each step the pairing minimizing the summed jump is chosen; when
-    both pairings agree within ``AMBIGUITY_TOL`` the point keeps its
-    sampled order and a new run starts there. Raises ``ValueError`` on a
-    pair that is not finite.
+    One row of :func:`match_grid`: at each step the pairing minimizing the
+    summed jump is chosen; only where both cost exactly the same does the
+    point keep its sampled order and start a new run. Raises
+    ``ValueError`` on a pair that is not finite.
     """
     ts = np.asarray(ts, dtype=float)
     pairs = np.asarray(pairs, dtype=complex)
@@ -118,13 +151,9 @@ def match_branches(ts, pairs) -> ScanTrajectory:
         k = int(np.argmin(finite))
         raise ValueError(f"pairs row {k} is not finite: {pairs[k].tolist()}")
 
-    flip, restart = pairing(pairs[:-1, 0], pairs[:-1, 1], pairs[1:, 0],
-                            pairs[1:, 1], AMBIGUITY_TOL)
-    _, swapped = parity_runs(np.concatenate(([False], flip)),
-                             np.concatenate(([True], restart)))
-    a = np.where(swapped, pairs[:, 1], pairs[:, 0])
-    b = np.where(swapped, pairs[:, 0], pairs[:, 1])
-    return ScanTrajectory(ts, a, b)
+    a, b = match_grid(pairs[None, :, 0], pairs[None, :, 1],
+                      np.ones((1, len(pairs)), dtype=bool))
+    return ScanTrajectory(ts, a[0], b[0])
 
 
 def sweep_toy(p: ToyParams, alphas) -> ScanTrajectory:

@@ -25,6 +25,7 @@ from .toymodel import ToyParams, scan_entries
 # refined candidates closer than DEDUP_FACTOR * tolerance collapse to one EP
 DEDUP_FACTOR = 10.0
 SCAN_POINTS = 2001  # of the |eta^2| scan that seeds toy_ep_roots
+MIN_SEARCH_GRID = 8  # the coarsest grid_ep_search grid, per axis
 # grid_ep_search accepts a refined gap below both of these bounds
 REFINE_REL = 1e-6  # times the window diagonal
 REJECT_REL = 1e-3  # times the median coarse gap
@@ -80,11 +81,12 @@ def toy_ep_roots(p: ToyParams, alpha_bracket: tuple[float, float], *,
     alpha = 0), each iterate clipped to the minimum's neighbouring scan
     points. Keeps the best iterate of each minimum if its |eta^2| is below
     ``residual_tol``, which must be positive and finite. An empty list
-    means no EP in the bracket.
+    means no EP in the bracket, whose ends must be finite with 0 <= lo < hi.
     """
     lo, hi = float(alpha_bracket[0]), float(alpha_bracket[1])
-    if not (0.0 <= lo < hi):
-        raise ValueError("alpha bracket must satisfy 0 <= lo < hi")
+    if not 0.0 <= lo < hi < math.inf:
+        raise ValueError("alpha_bracket must satisfy 0 <= lo < hi < inf, "
+                         f"got {(lo, hi)!r}")
     if not 0 < residual_tol < math.inf:
         raise ValueError(
             f"residual_tol must be positive and finite, got {residual_tol!r}")
@@ -210,8 +212,8 @@ def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
     are deduplicated and sorted by (p1, p2). A window with lo >= hi on
     either axis, or an axis that is not finite, raises.
     """
-    if coarse_n < 8:
-        raise ValueError("coarse_n must be >= 8")
+    if coarse_n < MIN_SEARCH_GRID:
+        raise ValueError(f"coarse_n must be >= {MIN_SEARCH_GRID}")
     (p1lo, p1hi), (p2lo, p2hi) = window
     if not (p1lo < p1hi and p2lo < p2hi):
         raise ValueError(

@@ -1,8 +1,9 @@
 """Riemann-surface atlases over a 2-D parameter plane, and loop monodromy.
 
-Sheets are matched by row-major continuation: each cell continues from
-its left neighbour, or from the one in the previous row where that is
-missing (first column, failed cell). Cut extraction distinguishes:
+Sheets are matched row-major by :func:`~epkit.crossing.match_grid`, of
+which a 1-D scan is one row: each cell continues from its left neighbour,
+or from the one in the previous row where that is missing (first column,
+failed cell). Cut extraction distinguishes:
 
   - matched cuts: grid edges where the matched assignment itself jumps.
     Only these depend on the path of the continuation, as a branch cut
@@ -26,7 +27,7 @@ import numpy as np
 
 from .core import (abs_diff, check_window, is_real_number,
                    principal_sqrt_grid)
-from .crossing import pairing, parity_runs
+from .crossing import match_grid
 from .epfind import EPLocation, sample_points
 
 Node = tuple[int, int]
@@ -42,6 +43,7 @@ MAX_STEP_PHASE = math.pi / 4  # radians, per accepted loop step
 MAX_STEP_SHIFT = 0.2  # mean and half-gap move per accepted step, in gaps
 MATCHED_CUT_JUMP = 10.0  # edge jump, in medians of the jumps along its axis
 SEAM_CONTACT = 1e-3  # |component| of a - b, in its max over the grid
+MIN_LOOP_STEPS = 64  # the fewest steps encircle starts from
 
 
 @dataclass
@@ -119,37 +121,6 @@ def connected_components(edges: Sequence[Edge]) -> list[set[Node]]:
     for k, (u, v) in enumerate(edges):
         groups.setdefault(find(k), set()).update((u, v))
     return sorted(groups.values(), key=lambda s: sorted(s)[0])
-
-
-def _match_grid(va, vb, ok):
-    """Row-major continuation; returns matched (a, b) fields.
-
-    An ok cell continues from its left neighbour if that is ok, else from
-    the one above, else it is a seed and keeps the sampler order. Each row
-    is a segmented parity (:func:`~epkit.crossing.parity_runs`); only runs
-    that start from the cell above depend on the previous row.
-    """
-    left = np.zeros_like(ok)
-    left[:, 1:] = ok[:, 1:] & ok[:, :-1]
-    flip = np.zeros_like(ok)
-    restart = ~left
-    flip[:, 1:], tie = pairing(va[:, :-1], vb[:, :-1], va[:, 1:], vb[:, 1:], 0.0)
-    restart[:, 1:] |= tie
-    start, odd = parity_runs(flip, restart)
-
-    from_above = np.zeros_like(ok)
-    from_above[1:] = ok[1:] & ok[:-1] & ~left[1:]
-    i, j = np.nonzero(from_above)
-    up_flip = np.zeros_like(ok)
-    up_flip[i, j], tie = pairing(va[i - 1, j], vb[i - 1, j], va[i, j],
-                                 vb[i, j], 0.0)
-    from_above[i[tie], j[tie]] = False  # a tie keeps the sampler order
-
-    swapped = odd.copy()
-    for r in np.flatnonzero(from_above.any(axis=1)).tolist():
-        base = from_above[r] & (swapped[r - 1] ^ up_flip[r])
-        swapped[r] = base[start[r]] ^ odd[r]
-    return np.where(swapped, vb, va), np.where(swapped, va, vb)
 
 
 def _edges_where(ok, rule) -> list[Edge]:
@@ -233,7 +204,7 @@ def build_surface(sampler: Callable[[float, float], tuple[complex, complex]],
             f"{len(missing)} of {n1 * n2} cells failed to sample"
         )
 
-    a, b = _match_grid(va, vb, ok)
+    a, b = match_grid(va, vb, ok)
     e = 0.5 * (a - b)
     cuts = CutSet(_matched_cut_edges(e, ok), *_seam_edges(va - vb, ok))
 
@@ -390,8 +361,8 @@ def encircle(sampler: Callable[[float, float], tuple[complex, complex]],
     note naming t) and a winding that is not an integer (the pair is not
     closed under the loop); of the first three, the first along the loop.
     """
-    if n_steps < 64:
-        raise ValueError("n_steps must be >= 64")
+    if n_steps < MIN_LOOP_STEPS:
+        raise ValueError(f"n_steps must be >= {MIN_LOOP_STEPS}")
     floor_dt = (1.0 / n_steps) * 0.5 ** max_halvings
     ts = np.linspace(0.0, 1.0, n_steps + 1)
     diff, mean, errors = _sample_loop(sampler, loop, ts)

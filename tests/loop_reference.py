@@ -19,8 +19,7 @@ import numpy as np
 from epkit.core import (DEGENERACY_THRESHOLD, DiscreteField, Hamiltonian2,
                         overlap, splitting)
 from epkit import crossing
-from epkit.crossing import (AMBIGUITY_TOL, LZ, WB, ClassReport,
-                            UnclassifiableScanError)
+from epkit.crossing import LZ, WB, ClassReport, UnclassifiableScanError
 from epkit.surface import IDENTITY, SWAP, CircleLoop
 from epkit.toymodel import build_hamiltonian
 
@@ -104,7 +103,7 @@ def match_branches(pairs, vectors=None):
         lp, lm = pairs[k]
         keep = abs(lp - a[k - 1]) + abs(lm - b[k - 1])
         swap = abs(lm - a[k - 1]) + abs(lp - b[k - 1])
-        if abs(keep - swap) <= AMBIGUITY_TOL:
+        if not (keep < swap or swap < keep):  # equal, or NaN
             ambiguous.append(k)
             chosen_swap = False
         else:

@@ -53,6 +53,17 @@ class TestMatchBranches:
             np.testing.assert_array_equal(traj.branch_a, order[:, 0])
             np.testing.assert_array_equal(traj.branch_b, order[:, 1])
 
+    def test_near_tie_is_decided_by_the_costs(self):
+        # at the middle step the pairings cost 1 +/- 2e-15: only an exact
+        # tie keeps the sampled order, so the cheaper swap is taken
+        pairs = np.array([[0, 1], [0.5 + 1e-15, 0.5 - 1e-15], [0.6, 0.4]],
+                         dtype=complex)
+        traj = match_branches([0.0, 1.0, 2.0], pairs)
+        np.testing.assert_array_equal(traj.branch_a.real,
+                                      [0.0, 0.499999999999999, 0.4])
+        np.testing.assert_array_equal(traj.branch_b.real,
+                                      [1.0, 0.500000000000001, 0.6])
+
     @pytest.mark.parametrize("bad", [complex("nan"), complex(0, float("inf")),
                                      complex(float("-inf"), 0)])
     def test_nonfinite_row_named(self, bad):

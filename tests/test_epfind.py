@@ -100,6 +100,13 @@ class TestToyEpRoots:
         with pytest.raises(ValueError):
             toy_ep_roots(DOUBLE_EP, (0.8, 0.3))
 
+    @pytest.mark.parametrize("bracket", [(0.3, math.inf), (math.nan, 0.8),
+                                         (0.3, math.nan)])
+    def test_bracket_end_not_finite(self, bracket):
+        message = f"alpha_bracket must satisfy 0 <= lo < hi < inf, got {bracket}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            toy_ep_roots(DOUBLE_EP, bracket)
+
     @pytest.mark.parametrize("bracket", [(0.3, 0.6215), (0.4541, 0.8)])
     def test_finds_an_ep_next_to_either_end(self, bracket):
         # each bracket ends just past an EP, so that EP's scan minimum is an

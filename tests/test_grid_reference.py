@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 import loop_reference as ref
 from epkit import surface
 from epkit.core import abs_diff
+from epkit.crossing import match_grid
 from epkit.epfind import _local_minima, grid_ep_search, sample_points
 from epkit.surface import (MATCHED_CUT_JUMP, SEAM_CONTACT, AnalyticOracle,
-                           CircleLoop, PolylineLoop, _match_grid,
-                           _matched_cut_edges, _seam_edges, build_surface,
-                           encircle)
+                           CircleLoop, PolylineLoop, _matched_cut_edges,
+                           _seam_edges, build_surface, encircle)
 from epkit.toymodel import (FULL_COMPLEX, PRESETS, REAL_PART, ToyParams,
                             eigenpair_sampler)
 
@@ -95,7 +95,7 @@ class TestMatchAndCuts:
     @SETTINGS
     def test_matching_and_cuts_match_loop(self, field, jump):
         va, vb, ok = field
-        a, b = _match_grid(va, vb, ok)
+        a, b = match_grid(va, vb, ok)
         ra, rb = ref.match_grid(va, vb, ok)
         np.testing.assert_array_equal(bits(a), bits(ra))
         np.testing.assert_array_equal(bits(b), bits(rb))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import shlex
@@ -584,6 +585,38 @@ class TestCli:
                        "message": message}
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, message", [
+        (("find-eps", "--alpha-bracket", "0.3", "inf"),
+         "alpha_bracket must be finite with lo < hi, got [0.3, inf]"),
+        (("toy-sweep", "--alpha-range", "0.2", "inf"),
+         "alpha_range must be finite with lo < hi, got [0.2, inf]"),
+        (("toy-sweep", "--alpha-range", "nan", "1"),
+         "alpha_range must be finite with lo < hi, got [nan, 1.0]"),
+        (("toy-sweep", "--alpha-range", "1.0", "0.2"),
+         "alpha_range must be finite with lo < hi, got [1.0, 0.2]"),
+        (("beta-scan", "--alpha-range", "0.2", "inf"),
+         "alpha_range must be finite with lo < hi, got [0.2, inf]"),
+        (("beta-scan", "--alpha-range", "1.0", "0.2"),
+         "alpha_range must be finite with lo < hi, got [1.0, 0.2]"),
+        (("encircle", "--steps", "63"), "steps must be at least 64, got 63"),
+        (("oracle", "--mode", "encircle", "--steps", "63"),
+         "steps must be at least 64, got 63"),
+        (("find-eps", "--window", "0.3", "0.8", "0.9", "1.1", "--grid", "4x4"),
+         "grid must be at least 8x8, got '4x4'"),
+    ])
+    def test_rejects_a_range_or_size_at_the_boundary(self, tmp_path, capsys,
+                                                     monkeypatch, argv,
+                                                     message):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before checking the config")
+
+        monkeypatch.setattr(crossing, "eigvalues_grid", no_sweep)
+        assert run_cli(*argv, "--out", str(tmp_path)) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"command": argv[0], "type": "ValueError",
+                       "message": message}
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("window", [("0.8", "0.3", "0.9", "1.1"),
                                         ("0.3", "0.8", "1.1", "0.9"),
                                         ("0.3", "0.3", "0.9", "1.1")])
@@ -802,6 +835,43 @@ class TestSheetCsv:
         assert run_cli("surface", "--grid", "16x16", "--delta-mode", "raw",
                        "--out", str(tmp_path)) == 0
         assert (tmp_path / "surface.csv").read_bytes() == golden.read_bytes()
+
+
+# SHA-256 of the matched exports at the command defaults, recorded with
+# numpy 2.4.6 while scans and grids still had separate matchers. The CSVs
+# embed no path, so the digests hold for any --out.
+MATCHED_EXPORT_DIGESTS = {
+    ("toy-sweep", "--preset", "class1"):
+        "dbefa7f4d9de7ab4d34eaeedf784e4665342b577cf3d34036a5ec58583cff8b4",
+    ("toy-sweep", "--preset", "class2"):
+        "7155fc8f1399047d12030c117b4d1889d171b316edc5293e8dea525a9f37e4ff",
+    ("toy-sweep", "--preset", "class3a"):
+        "bd7a21d72047d8981c7452c84c0fc6a2cc47aa6012d11e24cb2154859b5f4c50",
+    ("toy-sweep", "--preset", "class3b"):
+        "71980aa4d9ed3e834349b1463f83726d53154c1142097fc3cc59fa8ab097bc48",
+    ("toy-sweep", "--preset", "class4"):
+        "a02cee2150474bde271f48db6aa543af99d7b8ab26e0b26b63292db9d7c191e6",
+    ("toy-sweep", "--preset", "class5"):
+        "64fa23e82f20b50a7820128de7113b2940149207a318d430752219e9a6321e9c",
+    ("toy-sweep", "--preset", "transition"):
+        "c5e11b93185d91d190035d2d58ffd8c473431e954b5513d1440213c40d8e0f42",
+    ("toy-sweep", "--preset", "double-ep"):
+        "832510cf917aa6bc3364ce594422e3baadefb1e892bb055b6fecc699860ff391",
+    ("surface",):
+        "1bb29efb7978ca86b5ab92ac2fb605e2bac7c35c083cbdbf802ff75ca6b6e031",
+    ("oracle",):
+        "4c9a415ed19128f6137c0a0314a30ac20d7e898d3aae6973d2062bbe4209a8d8",
+}
+EXPORT_NAMES = {"toy-sweep": "toy_sweep.csv", "surface": "surface.csv",
+                "oracle": "oracle_surface.csv"}
+
+
+@pytest.mark.parametrize("argv", MATCHED_EXPORT_DIGESTS,
+                         ids=" ".join)
+def test_matched_export_digests(tmp_path, argv):
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    data = (tmp_path / EXPORT_NAMES[argv[0]]).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == MATCHED_EXPORT_DIGESTS[argv]
 
 
 class TestCommandFlags:
