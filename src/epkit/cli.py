@@ -221,6 +221,17 @@ _real = _checker(is_real_number, "a real number")
 _pair = _checker(_numbers(2), "a pair of numbers")
 _range = _then(_pair, lambda v: -math.inf < v[0] < v[1] < math.inf,
                "finite with lo < hi")
+
+
+def _alpha_range(key, value) -> None:
+    """A ``_range`` of alpha, which the toy model takes only at alpha >= 0;
+    the message names the flag as well as the key."""
+    _range(key, value)
+    if value[0] < 0:
+        raise ValueError(f"{key} (--{key.replace('_', '-')}) must have "
+                         f"lo >= 0, got {value!r}")
+
+
 _steps = _then(_int, lambda v: v >= MIN_LOOP_STEPS,
                f"at least {MIN_LOOP_STEPS}")
 _point = _checker(lambda v: isinstance(v, list) and _numbers(2)(_coordinates(v)),
@@ -296,9 +307,9 @@ _CHECKS = {
     "params": _params,
     "preset": _choice(*sorted(PRESETS)),
     "input": _text,
-    "alpha_range": _range,
+    "alpha_range": _alpha_range,
     "points": {"toy-sweep": _count, "beta-scan": _count, "project": _points},
-    "alpha_bracket": _range,
+    "alpha_bracket": _alpha_range,
     "beta_window": _pair,
     "tolerance": _real,
     "kind": _choice("two-point", "single-point"),

@@ -254,16 +254,21 @@ def beta_transition(p: ToyParams, beta_window: tuple[float, float], *,
     held fixed while beta is bisected on the classification label, until
     the bracket is at most ``tol`` wide or cannot be split further. Raises
     ``ValueError`` when both window ends carry the same label, and before
-    any sweep when ``tol`` is not positive and finite. A window end that
-    fits neither label raises :class:`UnclassifiableScanError`, with a note
-    that names its beta.
+    any sweep when ``tol`` is not positive and finite or ``alpha_range``
+    does not satisfy 0 <= lo < hi < inf. A window end that fits neither
+    label raises :class:`UnclassifiableScanError`, with a note that names
+    its beta.
     """
     lo, hi = float(beta_window[0]), float(beta_window[1])
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError("beta window must satisfy 0 <= lo < hi <= 1")
+    a0, a1 = float(alpha_range[0]), float(alpha_range[1])
+    if not 0.0 <= a0 < a1 < math.inf:
+        raise ValueError("alpha_range must satisfy 0 <= lo < hi < inf, "
+                         f"got {(a0, a1)!r}")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    alphas = np.linspace(alpha_range[0], alpha_range[1], n_alpha)
+    alphas = np.linspace(a0, a1, n_alpha)
 
     def label_at(beta: float) -> str:
         pair = eigvalues_grid(*scan_entries(alphas, p, beta=beta))

@@ -5,6 +5,13 @@ pairs, one pair per mode. Grids are exported in long format with one row
 per node. All writers format floats with ``repr`` (shortest round-trip)
 and sort JSON keys, so identical inputs produce byte-identical files.
 
+``write_json`` writes JSON in one recursive pass (``_encode``), in the
+layout of ``json.dumps(indent=2, sort_keys=True)``, turning numpy values,
+complex numbers and non-finite floats into JSON on the way. The stdlib's
+C encoder cannot stand in: on Python 3.11 it ignores ``indent``, so
+``json.dumps(indent=2)`` runs the pure-Python encoder, and that only after
+a first walk has made the payload plain Python values.
+
 The two readers, ``ingest_csv`` and ``read_plane_csv``, check the header
 with ``csv.reader``, then read every data cell in one ``np.loadtxt`` call
 and check the cells as arrays. Where that call or a check fails, a
@@ -309,27 +316,53 @@ def write_sphere_csv(path, points: np.ndarray) -> None:
         handle.writelines(map("{!r},{!r},{!r}\n".format, *columns))
 
 
-def _jsonable(obj):
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _encode(obj, pad: str) -> str:
+    """``obj`` as JSON in the layout of ``json.dumps(indent=2,
+    sort_keys=True)``, its first line at no indent and its others at
+    ``pad``: each dict sorted by ``str(key)``, numpy scalars and arrays
+    as Python values, a complex as ``{"im", "re"}``, NaN and infinities
+    as null. Plain floats and ints, most of the leaves, are looked up by
+    exact type.
+    """
+    kind = type(obj)
+    if kind is float:
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    if kind is int:
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return _encode_str(obj)
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = {str(k): v for k, v in obj.items()}
+        return ("{\n" + inner + (",\n" + inner).join(
+            [f"{_encode_str(k)}: {_encode(items[k], inner)}"
+             for k in sorted(items)]) + "\n" + pad + "}")
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        return ("[\n" + inner + (",\n" + inner).join(
+            [_encode(v, inner) for v in obj]) + "\n" + pad + "]")
     if isinstance(obj, (bool, np.bool_)):  # before int, which bool subclasses
-        return bool(obj)
+        return "true" if obj else "false"
     if isinstance(obj, (np.floating, float)):
-        return float(obj) if math.isfinite(obj) else None
+        return _encode(float(obj), pad)
     if isinstance(obj, (np.integer, int)):
-        return int(obj)
+        return int.__repr__(int(obj))
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+        return _encode(obj.tolist(), pad)
     if isinstance(obj, complex):
-        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
-    return obj
+        return _encode({"re": obj.real, "im": obj.imag}, pad)
+    if obj is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def write_json(path, payload: dict) -> None:
     """Strict JSON with sorted keys; NaN and infinities are written as null."""
-    path = Path(path)
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True,
-                      allow_nan=False)
-    path.write_text(text + "\n", encoding="utf-8")
+    Path(path).write_text(_encode(payload, "") + "\n", encoding="utf-8")

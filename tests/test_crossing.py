@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -215,6 +218,22 @@ class TestBetaTransition:
         with pytest.raises(ValueError, match=rf"^tol must be positive and "
                                              rf"finite, got {tol!r}$"):
             beta_transition(p, (0.7, 0.85), tol=tol)
+
+    @pytest.mark.parametrize("alpha_range", [(0.2, float("inf")), (1.0, 0.2),
+                                             (-0.1, 1.0), (float("nan"), 1.0)])
+    def test_rejects_a_bad_alpha_range_before_sweeping(self, alpha_range,
+                                                       monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before checking alpha_range")
+
+        monkeypatch.setattr(crossing, "eigvalues_grid", no_sweep)
+        p = ToyParams(g_c=0.043, beta=0.0, gamma1=1.05, gamma2=1.07)
+        message = ("alpha_range must satisfy 0 <= lo < hi < inf, "
+                   f"got {alpha_range}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # checked before np.linspace warns
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                beta_transition(p, (0.7, 0.85), alpha_range=alpha_range)
 
     def test_tolerance_below_float_spacing_stops(self, monkeypatch):
         # the bracket shrinks to two adjacent floats and can split no further

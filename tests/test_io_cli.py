@@ -603,6 +603,12 @@ class TestCli:
          "steps must be at least 64, got 63"),
         (("find-eps", "--window", "0.3", "0.8", "0.9", "1.1", "--grid", "4x4"),
          "grid must be at least 8x8, got '4x4'"),
+        (("toy-sweep", "--alpha-range", "-0.1", "1"),
+         "alpha_range (--alpha-range) must have lo >= 0, got [-0.1, 1.0]"),
+        (("beta-scan", "--alpha-range", "-0.1", "1"),
+         "alpha_range (--alpha-range) must have lo >= 0, got [-0.1, 1.0]"),
+        (("find-eps", "--alpha-bracket", "-0.1", "1"),
+         "alpha_bracket (--alpha-bracket) must have lo >= 0, got [-0.1, 1.0]"),
     ])
     def test_rejects_a_range_or_size_at_the_boundary(self, tmp_path, capsys,
                                                      monkeypatch, argv,
@@ -1091,6 +1097,19 @@ class TestStrictJson:
         assert payload["config"]["points"] == [[2.9036, 0.5372], [None, None]]
         json.loads((sweep / "toy_sweep_report.json").read_text(),
                    parse_constant=_reject_constant)
+
+    @pytest.mark.parametrize("argv, artifact, golden", [
+        (("surface", "--grid", "16x16"), "surface.json", "surface_16x16.json"),
+        (("encircle",), "encircle.json", "encircle.json"),
+    ])
+    def test_json_golden_bytes(self, tmp_path, monkeypatch, argv, artifact,
+                               golden):
+        # golden bytes from the json.dumps(indent=2, sort_keys=True) writer;
+        # a relative --out keeps the embedded config.out the same
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, "--out", "out") == 0
+        golden = Path(__file__).parent / "data" / golden
+        assert (tmp_path / "out" / artifact).read_bytes() == golden.read_bytes()
 
     def test_surface_with_missing_cells(self, tmp_path):
         # alpha < 0 fails to sample, so the first row of nodes is missing
