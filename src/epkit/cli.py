@@ -120,8 +120,9 @@ def _add_sheets(sub):
 
 
 def _add_loop(sub):
-    sub.add_argument("--circle", type=float, nargs=3, metavar=("CX", "CY", "R"))
-    sub.add_argument("--rect", type=float, nargs=4, metavar=_WINDOW)
+    shape = sub.add_mutually_exclusive_group()
+    shape.add_argument("--circle", type=float, nargs=3, metavar=("CX", "CY", "R"))
+    shape.add_argument("--rect", type=float, nargs=4, metavar=_WINDOW)
     sub.add_argument("--steps", type=int)
 
 
@@ -223,13 +224,21 @@ _range = _then(_pair, lambda v: -math.inf < v[0] < v[1] < math.inf,
                "finite with lo < hi")
 
 
-def _alpha_range(key, value) -> None:
-    """A ``_range`` of alpha, which the toy model takes only at alpha >= 0;
-    the message names the flag as well as the key."""
-    _range(key, value)
-    if value[0] < 0:
-        raise ValueError(f"{key} (--{key.replace('_', '-')}) must have "
-                         f"lo >= 0, got {value!r}")
+def _then_flagged(check, ok, what):
+    """``check``, then a check of ``ok`` whose message names the key's flag
+    as well as the key."""
+    def both(key, value):
+        check(key, value)
+        if not ok(value):
+            raise ValueError(f"{key} (--{key.replace('_', '-')}) must {what}, "
+                             f"got {value!r}")
+    return both
+
+
+# alpha as the toy model takes it, and beta as beta_transition bisects it
+_alpha_range = _then_flagged(_range, lambda v: v[0] >= 0, "have lo >= 0")
+_beta_window = _then_flagged(_pair, lambda v: 0 <= v[0] < v[1] <= 1,
+                             "satisfy 0 <= lo < hi <= 1")
 
 
 _steps = _then(_int, lambda v: v >= MIN_LOOP_STEPS,
@@ -310,7 +319,7 @@ _CHECKS = {
     "alpha_range": _alpha_range,
     "points": {"toy-sweep": _count, "beta-scan": _count, "project": _points},
     "alpha_bracket": _alpha_range,
-    "beta_window": _pair,
+    "beta_window": _beta_window,
     "tolerance": _real,
     "kind": _choice("two-point", "single-point"),
     "mode": _choice("surface", "encircle"),
@@ -360,9 +369,12 @@ def _resolve(args) -> dict:
         flags["loop"] = "--rect"
     if getattr(args, "point", None):
         cfg["points"] = [list(p) for p in args.point]
+        flags["points"] = "--point"
     if getattr(args, "meta", None) and isinstance(cfg["metadata"], dict):
         for item in args.meta:
-            key, _, value = item.partition("=")
+            key, sep, value = item.partition("=")
+            if not (sep and key):
+                raise ValueError(f"--meta must look like KEY=VALUE, got {item!r}")
             cfg["metadata"][key] = value
     given = vars(args)
     for key in _CHECKS:
@@ -399,6 +411,10 @@ def _check(cfg, given, flags) -> None:
             continue  # null where the default is null
         check = _CHECKS[key]
         (check[command] if isinstance(check, dict) else check)(key, value)
+    if command == "project" and "input" in cfg and cfg["points"]:
+        named = [flags.get(key, f"config key {key!r}")
+                 for key in ("input", "points")]
+        raise ValueError(f"project reads {' or '.join(named)}, not both")
     for mode in modes:
         for key, value in table[mode].items():
             if key not in cfg:
@@ -470,8 +486,10 @@ def _cmd_surface(cfg):
 def _cmd_encircle(cfg):
     p, loop = ToyParams(**cfg["params"]), _loop_of(cfg["loop"])
     known = equal_width_eps(p) if p.gamma1 == p.gamma2 else []
-    return "encircle.json", asdict(encircle(eigenpair_sampler(p), loop,
-                                            cfg["steps"], known_eps=known))
+    return "encircle.json", {
+        **asdict(encircle(eigenpair_sampler(p), loop, cfg["steps"])),
+        "enclosed_eps": [asdict(ep) for ep in known
+                         if loop.contains((ep.p1, ep.p2))]}
 
 
 def _cmd_beta_scan(cfg):
@@ -508,10 +526,8 @@ def _cmd_oracle(cfg):
         oracle = AnalyticOracle.single_point(complex(*cfg["z0"]), cfg["order"])
     if cfg["mode"] == "surface":
         return _sheets(cfg, oracle.sampler(), "oracle_surface")
-    payload = asdict(encircle(oracle.sampler(), _loop_of(cfg["loop"]),
-                              cfg["steps"]))
-    del payload["enclosed_eps"]  # the oracle has no known EPs
-    return "oracle_encircle.json", payload
+    return "oracle_encircle.json", asdict(
+        encircle(oracle.sampler(), _loop_of(cfg["loop"]), cfg["steps"]))
 
 
 _RUNNERS = {

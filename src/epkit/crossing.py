@@ -261,7 +261,8 @@ def beta_transition(p: ToyParams, beta_window: tuple[float, float], *,
     """
     lo, hi = float(beta_window[0]), float(beta_window[1])
     if not (0.0 <= lo < hi <= 1.0):
-        raise ValueError("beta window must satisfy 0 <= lo < hi <= 1")
+        raise ValueError("beta window must satisfy 0 <= lo < hi <= 1, "
+                         f"got {(lo, hi)!r}")
     a0, a1 = float(alpha_range[0]), float(alpha_range[1])
     if not 0.0 <= a0 < a1 < math.inf:
         raise ValueError("alpha_range must satisfy 0 <= lo < hi < inf, "

@@ -21,14 +21,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import (abs_diff, check_window, is_real_number,
                    principal_sqrt_grid)
 from .crossing import match_grid
-from .epfind import EPLocation, sample_points
+from .epfind import sample_points
 
 Node = tuple[int, int]
 Edge = tuple[Node, Node]
@@ -44,6 +44,7 @@ MAX_STEP_SHIFT = 0.2  # mean and half-gap move per accepted step, in gaps
 MATCHED_CUT_JUMP = 10.0  # edge jump, in medians of the jumps along its axis
 SEAM_CONTACT = 1e-3  # |component| of a - b, in its max over the grid
 MIN_LOOP_STEPS = 64  # the fewest steps encircle starts from
+MAX_HALVINGS = 40  # the most a step of a followed path is halved
 
 
 @dataclass
@@ -325,47 +326,37 @@ class LoopResult:
     winding: int  # turns of the discriminant (a - b)**2 around the loop
     n_steps: int
     max_step_phase: float  # peak |phase step| of the discriminant, radians
-    enclosed_eps: list[EPLocation] = field(default_factory=list)
 
 
-def _sample_loop(sampler, loop, ts: np.ndarray):
-    """The pair difference a - b and mean (a + b) / 2 at the loop points
-    ``ts``, and per point the exception the sampler raised there, or None."""
-    a, b, failed = sample_points(sampler, *loop.points(ts))
-    errors = np.full(ts.size, None)
-    errors[list(failed)] = list(failed.values())
-    return a - b, 0.5 * (a + b), errors
-
-
-def encircle(sampler: Callable[[float, float], tuple[complex, complex]],
-             loop, n_steps: int = 256, *, max_halvings: int = 40,
-             known_eps: Optional[Iterable[EPLocation]] = None) -> LoopResult:
-    """Winding of the discriminant D = (a - b)**2 around a closed loop, and
-    the monodromy permutation it implies.
+def _follow(sampler, path, ts: np.ndarray):
+    """The pair differences a - b at the points ``ts`` of ``path`` (an
+    array of t -> the p1 and p2 arrays), refined, and the phase step of
+    D = (a - b)**2 over each step: ``(ts, diff, phase)``.
 
     D does not depend on the order of the pair, so nothing is matched. All
-    ``n_steps + 1`` loop points are sampled in one call
-    (:func:`~epkit.epfind.sample_points`). A step is accepted when its
-    phase step ``angle(D[k+1] / D[k])`` is at most ``MAX_STEP_PHASE`` and
-    the pair mean (a + b) / 2 and half-gap |a - b| / 2 each move by at
-    most ``MAX_STEP_SHIFT`` times the gap at its start. So D is nonzero at
-    its end, and a pair that jumps onto other values (across the cut of a
-    sampler with more than two) is not followed. The midpoints of all
-    other steps are sampled in one call per round, until none is left (the
-    points of depth-first halving). The summed phase steps, in turns, are
-    the integer ``winding``; the pair is swapped exactly when it is odd.
+    ``ts`` are sampled in one call (:func:`~epkit.epfind.sample_points`).
+    A step is accepted when its phase step ``angle(D[k+1] / D[k])`` is at
+    most ``MAX_STEP_PHASE`` and the pair mean (a + b) / 2 and half-gap
+    |a - b| / 2 each move by at most ``MAX_STEP_SHIFT`` times the gap at
+    its start. So D is nonzero at its end, and a pair that jumps onto
+    other values (across the cut of a sampler with more than two) is not
+    followed. The midpoints of all other steps are sampled in one call per
+    round, until none is left (the points of depth-first halving).
 
-    A rejected step at ``2**-max_halvings`` of a step, or with no float
-    between its ends, raises (the loop passes too close to an EP to
-    follow), as do a point with D = 0, a sampler error (re-raised with a
-    note naming t) and a winding that is not an integer (the pair is not
-    closed under the loop); of the first three, the first along the loop.
-    """
-    if n_steps < MIN_LOOP_STEPS:
-        raise ValueError(f"n_steps must be >= {MIN_LOOP_STEPS}")
-    floor_dt = (1.0 / n_steps) * 0.5 ** max_halvings
-    ts = np.linspace(0.0, 1.0, n_steps + 1)
-    diff, mean, errors = _sample_loop(sampler, loop, ts)
+    A rejected step at ``2**-MAX_HALVINGS`` of the mean step of ``ts``, or
+    with no float between its ends, raises (the path passes too close to
+    an EP to follow), as do a point with D = 0 and a sampler error
+    (re-raised with a note naming t): the first along the path."""
+    n_steps = ts.size - 1
+    floor_dt = ((ts[-1] - ts[0]) / n_steps) * 0.5 ** MAX_HALVINGS
+
+    def sample(t):
+        a, b, failed = sample_points(sampler, *path(t))
+        errors = np.full(t.size, None)
+        errors[list(failed)] = list(failed.values())
+        return a - b, 0.5 * (a + b), errors
+
+    diff, mean, errors = sample(ts)
     while True:
         with np.errstate(all="ignore"):  # 0 and NaN differences reject
             phase = np.angle((diff[1:] / diff[:-1]) ** 2)
@@ -385,7 +376,7 @@ def encircle(sampler: Callable[[float, float], tuple[complex, complex]],
         redo = np.flatnonzero(~accept[:first])[:n_steps]
         if redo.size == 0:
             break
-        mids = (mid[redo], *_sample_loop(sampler, loop, mid[redo]))
+        mids = (mid[redo], *sample(mid[redo]))
         ts, diff, mean, errors = (np.insert(v, redo + 1, m) for v, m in
                                   zip((ts, diff, mean, errors), mids))
 
@@ -398,14 +389,23 @@ def encircle(sampler: Callable[[float, float], tuple[complex, complex]],
             raise RuntimeError(f"loop passes through an EP at t={ts[first]}")
         raise RuntimeError("loop too close to EP: step floor reached at "
                            f"t={ts[first]} without continuity")
+    return ts, diff, phase
 
+
+def encircle(sampler: Callable[[float, float], tuple[complex, complex]],
+             loop, n_steps: int = 256) -> LoopResult:
+    """The ``winding`` of D = (a - b)**2 around a closed loop: the phase
+    steps of :func:`_follow` over ``n_steps`` equal steps of t, in turns,
+    which must sum to an integer. The pair swaps exactly when it is odd."""
+    if n_steps < MIN_LOOP_STEPS:
+        raise ValueError(f"n_steps must be >= {MIN_LOOP_STEPS}")
+    ts, _, phase = _follow(sampler, loop.points, np.linspace(0.0, 1.0, n_steps + 1))
     turns = float(np.sum(phase)) / (2.0 * math.pi)
     winding = round(turns)
     if abs(turns - winding) > 1e-6:
         raise RuntimeError("loop continuation did not return to the starting pair")
-    enclosed = [ep for ep in (known_eps or []) if loop.contains((ep.p1, ep.p2))]
     return LoopResult(SWAP if winding % 2 else IDENTITY, winding, ts.size,
-                      float(np.max(np.abs(phase))), enclosed)
+                      float(np.max(np.abs(phase))))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
-"""Per-point loop implementations of the scan, grid and loop paths,
-:mod:`cmath` and :mod:`math` versions of the scalar square-root, oracle
-and loop-geometry kernels, and the crossing label as read from matched
-branches, kept as references.
+"""Per-point loop implementations of the scan, grid and loop paths and of
+the path follower, :mod:`cmath` and :mod:`math` versions of the scalar
+square-root, oracle and loop-geometry kernels, and the crossing label as
+read from matched branches, kept as references.
 
 The library computes these quantities with array operations; the tests in
 test_reference_oracles.py, test_grid_reference.py, test_core.py and
@@ -18,9 +18,11 @@ import numpy as np
 
 from epkit.core import (DEGENERACY_THRESHOLD, DiscreteField, Hamiltonian2,
                         overlap, splitting)
-from epkit import crossing
+from epkit import crossing, surface
 from epkit.crossing import LZ, WB, ClassReport, UnclassifiableScanError
-from epkit.surface import IDENTITY, SWAP, CircleLoop
+from epkit.epfind import sample_points
+from epkit.surface import (IDENTITY, MAX_STEP_PHASE, MAX_STEP_SHIFT, SWAP,
+                           CircleLoop)
 from epkit.toymodel import build_hamiltonian
 
 
@@ -440,3 +442,58 @@ def encircle(sampler, loop, n_steps: int = 256, *,
     if abs(cur_a - b0) <= END_MATCH_TOL and abs(cur_b - a0) <= END_MATCH_TOL:
         return SWAP
     raise RuntimeError("loop continuation did not return to the starting pair")
+
+
+# ---- open and closed paths: the follower of D, one step at a time -----------
+
+def follow(sampler, path, ts):
+    """The refined points, pair differences and phase steps of
+    D = (a - b)**2 along ``path`` from ``ts[0]`` to ``ts[-1]``, halving
+    depth-first one step at a time; raises as the library's follower does.
+
+    A step is accepted when its phase step is at most ``MAX_STEP_PHASE``
+    and the pair mean and half-gap each move by at most ``MAX_STEP_SHIFT``
+    times the gap at its start; otherwise its midpoint is pushed, unless
+    the step is at most 2**-MAX_HALVINGS of the mean step of ``ts`` or has
+    no float between its ends. Each point is sampled, and each step
+    tested, on one-element arrays, which numpy rounds as it does the
+    library's longer ones.
+    """
+    floor_dt = ((ts[-1] - ts[0]) / (len(ts) - 1)) * 0.5 ** surface.MAX_HALVINGS
+
+    def sample(t):
+        a, b, failed = sample_points(sampler, *path(np.array([t])))
+        for exc in failed.values():
+            exc.add_note(f"the sampler failed at loop point t={t}")
+            raise exc
+        return a - b, 0.5 * (a + b)
+
+    cur = float(ts[0])
+    d0, m0 = sample(cur)
+    out_t, out_d, out_phase = [cur], [d0[0]], []
+    for target in ts[1:]:
+        stack = [float(target)]
+        while stack:
+            nxt = stack[-1]
+            d1, m1 = sample(nxt)
+            if d0[0] == 0:
+                raise RuntimeError(f"loop passes through an EP at t={cur}")
+            with np.errstate(all="ignore"):
+                phase = np.angle((d1 / d0) ** 2)
+                shift = np.maximum(np.abs(m1 - m0),
+                                   0.5 * np.abs(np.abs(d1) - np.abs(d0)))
+            accept = ((np.abs(phase) <= MAX_STEP_PHASE)
+                      & (shift <= MAX_STEP_SHIFT * np.abs(d0)))
+            if accept[0]:
+                cur, d0, m0 = nxt, d1, m1
+                out_t.append(cur)
+                out_d.append(d0[0])
+                out_phase.append(phase[0])
+                stack.pop()
+                continue
+            mid = 0.5 * (cur + nxt)
+            if nxt - cur <= floor_dt or mid in (cur, nxt):
+                raise RuntimeError("loop too close to EP: step floor reached "
+                                   f"at t={cur} without continuity")
+            stack.append(mid)
+    return np.array(out_t), np.array(out_d), np.array(out_phase)

@@ -178,10 +178,12 @@ class TestBetaTransition:
         fine = beta_transition(p, (0.7, 0.85), n_alpha=1601, tol=1e-4)
         assert abs(coarse - fine) < 1e-3
 
-    def test_invalid_window(self):
+    @pytest.mark.parametrize("window", [(0.9, 0.7), (0.7, 1.5), (-0.1, 0.5)])
+    def test_invalid_window(self, window):
         p = ToyParams(g_c=0.043, beta=0.0, gamma1=1.05, gamma2=1.07)
-        with pytest.raises(ValueError):
-            beta_transition(p, (0.9, 0.7))
+        message = f"beta window must satisfy 0 <= lo < hi <= 1, got {window}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            beta_transition(p, window)
 
     @staticmethod
     def fail_call(monkeypatch, n):

@@ -9,6 +9,7 @@ must give the permutation, or the error, of depth-first continuation.
 """
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,8 @@ import loop_reference as ref
 from epkit import surface
 from epkit.core import abs_diff
 from epkit.crossing import match_grid
-from epkit.epfind import _local_minima, grid_ep_search, sample_points
+from epkit.epfind import (_local_minima, equal_width_eps, grid_ep_search,
+                          sample_points)
 from epkit.surface import (MATCHED_CUT_JUMP, SEAM_CONTACT, AnalyticOracle,
                            CircleLoop, PolylineLoop, _matched_cut_edges,
                            _seam_edges, build_surface, encircle)
@@ -399,7 +401,8 @@ class TestEncircle:
         # a coarse floor may stop the loop early, but never changes the
         # permutation the loop returns
         try:
-            res = encircle(BASES[base], loop, 64, max_halvings=max_halvings)
+            with mock.patch.object(surface, "MAX_HALVINGS", max_halvings):
+                res = encircle(BASES[base], loop, 64)
         except RuntimeError as exc:
             assert "step floor reached" in str(exc)
             return
@@ -506,8 +509,9 @@ class TestEncircle:
         loop = CircleLoop((0.0, 0.0), 1.0)
         z = complex(*loop.point(0.25))
         sampler = AnalyticOracle.two_point(z, z + 1).sampler()
-        with pytest.raises(RuntimeError, match="step floor reached at t=0.2499"):
-            encircle(sampler, loop, 64, max_halvings=60)
+        with (pytest.raises(RuntimeError, match="step floor reached at t=0.2499"),
+              mock.patch.object(surface, "MAX_HALVINGS", 60)):
+            encircle(sampler, loop, 64)
 
     def test_one_batch_call_per_refinement(self):
         calls, points = [], []
@@ -525,3 +529,60 @@ class TestEncircle:
         assert (res.permutation, res.winding) == ("swap", 1)
         assert sum(points) == res.n_steps  # every loop point sampled once
         assert len(calls) <= 3
+
+
+def segment(start, end):
+    """The straight path from ``start`` (t = 0) to ``end`` (t = 1)."""
+    (x0, y0), (x1, y1) = start, end
+
+    def path(ts):
+        ts = np.asarray(ts, dtype=float)
+        return x0 + ts * (x1 - x0), y0 + ts * (y1 - y0)
+    return path
+
+
+def followed(fn, *args):
+    """The bits of the refined points, differences and phase steps that
+    ``fn(*args)`` returns, or its error (see ``outcome``)."""
+    return outcome(lambda: tuple(bits(v).tolist() for v in fn(*args)))
+
+
+@st.composite
+def scan_segments(draw):
+    """The toy's scan line at a beta within 0.05 of 1, over an alpha range
+    starting near either EP, or a segment in any direction near either of
+    the oracle's branch points."""
+    near = draw(st.sampled_from(EP_ALPHAS))
+    if draw(st.booleans()):
+        beta = draw(st.one_of(st.just(1.0), st.floats(0.95, 1.05)))
+        a0 = near + draw(st.floats(-0.1, 0.1))
+        a1 = a0 + draw(st.one_of(st.floats(-0.2, -1e-3), st.floats(1e-3, 0.2)))
+        return "toy", segment((a0, beta), (a1, beta))
+    ends = st.tuples(st.floats(near - 0.1, near + 0.1), st.floats(0.9, 1.1))
+    start, end = draw(ends), draw(ends)
+    assume(math.dist(start, end) > 1e-3)
+    return "oracle", segment(start, end)
+
+
+class TestFollow:
+    """The array follower of D on open paths against halving one step at a
+    time (loop_reference.follow)."""
+
+    @given(scan_segments(), st.sampled_from([4, 16, 64]))
+    @SETTINGS
+    def test_open_path_matches_depth_first_halving(self, base_path, n_steps):
+        base, path = base_path
+        ts = np.linspace(0.0, 1.0, n_steps + 1)
+        assert (followed(surface._follow, BASES[base], path, ts)
+                == followed(ref.follow, BASES[base], path, ts))
+
+    def test_scan_line_through_an_ep_reaches_the_floor_there(self):
+        # on beta = 1 the half-gap shrinks to 0 at the EP, so accepted
+        # steps close in on it until one is at the step floor
+        ep = equal_width_eps(DOUBLE_EP)[0]
+        path, ts = segment((0.3, 1.0), (0.5, 1.0)), np.linspace(0.0, 1.0, 65)
+        for fn in (surface._follow, ref.follow):
+            with pytest.raises(RuntimeError, match="step floor reached") as info:
+                fn(BASES["toy"], path, ts)
+            t = float(re.search(r"t=(\S+)", str(info.value)).group(1))
+            assert path(t)[0] == pytest.approx(ep.p1, abs=1e-12)

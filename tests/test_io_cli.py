@@ -609,6 +609,12 @@ class TestCli:
          "alpha_range (--alpha-range) must have lo >= 0, got [-0.1, 1.0]"),
         (("find-eps", "--alpha-bracket", "-0.1", "1"),
          "alpha_bracket (--alpha-bracket) must have lo >= 0, got [-0.1, 1.0]"),
+        (("beta-scan", "--beta-window", "0.85", "0.7"),
+         "beta_window (--beta-window) must satisfy 0 <= lo < hi <= 1, "
+         "got [0.85, 0.7]"),
+        (("beta-scan", "--beta-window", "0.7", "1.5"),
+         "beta_window (--beta-window) must satisfy 0 <= lo < hi <= 1, "
+         "got [0.7, 1.5]"),
     ])
     def test_rejects_a_range_or_size_at_the_boundary(self, tmp_path, capsys,
                                                      monkeypatch, argv,
@@ -903,6 +909,17 @@ class TestCommandFlags:
         assert "--tolerance" in err["message"] and "--window" in err["message"]
         assert not (tmp_path / "find_eps.json").exists()
 
+    @pytest.mark.parametrize("command", [("encircle",),
+                                         ("oracle", "--mode", "encircle")])
+    def test_circle_and_rect_exclude_each_other(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args([*command, "--circle", "0.45", "1.0",
+                                       "0.05", "--rect", "0.40", "0.68",
+                                       "0.95", "1.05"])
+        assert info.value.code == 2
+        assert ("argument --rect: not allowed with argument --circle"
+                in capsys.readouterr().err)
+
     def test_find_eps_scan_roots_records_tolerance(self, tmp_path):
         assert run_cli("find-eps", "--tolerance", "1e-12",
                        "--out", str(tmp_path)) == 0
@@ -1101,6 +1118,8 @@ class TestStrictJson:
     @pytest.mark.parametrize("argv, artifact, golden", [
         (("surface", "--grid", "16x16"), "surface.json", "surface_16x16.json"),
         (("encircle",), "encircle.json", "encircle.json"),
+        (("oracle", "--mode", "encircle"), "oracle_encircle.json",
+         "oracle_encircle.json"),
     ])
     def test_json_golden_bytes(self, tmp_path, monkeypatch, argv, artifact,
                                golden):
@@ -1223,6 +1242,12 @@ class TestConfigContract:
         (("oracle", "--kind", "single-point"), {"order": 2.0},
          "order must be an integer, got 2.0"),
         (("project",), {"input": 5}, "input must be a string, got 5"),
+        (("project",), {"input": "plane.csv", "points": [[5, 6]]},
+         "project reads config key 'input' or config key 'points', not both"),
+        (("project", "--input", "plane.csv"), {"points": [[5, 6]]},
+         "project reads --input or config key 'points', not both"),
+        (("project", "--point", "5", "6"), {"input": "plane.csv"},
+         "project reads config key 'input' or --point, not both"),
         (("ingest-classify", *INGEST), {"modes": ["1"]},
          "modes must be two mode names, got ['1']"),
         (("ingest-classify", *INGEST), {"modes": [1, 2]},
@@ -1252,6 +1277,23 @@ class TestConfigContract:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err == {"command": command, "type": "ValueError",
                        "message": f"points must be an integer >= 3, got {points}"}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("project", "--input", "plane.csv", "--point", "5", "6"),
+         "project reads --input or --point, not both"),
+        (("ingest-classify", *INGEST, "--meta", "foo"),
+         "--meta must look like KEY=VALUE, got 'foo'"),
+        (("ingest-classify", *INGEST, "--meta", "n_in=2.74", "--meta", "=bar"),
+         "--meta must look like KEY=VALUE, got '=bar'"),
+    ])
+    def test_rejects_flags_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                           argv, message):
+        monkeypatch.setitem(cli._RUNNERS, argv[0], _no_run)
+        assert run_cli(*argv, "--out", "out") == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"command": argv[0], "type": "ValueError",
+                       "message": message}
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, message", [

@@ -339,13 +339,14 @@ class TestEncircle:
         assert both.permutation == "identity"
 
     def test_enclosed_eps_annotation(self):
+        # the encircle command reports the known EPs that the loop contains
         samp = eigenpair_sampler(DOUBLE_EP)
         known = [EPLocation(EP1_ALPHA, 1.0, 0.0), EPLocation(EP2_ALPHA, 1.0, 0.0)]
-        res = encircle(samp, CircleLoop((EP1_ALPHA, 1.0), 0.05), 128,
-                       known_eps=known)
-        assert [e.p1 for e in res.enclosed_eps] == [EP1_ALPHA]
-        res = encircle(samp, BOTH_EP_RECT, 128, known_eps=known)
-        assert len(res.enclosed_eps) == 2
+        for loop, want, permutation in (
+                (CircleLoop((EP1_ALPHA, 1.0), 0.05), [EP1_ALPHA], "swap"),
+                (BOTH_EP_RECT, [EP1_ALPHA, EP2_ALPHA], "identity")):
+            assert [e.p1 for e in known if loop.contains((e.p1, e.p2))] == want
+            assert encircle(samp, loop, 128).permutation == permutation
 
     @given(st.floats(0.01, 3.0), st.floats(0.5, 1.5), st.floats(0.0, 1.0),
            st.sampled_from([FULL_COMPLEX, REAL_PART]), st.sampled_from([0, -1]),
@@ -364,12 +365,13 @@ class TestEncircle:
         assume(cx - radius > 1e-3)  # the toy has no alpha < 0
         assume(all(abs(math.hypot(ep.p1 - cx, ep.p2 - cy) - radius)
                    > 0.1 * radius for ep in eps))
-        res = encircle(eigenpair_sampler(p), CircleLoop((cx, cy), radius), 64,
-                       known_eps=eps)
+        loop = CircleLoop((cx, cy), radius)
+        res = encircle(eigenpair_sampler(p), loop, 64)
+        enclosed = [ep for ep in eps if loop.contains((ep.p1, ep.p2))]
         charge = [1 if 1.0 - ep.p1 / 2 - math.sqrt(ep.p1) > 0 else -1
-                  for ep in res.enclosed_eps]
+                  for ep in enclosed]
         assert res.winding == sum(charge)
-        assert (res.permutation == "swap") == (len(res.enclosed_eps) % 2 == 1)
+        assert (res.permutation == "swap") == (len(enclosed) % 2 == 1)
 
     def test_loop_through_ep_fails(self):
         samp = eigenpair_sampler(DOUBLE_EP)
