@@ -5,6 +5,15 @@ pairs, one pair per mode. Grids are exported in long format with one row
 per node. All writers format floats with ``repr`` (shortest round-trip)
 and sort JSON keys, so identical inputs produce byte-identical files.
 
+The three CSV writers each hand a header and a list of columns to one row
+writer, ``_write_csv``. A column is an iterable of cell strings; floats
+enter it as ``repr`` strings, column by column (``_reprs``). Each row is
+one C-level ``",".join`` of its cells, and the rows go out ``CSV_BLOCK``
+at a time, one joined string per block. Blocks keep the write calls few
+without holding the whole file as one string, which would add several MB
+to peak RSS on a 256x128 grid; for the same reason ``_reprs`` turns
+array values into Python floats one block at a time.
+
 ``write_json`` writes JSON in one recursive pass (``_encode``), in the
 layout of ``json.dumps(indent=2, sort_keys=True)``, turning numpy values,
 complex numbers and non-finite floats into JSON on the way. The stdlib's
@@ -27,13 +36,15 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
-from itertools import chain
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .crossing import MIN_SCAN_POINTS, ScanTrajectory
 from .surface import DELTA, SheetGrid
+
+CSV_BLOCK = 1024  # rows per write
 
 
 class IngestError(ValueError):
@@ -240,14 +251,33 @@ def _ingest_rows(path, metadata: dict | None) -> TrajectoryDataset:
     )
 
 
+def _reprs(values):
+    """The shortest round-trip ``repr`` of each value, in C order. The
+    values become Python objects ``CSV_BLOCK`` at a time, as the rows
+    are written, so no column is held as a list of floats."""
+    flat = np.ravel(values)
+    return chain.from_iterable(map(repr, flat[i:i + CSV_BLOCK].tolist())
+                               for i in range(0, flat.size, CSV_BLOCK))
+
+
+def _write_csv(path, header, *columns) -> None:
+    """Write ``header`` and one row per cell of the equal-length
+    ``columns`` of cell strings, ``CSV_BLOCK`` rows per write.
+
+    A column of another length raises ``ValueError`` from ``zip``.
+    """
+    rows = map(",".join, zip(*columns, strict=True))
+    with Path(path).open("w", newline="\n", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        while block := list(islice(rows, CSV_BLOCK)):
+            handle.write("\n".join(block) + "\n")
+
+
 def write_trajectory_csv(path, traj: ScanTrajectory) -> None:
     """Write a matched trajectory so it round-trips through ingest_csv."""
-    columns = (traj.ts, traj.branch_a.real, traj.branch_a.imag,
-               traj.branch_b.real, traj.branch_b.imag)
-    rows = map("{!r},{!r},{!r},{!r},{!r}\n".format, *(c.tolist() for c in columns))
-    with Path(path).open("w", newline="\n", encoding="utf-8") as handle:
-        handle.write("scan,re_1,im_1,re_2,im_2\n")
-        handle.writelines(rows)
+    _write_csv(path, ("scan", "re_1", "im_1", "re_2", "im_2"), _reprs(traj.ts),
+               _reprs(traj.branch_a.real), _reprs(traj.branch_a.imag),
+               _reprs(traj.branch_b.real), _reprs(traj.branch_b.imag))
 
 
 def write_sheetgrid_csv(path, grid: SheetGrid) -> None:
@@ -255,26 +285,27 @@ def write_sheetgrid_csv(path, grid: SheetGrid) -> None:
 
     Raw mode writes ``p1,p2,re1,im1,re2,im2,is_cut_edge``. Delta mode writes
     ``p1,p2,re1,im1,is_cut_edge``: there sheet2 == -sheet1 by definition,
-    which the manifest's ``delta_mode`` records.
+    which the manifest's ``delta_mode`` records. A written sheet whose
+    shape is not ``(axis1.size, axis2.size)`` raises ``ValueError``.
     """
+    n1, n2 = grid.axis1.size, grid.axis2.size
     sheets = ((grid.sheet1,) if grid.delta_mode == DELTA
               else (grid.sheet1, grid.sheet2))
-    flagged = np.zeros(grid.sheet1.shape, dtype=int)
+    header, columns = ["p1", "p2"], []
+    for k, sheet in enumerate(sheets, start=1):
+        if np.shape(sheet) != (n1, n2):
+            raise ValueError(f"sheet{k} must have shape (axis1.size, axis2.size)"
+                             f" = {(n1, n2)}, got {np.shape(sheet)}")
+        header += [f"re{k}", f"im{k}"]
+        columns += [_reprs(sheet.real), _reprs(sheet.imag)]
+    flagged = np.zeros((n1, n2), dtype=int)
     nodes = np.array(grid.cut_cells.all_edges(), dtype=int).reshape(-1, 2)
     flagged[nodes[:, 0], nodes[:, 1]] = 1
-    # each axis value is formatted once; repr is most of the cost
-    p1 = [f"{x!r}," for x in grid.axis1.tolist()]
-    p2 = [f"{y!r}," for y in grid.axis2.tolist()]
-    names, columns = [], []
-    for k, sheet in enumerate(sheets, start=1):
-        names += [f"re{k}", f"im{k}"]
-        columns += [sheet.real, sheet.imag]
-    rows = map(("{}" + "{!r}," * len(names) + "{}\n").format,
-               (a + b for a in p1 for b in p2),
-               *(np.ravel(c).tolist() for c in (*columns, flagged)))
-    with Path(path).open("w", newline="\n", encoding="utf-8") as handle:
-        handle.write(",".join(["p1", "p2", *names, "is_cut_edge"]) + "\n")
-        handle.writelines(rows)
+    # each axis value is formatted once
+    p1 = chain.from_iterable(map(repeat, _reprs(grid.axis1), repeat(n2)))
+    p2 = list(_reprs(grid.axis2)) * n1
+    _write_csv(path, [*header, "is_cut_edge"], p1, p2, *columns,
+               _reprs(flagged))
 
 
 def read_plane_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -310,10 +341,10 @@ def _plane_rows(path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_sphere_csv(path, points: np.ndarray) -> None:
     """Write (N, 3) sphere points as ``tn,tchi,txi`` rows."""
-    columns = np.asarray(points, dtype=float).T.tolist()
-    with Path(path).open("w", newline="\n", encoding="utf-8") as handle:
-        handle.write("tn,tchi,txi\n")
-        handle.writelines(map("{!r},{!r},{!r}\n".format, *columns))
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"points must have shape (N, 3), got {points.shape}")
+    _write_csv(path, ("tn", "tchi", "txi"), *map(_reprs, points.T))
 
 
 _encode_str = json.encoder.encode_basestring_ascii

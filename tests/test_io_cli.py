@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from epkit.cli import build_parser, main
 from epkit.crossing import classify, sweep_toy
 from epkit.io import (IngestError, TrajectoryDataset, ingest_csv,
                       write_trajectory_csv)
+from epkit.surface import CutSet, SheetGrid
 from epkit.toymodel import PRESETS, ToyParams
 
 
@@ -847,6 +849,39 @@ class TestSheetCsv:
         assert run_cli("surface", "--grid", "16x16", "--delta-mode", "raw",
                        "--out", str(tmp_path)) == 0
         assert (tmp_path / "surface.csv").read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("delta_mode, shape1, shape2", [
+        ("delta", (4, 2), (4, 2)),
+        # as many cells as the axes span, so only the shape tells
+        ("delta", (3, 4), (3, 4)),
+        ("raw", (4, 3), (4, 2)),
+    ])
+    def test_rejects_a_sheet_off_the_axes(self, tmp_path, delta_mode, shape1,
+                                          shape2):
+        grid = SheetGrid(np.arange(4.0), np.arange(3.0), np.zeros(shape1, complex),
+                         np.zeros(shape2, complex), CutSet(), delta_mode)
+        path = tmp_path / "grid.csv"
+        bad, shape = ("sheet1", shape1) if shape1 != (4, 3) else ("sheet2", shape2)
+        message = (f"{bad} must have shape (axis1.size, axis2.size) = (4, 3), "
+                   f"got {shape}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            io_mod.write_sheetgrid_csv(path, grid)
+        assert not path.exists()
+
+
+class TestSphereCsv:
+    @pytest.mark.parametrize("shape", [(5, 4), (5, 2), (3,), (2, 3, 1)])
+    def test_rejects_points_not_n_by_3(self, tmp_path, shape):
+        path = tmp_path / "sphere.csv"
+        message = f"points must have shape (N, 3), got {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            io_mod.write_sphere_csv(path, np.zeros(shape))
+        assert not path.exists()
+
+    def test_no_points_write_the_header_alone(self, tmp_path):
+        path = tmp_path / "sphere.csv"
+        io_mod.write_sphere_csv(path, np.zeros((0, 3)))
+        assert path.read_bytes() == b"tn,tchi,txi\n"
 
 
 # SHA-256 of the matched exports at the command defaults, recorded with
