@@ -1,8 +1,10 @@
 """1-D scan analysis: branch matching, crossing classification, transitions.
 
-A scan produces an unordered eigenvalue pair per point. Classification
-inspects the real and imaginary parts of the pair difference, each point's
-sign taken nearer the previous point's, so no pair order matters:
+A scan produces an unordered eigenvalue pair per point, whose members the
+one keep/swap rule (:func:`pairing`) tells apart by ``d = a - b`` alone:
+each point takes the sign of ``d`` nearer the previous point's, so a mean
+added to both members changes no choice. Classification aligns ``d`` by
+it and inspects the real and imaginary parts, so no pair order matters:
 
   LZ  - real parts avoid while imaginary parts cross (real-dominated
         coupling);
@@ -10,9 +12,9 @@ sign taken nearer the previous point's, so no pair order matters:
         finite interval) while imaginary parts stay separated or bifurcate
         around the contact region (imaginary-dominated coupling).
 
-Greedy continuity matching turns the pairs into two branches for export:
-a scan is one row of the grid matcher :func:`match_grid`, and only an exact
-tie of the two pairings keeps the sampled order.
+Greedy continuity matching by the same rule turns the pairs into two
+branches for export: a scan is one row of the grid matcher
+:func:`match_grid`, and only an exact tie keeps the sampled order.
 Sticking renders as a run of gaps at rounding level, so contact is judged
 against ``GAP_FLOOR`` rather than exact zeros. The eigenstate overlap reads
 the eigenvector pair in either order too.
@@ -63,7 +65,7 @@ class ScanTrajectory:
             raise ValueError(f"a scan needs at least {MIN_SCAN_POINTS} points")
         if self.branch_a.size != n or self.branch_b.size != n:
             raise ValueError("branches must match the scan length")
-        if not np.all(np.diff(self.ts) > 0):
+        if not np.all(self.ts[1:] > self.ts[:-1]):
             raise ValueError("scan values must be strictly increasing")
 
 
@@ -77,69 +79,57 @@ class ClassReport:
     bifurcation_edges: Optional[tuple[float, float]] = None
 
 
-def pairing(ref_a, ref_b, a, b):
-    """Greedy keep/swap rule of pairs (a, b) against reference pairs: where
-    swapping costs less, and where the rule keeps the order because neither
-    pairing costs less (the costs are equal, or one is NaN)."""
-    straight = abs_diff(a, ref_a) + abs_diff(b, ref_b)
-    cross = abs_diff(b, ref_a) + abs_diff(a, ref_b)
-    return cross < straight, ~((cross < straight) | (straight < cross))
+def pairing(ref, d):
+    """Greedy keep/swap rule of pair differences ``d = a - b`` against
+    reference differences: where swapping the pair, which negates ``d``,
+    brings it nearer ``ref``, and where the rule keeps the order because
+    neither is nearer (the distances are equal, or one is NaN). A shift of
+    both members by the same amount changes neither."""
+    keep, swap = abs_diff(d, ref), abs_diff(d, -ref)
+    flip = swap < keep
+    return flip, ~(flip | (keep < swap))
 
 
-def parity_runs(flip, restart):
-    """The greedy keep/swap rule as a segmented cumulative parity.
-
-    Keeping the order of point k-1 costs `straight` if k-1 is stored as
-    sampled and `cross` if swapped, so the greedy choice is swapped_k =
-    swapped_(k-1) XOR flip_k with flip_k = (cross < straight), except where
-    ``restart`` is set (position 0 must be). Along the last axis, returns
-    the run start at or before each position and the parity of the flips
-    after it: swapped_k = swapped_(start_k) XOR odd_k.
-    """
-    start = np.maximum.accumulate(
-        np.where(restart, np.arange(restart.shape[-1]), 0), axis=-1)
-    flips = np.cumsum(flip, axis=-1)
-    return start, (flips - np.take_along_axis(flips, start, axis=-1)) % 2 == 1
-
-
-def match_grid(va, vb, ok):
-    """Row-major continuation of unordered pairs; returns matched (a, b).
+def match_grid(d, ok):
+    """Row-major continuation of unordered pairs from their differences
+    ``d = a - b``; returns where each cell's pair is swapped.
 
     An ok cell continues from its left neighbour if that is ok, else from
     the one above, else it is a seed; a seed, and a cell whose pairings
-    tie, keeps the sampled order. Each row is a segmented parity
-    (:func:`parity_runs`); only runs that start from the cell above depend
-    on the previous row.
+    tie, keeps the sampled order and starts a run. Along a run, a cell is
+    swapped by the parity of the flips of :func:`pairing` since the run
+    start; only runs that start from the cell above depend on that row.
     """
     left = np.zeros_like(ok)
     left[:, 1:] = ok[:, 1:] & ok[:, :-1]
     flip = np.zeros_like(ok)
     restart = ~left
-    flip[:, 1:], tie = pairing(va[:, :-1], vb[:, :-1], va[:, 1:], vb[:, 1:])
+    flip[:, 1:], tie = pairing(d[:, :-1], d[:, 1:])
     restart[:, 1:] |= tie
-    start, odd = parity_runs(flip, restart)
+    runs = np.flatnonzero(restart)  # flat; each row starts with a run
+    start = np.repeat(runs, np.diff(runs, append=ok.size)).reshape(ok.shape)
+    parity = np.logical_xor.accumulate(flip, axis=1)
+    swapped = parity ^ parity.take(start)
 
-    from_above = np.zeros_like(ok)
-    from_above[1:] = ok[1:] & ok[:-1] & ~left[1:]
-    i, j = np.nonzero(from_above)
-    up_flip = np.zeros_like(ok)
-    up_flip[i, j], tie = pairing(va[i - 1, j], vb[i - 1, j], va[i, j],
-                                 vb[i, j])
-    from_above[i[tie], j[tie]] = False  # a tie keeps the sampled order
-
-    swapped = odd.copy()
-    for r in np.flatnonzero(from_above.any(axis=1)).tolist():
-        base = from_above[r] & (swapped[r - 1] ^ up_flip[r])
-        swapped[r] = base[start[r]] ^ odd[r]
-    return np.where(swapped, vb, va), np.where(swapped, va, vb)
+    above = ok[1:] & ok[:-1] & ~left[1:]  # row r of it is grid row r + 1
+    i, j = np.nonzero(above)
+    if i.size:
+        up_flip = np.zeros_like(above)
+        up_flip[i, j], tie = pairing(d[i, j], d[i + 1, j])
+        above[i[tie], j[tie]] = False  # a tie keeps the sampled order
+        base = np.zeros_like(ok)  # the swap of a run start from above
+        for r in np.flatnonzero(above.any(axis=1)).tolist():
+            base[r + 1] = above[r] & (swapped[r] ^ up_flip[r])
+            swapped[r + 1] ^= base.take(start[r + 1])
+    return swapped
 
 
 def match_branches(ts, pairs) -> ScanTrajectory:
     """Greedy continuity matching of per-point unordered eigenvalue pairs.
 
-    One row of :func:`match_grid`: at each step the pairing minimizing the
-    summed jump is chosen; only where both cost exactly the same does the
-    point keep its sampled order and start a new run. Raises
+    One row of :func:`match_grid`: each pair takes the order whose ``a - b``
+    lies nearer the previous point's; only where both lie exactly as near
+    does the point keep its sampled order and start a new run. Raises
     ``ValueError`` on a pair that is not finite.
     """
     ts = np.asarray(ts, dtype=float)
@@ -151,9 +141,9 @@ def match_branches(ts, pairs) -> ScanTrajectory:
         k = int(np.argmin(finite))
         raise ValueError(f"pairs row {k} is not finite: {pairs[k].tolist()}")
 
-    a, b = match_grid(pairs[None, :, 0], pairs[None, :, 1],
-                      np.ones((1, len(pairs)), dtype=bool))
-    return ScanTrajectory(ts, a[0], b[0])
+    swapped = match_grid((pairs[:, 0] - pairs[:, 1])[None], finite[None])[0]
+    return ScanTrajectory(ts, np.where(swapped, pairs[:, 1], pairs[:, 0]),
+                          np.where(swapped, pairs[:, 0], pairs[:, 1]))
 
 
 def sweep_toy(p: ToyParams, alphas) -> ScanTrajectory:
@@ -195,23 +185,28 @@ def _component_analysis(ts: np.ndarray, d: np.ndarray, gap_floor: float) -> dict
 def classify(traj: ScanTrajectory) -> ClassReport:
     """Label a scan as Landau-Zener (LZ) or width bifurcation (WB).
 
-    ``d = branch_a - branch_b`` takes at each point the sign nearer the
-    previous point's, so no pair order changes the label; only a step with
+    ``d = branch_a - branch_b`` is aligned as row 0 of :func:`match_grid`,
+    so no pair order changes the label; only a step with
     ``|d[k+1] + d[k]| == |d[k+1] - d[k]|`` keeps the sampled order.
 
-    Raises :class:`UnclassifiableScanError` when both components cross or
-    both avoid (which happens exactly at the transition point).
+    Raises ``ValueError`` naming the first scan point where ``d`` is not
+    finite, and :class:`UnclassifiableScanError` when both components
+    cross or both avoid (which happens exactly at the transition point).
 
     ``bifurcation_edges`` brackets the region where the imaginary gap
     exceeds ``EDGE_FACTOR`` times its baseline (the scan median, floored
     at ``GAP_FLOOR``); reported for WB scans only, and only when the
     region is resolved.
     """
-    d = traj.branch_a - traj.branch_b
-    flip = abs_diff(d[1:], -d[:-1]) < abs_diff(d[1:], d[:-1])
-    _, odd = parity_runs(np.concatenate(([False], flip)),
-                         np.arange(d.size) == 0)
-    d = np.where(odd, -d, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = traj.branch_a - traj.branch_b
+    finite = np.isfinite(d)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"pair difference a - b at scan point {k} "
+                         f"(t={float(traj.ts[k])!r}) is not finite: "
+                         f"{complex(d[k])!r}")
+    d = np.where(match_grid(d[None], finite[None])[0], -d, d)
     re = _component_analysis(traj.ts, d.real, GAP_FLOOR)
     im = _component_analysis(traj.ts, d.imag, GAP_FLOOR)
 

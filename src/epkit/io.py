@@ -74,8 +74,8 @@ class TrajectoryDataset:
                 k = int(np.argmin(finite))
                 raise ValueError(f"mode {name!r} row {k} is not finite: "
                                  f"{complex(series[k])!r}")
-        d = np.diff(self.scan_values)
-        if not (np.all(d > 0) or np.all(d < 0)):
+        s = self.scan_values  # compared, not subtracted: no step overflows
+        if not (np.all(s[1:] > s[:-1]) or np.all(s[1:] < s[:-1])):
             raise ValueError("scan values must be strictly monotone")
 
     def to_trajectory(self, mode_a: str | None = None,
@@ -203,10 +203,10 @@ def ingest_csv(path, metadata: dict | None = None) -> TrajectoryDataset:
 
 def _rows_pass(cells: np.ndarray, width: int) -> bool:
     """Whether trajectory cells pass every row check of ``_ingest_rows``."""
-    steps = np.diff(cells[:, 0])
+    s = cells[:, 0]
     return (cells.shape[1] == width and len(cells) >= MIN_SCAN_POINTS
             and np.isfinite(cells).all()
-            and ((steps > 0).all() or (steps < 0).all()))
+            and ((s[1:] > s[:-1]).all() or (s[1:] < s[:-1]).all()))
 
 
 def _ingest_rows(path, metadata: dict | None) -> TrajectoryDataset:

@@ -205,14 +205,15 @@ def build_surface(sampler: Callable[[float, float], tuple[complex, complex]],
             f"{len(missing)} of {n1 * n2} cells failed to sample"
         )
 
-    a, b = match_grid(va, vb, ok)
-    e = 0.5 * (a - b)
-    cuts = CutSet(_matched_cut_edges(e, ok), *_seam_edges(va - vb, ok))
+    d = va - vb
+    swapped = match_grid(d, ok)
+    e = 0.5 * np.where(swapped, vb - va, d)  # not -d, which turns +0.0 to -0.0
+    cuts = CutSet(_matched_cut_edges(e, ok), *_seam_edges(d, ok))
 
     if delta_mode == DELTA:
         sheet1, sheet2 = e, -e
     else:
-        sheet1, sheet2 = a, b
+        sheet1, sheet2 = np.where(swapped, vb, va), np.where(swapped, va, vb)
     return SheetGrid(axis1, axis2, sheet1, sheet2, cuts, delta_mode, missing)
 
 

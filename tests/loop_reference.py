@@ -87,7 +87,9 @@ def sweep_pairs(p, alphas):
 
 
 def match_branches(pairs, vectors=None):
-    """Greedy keep/swap matching.
+    """Greedy keep/swap matching on the pair difference: a point's pair is
+    swapped where its ``d = a - b`` lies nearer ``-ref`` than ``ref``, the
+    previous point's matched ``a - b``.
 
     Returns (branch_a, branch_b, vectors_a, vectors_b, ambiguous).
     """
@@ -103,8 +105,8 @@ def match_branches(pairs, vectors=None):
         va[0], vb[0] = vectors[0]
     for k in range(1, n):
         lp, lm = pairs[k]
-        keep = abs(lp - a[k - 1]) + abs(lm - b[k - 1])
-        swap = abs(lm - a[k - 1]) + abs(lp - b[k - 1])
+        d, ref = lp - lm, a[k - 1] - b[k - 1]
+        keep, swap = abs(d - ref), abs(d + ref)
         if not (keep < swap or swap < keep):  # equal, or NaN
             ambiguous.append(k)
             chosen_swap = False
@@ -187,15 +189,13 @@ def component_analysis(ts: np.ndarray, d: np.ndarray, gap_floor: float) -> dict:
 def matched_classify(ts, pairs, gap_floor: float = 1e-9,
                      edge_factor: float = 5.0) -> ClassReport:
     """The crossing label read from matched branches, without aligning the
-    pair difference: greedy matching, then the label rules on the matched
-    ``a - b``. Matching is the array ``match_branches``, which
-    test_reference_oracles.py holds bitwise to :func:`match_branches` here;
-    the per-point loop would take minutes over the scans this is checked on.
+    pair difference: the per-point :func:`match_branches`, then the label
+    rules on the matched ``a - b``.
     """
-    traj = crossing.match_branches(ts, pairs)
-    d = traj.branch_a - traj.branch_b
-    re = crossing._component_analysis(traj.ts, d.real, gap_floor)
-    im = crossing._component_analysis(traj.ts, d.imag, gap_floor)
+    a, b, _, _, _ = match_branches(pairs)
+    d = a - b
+    re = crossing._component_analysis(ts, d.real, gap_floor)
+    im = crossing._component_analysis(ts, d.imag, gap_floor)
     if re["avoided"] and im["crossed"]:
         label = LZ
     elif re["crossed"] and (im["avoided"] or im["bifurcated"]):
@@ -210,7 +210,7 @@ def matched_classify(ts, pairs, gap_floor: float = 1e-9,
         above = imd > edge_factor * max(float(np.median(imd)), gap_floor)
         if above.any():
             k = np.flatnonzero(above)
-            edges = (float(traj.ts[k[0]]), float(traj.ts[k[-1]]))
+            edges = (float(ts[k[0]]), float(ts[k[-1]]))
     return ClassReport(label, re["min_gap"], im["min_gap"],
                        re["cross_points"], im["cross_points"], edges)
 
@@ -236,7 +236,8 @@ def sample_grid(sampler, axis1, axis2):
 
 
 def match_grid(va, vb, ok):
-    """Row-major continuation; returns matched (a, b) fields."""
+    """Row-major continuation by the rule of :func:`match_branches`, from
+    the left neighbour, else the one above; returns matched (a, b) fields."""
     n1, n2 = va.shape
     a = va.copy()
     b = vb.copy()
@@ -245,13 +246,13 @@ def match_grid(va, vb, ok):
             if not ok[i, j]:
                 continue
             if j > 0 and ok[i, j - 1]:
-                ref_a, ref_b = a[i, j - 1], b[i, j - 1]
+                ref = a[i, j - 1] - b[i, j - 1]
             elif i > 0 and ok[i - 1, j]:
-                ref_a, ref_b = a[i - 1, j], b[i - 1, j]
+                ref = a[i - 1, j] - b[i - 1, j]
             else:
                 continue  # seed cell keeps sampler order
-            keep = abs(va[i, j] - ref_a) + abs(vb[i, j] - ref_b)
-            swap = abs(vb[i, j] - ref_a) + abs(va[i, j] - ref_b)
+            d = va[i, j] - vb[i, j]
+            keep, swap = abs(d - ref), abs(d + ref)
             if swap < keep:
                 a[i, j], b[i, j] = vb[i, j], va[i, j]
     return a, b

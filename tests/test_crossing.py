@@ -145,12 +145,29 @@ class TestClassify:
     def test_exact_pi_turn_keeps_the_sampled_order(self):
         # |d1 + d0| == |d1 - d0|: D = d**2 goes from 2i to -2i, by pi either
         # way round, so the samples cannot tell whether it crossed the
-        # negative real axis (Re d changes sign) or the positive one (Im d)
+        # negative real axis (Re d changes sign) or the positive one (Im d);
+        # after a flip too, the tied point starts a new run as sampled
         ts = np.arange(3.0)
         for d, label in (([1 + 1j, -1 + 1j, -1 + 1j], WB),
-                         ([1 + 1j, 1 - 1j, 1 - 1j], LZ)):
+                         ([1 + 1j, 1 - 1j, 1 - 1j], LZ),
+                         ([1 + 1j, -1 - 1j, 1 - 1j], LZ)):
             d = np.array(d)
             assert classify(ScanTrajectory(ts, d / 2, -d / 2)).label == label
+
+    @pytest.mark.parametrize("a2, b2, shown", [
+        (np.nan, 0.0, "(nan+0j)"),
+        (1e308, -1e308, "(inf+0j)"),  # finite members, overflowing difference
+    ])
+    def test_pair_difference_not_finite_names_the_point(self, a2, b2, shown):
+        ts = np.linspace(0.0, 1.0, 5)
+        a, b = np.ones(5, dtype=complex), np.zeros(5, dtype=complex)
+        a[2], b[2] = a2, b2
+        message = ("pair difference a - b at scan point 2 (t=0.5) is not "
+                   f"finite: {shown}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                classify(ScanTrajectory(ts, a, b))
 
     def test_wb_real_parts_coincide_between_edges(self):
         traj = sweep_toy(DOUBLE_EP, np.linspace(0.3, 0.8, 2001))

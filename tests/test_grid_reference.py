@@ -31,7 +31,7 @@ from epkit.toymodel import (FULL_COMPLEX, PRESETS, REAL_PART, ToyParams,
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
-# small lattice values make exact ties (va == vb, straight == cross) likely
+# small lattice values make exact ties (va == vb, |d - r| == |d + r|) likely
 lattice = st.sampled_from([0, 1, -1, 1j, -1j, 1 + 1j, 2, 0.5j, -2 + 1j])
 floats = st.floats(min_value=-10, max_value=10, allow_nan=False)
 values = st.one_of(lattice, st.builds(complex, floats, floats))
@@ -97,7 +97,8 @@ class TestMatchAndCuts:
     @SETTINGS
     def test_matching_and_cuts_match_loop(self, field, jump):
         va, vb, ok = field
-        a, b = match_grid(va, vb, ok)
+        swapped = match_grid(va - vb, ok)
+        a, b = np.where(swapped, vb, va), np.where(swapped, va, vb)
         ra, rb = ref.match_grid(va, vb, ok)
         np.testing.assert_array_equal(bits(a), bits(ra))
         np.testing.assert_array_equal(bits(b), bits(rb))

@@ -4,7 +4,7 @@ a bitwise-equal result (signed zeros included) or the same error."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ingest_reference as ref
@@ -161,6 +161,12 @@ def path(tmp_path_factory):
 
 
 @given(text=trajectory_files())
+# an infinite scan value in a short row; finite scan values whose steps
+# overflow: monotonicity is compared, so neither warns
+@example(text="scan,re_1,im_1,re_2,im_2,re_3,im_3\ninf,0.0,0.0,0.0,0.0\n"
+              "inf,0.0,0.0,0.0,0.0")
+@example(text="scan,re_1,im_1,re_2,im_2\n-1e308,1,0,2,0\n1e308,1,0,2,0\n"
+              "1.5e308,1,0,2,0\n")
 @SETTINGS
 def test_ingest_csv_matches_per_row_reader(path, text):
     path.write_bytes(text.encode("utf-8"))

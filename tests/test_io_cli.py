@@ -3,6 +3,7 @@ import json
 import math
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -479,6 +480,23 @@ class TestCli:
         report = json.loads((tmp_path / "ingest_classify.json").read_text())
         assert report["report"]["label"] == "WB"
 
+    def test_ingest_overflowing_pair_difference_fails(self, tmp_path, capsys):
+        # cells of +-1e308 are finite and accepted; a - b is not, and the
+        # classifier used to label the scan from it, with warnings
+        src = tmp_path / "big.csv"
+        write_lines(src, ["scan,re_1,im_1,re_2,im_2", "0,1,0,-1,0",
+                          "0.5,1,0,-1,0", "1,1e308,1,-1e308,0",
+                          "1.5,1e308,0,-1e308,1", "2,1e308,1,-1e308,0",
+                          "2.5,1,0,-1,0"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("ingest-classify", "--input", str(src),
+                           "--out", str(tmp_path / "out")) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["message"]) == (
+            "ValueError", "pair difference a - b at scan point 2 (t=1.0) is "
+                          "not finite: (inf+1j)")
+
     def test_ingest_two_rows_fails_at_the_boundary(self, tmp_path, capsys):
         # was "a scan needs at least 3 points" from inside the classifier
         short = tmp_path / "short.csv"
@@ -884,9 +902,10 @@ class TestSphereCsv:
         assert path.read_bytes() == b"tn,tchi,txi\n"
 
 
-# SHA-256 of the matched exports at the command defaults, recorded with
-# numpy 2.4.6 while scans and grids still had separate matchers. The CSVs
-# embed no path, so the digests hold for any --out.
+# SHA-256 of the matched exports, recorded with numpy 2.4.6: at the command
+# defaults while scans and grids still had separate matchers, and the raw
+# sheets while the keep/swap rule still summed the jumps of both members.
+# The CSVs embed no path, so the digests hold for any --out.
 MATCHED_EXPORT_DIGESTS = {
     ("toy-sweep", "--preset", "class1"):
         "dbefa7f4d9de7ab4d34eaeedf784e4665342b577cf3d34036a5ec58583cff8b4",
@@ -908,6 +927,10 @@ MATCHED_EXPORT_DIGESTS = {
         "1bb29efb7978ca86b5ab92ac2fb605e2bac7c35c083cbdbf802ff75ca6b6e031",
     ("oracle",):
         "4c9a415ed19128f6137c0a0314a30ac20d7e898d3aae6973d2062bbe4209a8d8",
+    ("surface", "--delta-mode", "raw"):
+        "cce6476d0c879b088f46afb50e2e8dee8bd959ac13e4f2b8e59de5a44171d385",
+    ("oracle", "--delta-mode", "raw"):
+        "bbf024e83270fc3e29d5015b89ed47cd92f918a3946d7cab0278ce02c1a8ecaf",
 }
 EXPORT_NAMES = {"toy-sweep": "toy_sweep.csv", "surface": "surface.csv",
                 "oracle": "oracle_surface.csv"}
@@ -919,6 +942,44 @@ def test_matched_export_digests(tmp_path, argv):
     assert run_cli(*argv, "--out", str(tmp_path)) == 0
     data = (tmp_path / EXPORT_NAMES[argv[0]]).read_bytes()
     assert hashlib.sha256(data).hexdigest() == MATCHED_EXPORT_DIGESTS[argv]
+
+
+# SHA-256 of the crossing reports and beta_c, recorded with numpy 2.4.6
+# while the keep/swap rule still summed the jumps of both members. Each
+# JSON records its --out in config.out, so the runs write to "out" in the
+# working directory.
+REPORT_DIGESTS = {
+    ("toy-sweep", "--preset", "class1"):
+        "f4bb1535c40be1c7240ed309d1fe4d09e7ad8aabd676e94d62f4dfa51f8f9083",
+    ("toy-sweep", "--preset", "class2"):
+        "43f8362e3be2b31b61b339e2977a628ad1eafaa3c062139f806c3490471e4961",
+    ("toy-sweep", "--preset", "class3a"):
+        "f3db91b45a422d25e1b9321e188729c259f9d394972d03c40dd1aee1f6d52261",
+    ("toy-sweep", "--preset", "class3b"):
+        "1c814b3bc20e189584d9a65bc72d913c929c22e59314da8a9b03b9c730f4a1b2",
+    ("toy-sweep", "--preset", "class4"):
+        "cebd366f8f9488b6133b004dbbdc8f8501a90dfadd1d287ebc64d1821b7f0e44",
+    ("toy-sweep", "--preset", "class5"):
+        "2b76e9012d08a315c5b631cacccb19192f83ed0c1275d1790bbd68957dfb1547",
+    ("toy-sweep", "--preset", "transition"):
+        "4b7e1efac70639c507d3347f35053133b3c4dec07498b16dd1859b8a748e2a12",
+    ("toy-sweep", "--preset", "double-ep"):
+        "0fae29968d53228a5a2a01d3ee1388d0b5f3519252c6d7cf0f6aef7be6c826fc",
+    ("beta-scan",):
+        "2a7ec1c0fbb80ff346251c6535cfa0b562f0e65ea9c72d15736e915f31303ae1",
+    ("beta-scan", "--points", "51"):
+        "19277f0c3581749af8787d4881e022ac2ba50caa37aa3d7f2df4d10b1863858e",
+}
+REPORT_NAMES = {"toy-sweep": "toy_sweep_report.json",
+                "beta-scan": "beta_scan.json"}
+
+
+@pytest.mark.parametrize("argv", REPORT_DIGESTS, ids=" ".join)
+def test_report_digests(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--out", "out") == 0
+    data = (tmp_path / "out" / REPORT_NAMES[argv[0]]).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == REPORT_DIGESTS[argv]
 
 
 class TestCommandFlags:

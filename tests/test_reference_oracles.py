@@ -19,7 +19,8 @@ from epkit.core import (Hamiltonian2, abs_diff, diagonalize, eigvalues_grid,
                         eigvectors_grid)
 from epkit.crossing import (ScanTrajectory, UnclassifiableScanError,
                             _component_analysis, classify, match_branches,
-                            overlap_curve, overlap_peaks, sweep_toy)
+                            match_grid, overlap_curve, overlap_peaks,
+                            sweep_toy)
 from epkit.epfind import toy_ep_roots
 from epkit.toymodel import (FULL_COMPLEX, PRESETS, REAL_PART, ToyParams,
                             coupling, preset, scan_entries, xi)
@@ -87,9 +88,10 @@ class TestMatchBranches:
         assert_ties_keep_sampled_order(fast, pairs, ties)
 
     def test_overflowed_jumps_keep_the_order_like_the_loop(self):
-        # row 1 swaps; from row 1 to row 2 both jump sums overflow to inf,
-        # compare neither way, and the loop goes back to keeping the order
-        pairs = np.array([[1, 2], [2, 1], [1e308, 1e308j], [1e308, 1e308j]],
+        # row 1 swaps; the difference of rows 2 and 3 overflows to inf, so
+        # their distances to the reference are inf or NaN, compare neither
+        # way, and the loop goes back to keeping the order
+        pairs = np.array([[1, 2], [2, 1], [1e308, -1e308], [1e308, -1e308]],
                          dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             fast = match_branches(np.arange(4.0), pairs)
@@ -320,6 +322,46 @@ class TestOrderFreeClassify:
         swapped = np.where(swap[:, None], pairs[:, ::-1], pairs)
         assert (outcome(classify, ScanTrajectory(ts, *swapped.T))
                 == outcome(classify, ScanTrajectory(ts, *pairs.T)))
+
+
+# Gaussian integers: a + m, b + m and their difference are exact
+gaussian = st.builds(complex, st.integers(-4, 4), st.integers(-4, 4))
+means = st.builds(complex, st.integers(-1000, 1000), st.integers(-1000, 1000))
+
+
+class TestMeanShift:
+    """Adding a mean m to both members of every pair, even an m that jumps
+    from point to point, moves both eigenvalues alike and so changes no
+    choice of sheet."""
+
+    @given(st.data())
+    @SETTINGS
+    def test_changes_no_swap_of_a_scan_and_no_report(self, data):
+        n = data.draw(st.integers(3, 30))
+        pairs = np.array(data.draw(st.lists(st.tuples(gaussian, gaussian),
+                                            min_size=n, max_size=n)))
+        m = np.array(data.draw(st.lists(means, min_size=n, max_size=n)))
+        shifted = pairs + m[:, None]
+        ts = np.arange(n, dtype=float)
+        fast = match_branches(ts, pairs)
+        moved = match_branches(ts, shifted)
+        np.testing.assert_array_equal(moved.branch_a, fast.branch_a + m)
+        np.testing.assert_array_equal(moved.branch_b, fast.branch_b + m)
+        assert (outcome(classify, ScanTrajectory(ts, *shifted.T))
+                == outcome(classify, ScanTrajectory(ts, *pairs.T)))
+
+    @given(st.data())
+    @SETTINGS
+    def test_changes_no_swap_of_a_grid_with_holes(self, data):
+        n1, n2 = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+
+        def cells(values):
+            return np.array(data.draw(st.lists(
+                values, min_size=n1 * n2, max_size=n1 * n2))).reshape(n1, n2)
+        va, vb, m = cells(gaussian), cells(gaussian), cells(means)
+        ok = cells(st.booleans())
+        np.testing.assert_array_equal(match_grid((va + m) - (vb + m), ok),
+                                      match_grid(va - vb, ok))
 
 
 class TestToyEntries:
