@@ -9,8 +9,9 @@ the fully resolved config, and all outputs are deterministic for a fixed
 config (repeat runs produce byte-identical files).
 
 Subcommands: toy-sweep, find-eps, surface, encircle, beta-scan, project,
-ingest-classify, oracle. Errors exit nonzero after printing a
-machine-readable JSON description to stdout.
+ingest-classify, oracle. A flag that argparse cannot parse exits 2 with
+its usage on stderr; a failure after parsing prints a machine-readable
+JSON description to stdout and exits 1.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ _MODE_DEFAULTS = {
     },
     "oracle": {
         "--kind two-point": {"z1": list(CAVITY_EP1), "z2": list(CAVITY_EP2)},
-        "--kind single-point": {"z0": [0.0, 0.0], "order": 2},
+        "--kind single-point": {"z0": [0.0, 0.0]},
         "--mode surface": {"window": [2.5, 3.0, 0.45, 0.7], "grid": "256x64",
                            "delta_mode": "delta"},
         "--mode encircle": {
@@ -98,8 +99,15 @@ _MODE_DEFAULTS = {
 _WINDOW = ("P1LO", "P1HI", "P2LO", "P2HI")
 
 
+# argparse reads an argument as a flag unless it looks like a negative
+# number; -1e5, -inf and -infinity are numbers too
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$",
+                              re.IGNORECASE)
+
+
 def _add_command(subs, name, help, grid=False, params=False):
     sub = subs.add_parser(name, help=help)
+    sub._negative_number_matcher = _NEGATIVE_NUMBER
     sub.add_argument("--config", help="JSON config file; flags override it")
     sub.add_argument("--out", default=".", help="output directory")
     if grid:
@@ -162,10 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     proj.add_argument("--input", help="CSV with header n,chi (inf rows allowed)")
     proj.add_argument("--point", type=float, nargs=2, action="append",
                       metavar=("N", "CHI"))
-    # argparse reads an argument as a flag unless it looks like a negative
-    # number; -1e5, -inf and -infinity are coordinates too
-    proj._negative_number_matcher = re.compile(
-        r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.IGNORECASE)
 
     ing = _add_command(subs, "ingest-classify", "classify an external dataset")
     ing.add_argument("--input", required=True)
@@ -176,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--kind", choices=["two-point", "single-point"])
     for flag in ("--z1", "--z2", "--z0"):
         orc.add_argument(flag, type=float, nargs=2, metavar=("RE", "IM"))
-    orc.add_argument("--order", type=int)
     orc.add_argument("--mode", choices=["surface", "encircle"])
     _add_sheets(orc)
     _add_loop(orc)
@@ -326,7 +329,6 @@ _CHECKS = {
     "z1": _pair,
     "z2": _pair,
     "z0": _pair,
-    "order": _int,
     "window": _window,
     "grid": {"find-eps": _search_grid, "surface": _grid, "oracle": _grid},
     "delta_mode": _choice("raw", "delta"),
@@ -523,7 +525,7 @@ def _cmd_oracle(cfg):
         oracle = AnalyticOracle.two_point(complex(*cfg["z1"]),
                                           complex(*cfg["z2"]))
     else:
-        oracle = AnalyticOracle.single_point(complex(*cfg["z0"]), cfg["order"])
+        oracle = AnalyticOracle.single_point(complex(*cfg["z0"]))
     if cfg["mode"] == "surface":
         return _sheets(cfg, oracle.sampler(), "oracle_surface")
     return "oracle_encircle.json", asdict(

@@ -124,26 +124,36 @@ def match_grid(d, ok):
     return swapped
 
 
+def _scan_swaps(traj: ScanTrajectory):
+    """``d = branch_a - branch_b`` and where row 0 of :func:`match_grid`
+    swaps it. Raises ``ValueError`` naming the first scan point where
+    ``d`` is not finite: a member is not, or their difference overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = traj.branch_a - traj.branch_b
+    finite = np.isfinite(d)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"pair difference a - b at scan point {k} "
+                         f"(t={float(traj.ts[k])!r}) is not finite: "
+                         f"{complex(d[k])!r}")
+    return d, match_grid(d[None], finite[None])[0]
+
+
 def match_branches(ts, pairs) -> ScanTrajectory:
     """Greedy continuity matching of per-point unordered eigenvalue pairs.
 
     One row of :func:`match_grid`: each pair takes the order whose ``a - b``
     lies nearer the previous point's; only where both lie exactly as near
     does the point keep its sampled order and start a new run. Raises
-    ``ValueError`` on a pair that is not finite.
+    ``ValueError`` naming the first point whose ``a - b`` is not finite.
     """
     ts = np.asarray(ts, dtype=float)
     pairs = np.asarray(pairs, dtype=complex)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("pairs must have shape (N, 2)")
-    finite = np.isfinite(pairs).all(axis=1)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise ValueError(f"pairs row {k} is not finite: {pairs[k].tolist()}")
-
-    swapped = match_grid((pairs[:, 0] - pairs[:, 1])[None], finite[None])[0]
-    return ScanTrajectory(ts, np.where(swapped, pairs[:, 1], pairs[:, 0]),
-                          np.where(swapped, pairs[:, 0], pairs[:, 1]))
+    a, b = pairs.T
+    _, swapped = _scan_swaps(ScanTrajectory(ts, a, b))
+    return ScanTrajectory(ts, np.where(swapped, b, a), np.where(swapped, a, b))
 
 
 def sweep_toy(p: ToyParams, alphas) -> ScanTrajectory:
@@ -198,15 +208,8 @@ def classify(traj: ScanTrajectory) -> ClassReport:
     at ``GAP_FLOOR``); reported for WB scans only, and only when the
     region is resolved.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = traj.branch_a - traj.branch_b
-    finite = np.isfinite(d)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise ValueError(f"pair difference a - b at scan point {k} "
-                         f"(t={float(traj.ts[k])!r}) is not finite: "
-                         f"{complex(d[k])!r}")
-    d = np.where(match_grid(d[None], finite[None])[0], -d, d)
+    d, swapped = _scan_swaps(traj)
+    d = np.where(swapped, -d, d)
     re = _component_analysis(traj.ts, d.real, GAP_FLOOR)
     im = _component_analysis(traj.ts, d.imag, GAP_FLOOR)
 

@@ -43,7 +43,6 @@ class EPLocation:
     p1: float
     p2: float
     residual: float  # |lambda_plus - lambda_minus| at the point
-    order: int = 2
 
 
 @dataclass

@@ -18,14 +18,13 @@ Neither depends on the delta mode.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (abs_diff, check_window, is_real_number,
+from .core import (_require_finite, abs_diff, check_window, is_real_number,
                    principal_sqrt_grid)
 from .crossing import match_grid
 from .epfind import sample_points
@@ -411,35 +410,26 @@ def encircle(sampler: Callable[[float, float], tuple[complex, complex]],
 
 @dataclass(frozen=True)
 class AnalyticOracle:
-    """Multivalued reference functions with known branch structure.
-
-    Two-point kind: +/- sqrt((z - z1)(z - z2)), the square-root pair with
-    branch points at z1 and z2. Single-point kind: the N roots of
-    (z - z0)^(1/N) (the first two are returned as the pair).
+    """The square-root pair +/- sqrt(w), w the product of (z - z_k) over
+    its one or two branch points z_k: +/- sqrt(z - z0) for the
+    single-point kind, +/- sqrt((z - z1)(z - z2)) for the two-point one.
     """
 
-    kind: str
-    z1: complex = 0j
-    z2: complex = 0j
-    z0: complex = 0j
-    order: int = 2
+    points: tuple[complex, ...]
 
     @classmethod
     def two_point(cls, z1: complex, z2: complex) -> "AnalyticOracle":
-        if complex(z1) == complex(z2):
+        z1, z2 = _require_finite("z1", z1), _require_finite("z2", z2)
+        if z1 == z2:
             raise ValueError("two-point oracle needs distinct branch points")
-        return cls(kind="two-point", z1=complex(z1), z2=complex(z2))
+        return cls((z1, z2))
 
     @classmethod
-    def single_point(cls, z0: complex, order: int = 2) -> "AnalyticOracle":
-        if order < 2:
-            raise ValueError("order must be >= 2")
-        return cls(kind="single-point", z0=complex(z0), order=order)
+    def single_point(cls, z0: complex) -> "AnalyticOracle":
+        return cls((_require_finite("z0", z0),))
 
     def branch_points(self) -> list[complex]:
-        if self.kind == "two-point":
-            return [self.z1, self.z2]
-        return [self.z0]
+        return list(self.points)
 
     def sampler(self) -> Callable[[float, float], tuple[complex, complex]]:
         """Sampler of the oracle pair; two equal-shape arrays give two arrays."""
@@ -469,18 +459,13 @@ def _complex(re, im):
 
 
 def _oracle_grid(o: AnalyticOracle, p1: np.ndarray, p2: np.ndarray):
-    """The oracle pair at every p1 + i p2. The two-point product is formed
-    in real arithmetic as Python's complex multiply does, so it equals
-    ``principal_sqrt((z - z1) * (z - z2))`` bitwise; the single-point
-    roots are exp(log(w) / order), and 0 at w = 0."""
-    if o.kind == "two-point":
-        ar, ai = p1 - o.z1.real, p2 - o.z1.imag
-        br, bi = p1 - o.z2.real, p2 - o.z2.imag
-        s = principal_sqrt_grid(_complex(ar * br - ai * bi, ar * bi + ai * br))
-        return s, -s
-    w = _complex(p1 - o.z0.real, p2 - o.z0.imag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root = np.exp(np.log(w) / o.order)
-    at_z0 = w == 0
-    return (np.where(at_z0, 0j, root),
-            np.where(at_z0, 0j, root * cmath.exp(2j * cmath.pi / o.order)))
+    """The oracle pair at every p1 + i p2. The product w is formed in real
+    arithmetic as Python's complex multiply does, so the pair equals
+    ``principal_sqrt(w)`` and its negative bitwise."""
+    z, *rest = o.points
+    wr, wi = p1 - z.real, p2 - z.imag
+    for z in rest:
+        br, bi = p1 - z.real, p2 - z.imag
+        wr, wi = wr * br - wi * bi, wr * bi + wi * br
+    s = principal_sqrt_grid(_complex(wr, wi))
+    return s, -s

@@ -1,7 +1,8 @@
 """Per-point loop implementations of the scan, grid and loop paths and of
 the path follower, :mod:`cmath` and :mod:`math` versions of the scalar
 square-root, oracle and loop-geometry kernels, and the crossing label as
-read from matched branches, kept as references.
+read from matched branches, kept as references; and a sampler of a root
+pair that is not closed under a loop, :func:`root_pair`.
 
 The library computes these quantities with array operations; the tests in
 test_reference_oracles.py, test_grid_reference.py, test_core.py and
@@ -40,17 +41,32 @@ def principal_sqrt(w: complex) -> complex:
 
 
 def oracle_eval(o, z: complex) -> tuple[complex, complex]:
-    """The two principal-branch values of an AnalyticOracle at z."""
+    """The two principal-branch values of an AnalyticOracle at z: +/- the
+    principal square root of the product of (z - z_k) over its branch
+    points."""
     z = complex(z)
-    if o.kind == "two-point":
-        s = principal_sqrt((z - o.z1) * (z - o.z2))
-        return s, -s
-    w = z - o.z0
-    if w == 0:
-        return 0j, 0j
-    root = cmath.exp(cmath.log(w) / o.order)
-    turn = cmath.exp(2j * cmath.pi / o.order)
-    return root, root * turn
+    first, *rest = o.branch_points()
+    w = z - first
+    for zk in rest:
+        w *= z - zk
+    s = principal_sqrt(w)
+    return s, -s
+
+
+def root_pair(order: int):
+    """A sampler of two of the ``order`` roots of p1 + i p2, the principal
+    root and the next one counterclockwise. For ``order >= 3`` a loop
+    around 0 carries the pair onto other roots: it is not a two-sheeted
+    cover."""
+    turn = cmath.exp(2j * cmath.pi / order)
+
+    def sample(p1, p2):
+        w = np.array(p1, dtype=complex)
+        w.imag = p2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = np.exp(np.log(w) / order)  # 0 at w = 0
+        return root, root * turn
+    return sample
 
 
 def eigvector(h: Hamiltonian2, lam: complex) -> np.ndarray:

@@ -73,7 +73,8 @@ class TestMatchBranches:
         pairs = np.tile([1.0 + 0j, 2j], (6, 1))
         pairs[4, 1] = bad
         pairs[5, 0] = bad
-        with pytest.raises(ValueError, match="row 4 is not finite"):
+        with pytest.raises(ValueError,
+                           match=r"scan point 4 \(t=4\.0\) is not finite"):
             match_branches(np.arange(6.0), pairs)
 
     def test_shape_validation(self):

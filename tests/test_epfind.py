@@ -64,7 +64,6 @@ class TestToyEpRoots:
         assert roots[0].p1 == pytest.approx(0.454, abs=1e-3)
         assert roots[1].p1 == pytest.approx(0.621, abs=1e-3)
         for r in roots:
-            assert r.order == 2
             assert r.p2 == 1.0
             assert r.residual < 2e-5
 

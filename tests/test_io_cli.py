@@ -211,6 +211,26 @@ def test_readme_library_example_runs(capsys):
     assert loop == "swap 1"
 
 
+# one float flag of each command that has one, with a value in exponent
+# form that the command's checks reject
+NEGATIVE_EXPONENT = [
+    (("toy-sweep", "--alpha-range", "-1e-1", "0.5"), "alpha_range "
+     "(--alpha-range) must have lo >= 0, got [-0.1, 0.5]"),
+    (("find-eps", "--tolerance", "-1e-3"),
+     "residual_tol must be positive and finite, got -0.001"),
+    (("surface", "--window", "0.3", "0.8", "-1e-1", "-1E-1"),
+     "window axis 2 must span a finite, nonzero width, got (-0.1, -0.1)"),
+    (("encircle", "--circle", "0.5", "-1e-1", "-5e-2"),
+     "radius must be positive and finite, got -0.05"),
+    (("beta-scan", "--tolerance", "-1e-3"),
+     "tol must be positive and finite, got -0.001"),
+    (("project", "--point", "-1e-1", "-2e+0", "--input", "plane.csv"),
+     "project reads --input or --point, not both"),
+    (("oracle", "--z1", "-2e0", "0", "--z2", "-2e0", "-0.0"),
+     "two-point oracle needs distinct branch points"),
+]
+
+
 class TestCli:
     def test_find_eps_artifact(self, tmp_path):
         assert run_cli("find-eps", "--preset", "double-ep",
@@ -406,18 +426,28 @@ class TestCli:
         assert run_cli("oracle", "--grid", "32x16", "--out", str(tmp_path)) == 0
         assert (tmp_path / "oracle_surface.csv").exists()
 
-    @pytest.mark.parametrize("order", ["3", "16"])
-    def test_oracle_root_pair_across_its_cut_fails(self, tmp_path, capsys,
-                                                   order):
-        # the circle crosses the cut p2 = 0.6, p1 < 2.7, where the first two
-        # roots of (z - z0)**(1/order) jump onto the last and the first
-        assert run_cli("oracle", "--mode", "encircle", "--kind", "single-point",
-                       "--z0", "2.7", "0.6", "--order", order, "--circle",
-                       "2.7", "0.6", "0.05", "--out", str(tmp_path)) == 1
+    @pytest.mark.parametrize("argv, message", NEGATIVE_EXPONENT,
+                             ids=[argv[0] for argv, _ in NEGATIVE_EXPONENT])
+    def test_negative_exponent_number_reaches_the_checks(self, tmp_path, capsys,
+                                                         argv, message):
+        # argparse would read -1e-3 as a flag and exit 2 with its usage
+        assert run_cli(*argv, "--out", str(tmp_path)) == 1
         err = json.loads(capsys.readouterr().out)["error"]
-        assert err["type"] == "RuntimeError"
-        assert "step floor reached" in err["message"]
-        assert not (tmp_path / "oracle_encircle.json").exists()
+        assert (err["type"], err["message"]) == ("ValueError", message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--z1", "inf", "0"), "z1 must be finite, got (inf+0j)"),
+        (("--z1", "nan", "0"), "z1 must be finite, got (nan+0j)"),
+        (("--z2", "2.9", "-inf"), "z2 must be finite, got (2.9-infj)"),
+        (("--kind", "single-point", "--z0", "inf", "0"),
+         "z0 must be finite, got (inf+0j)"),
+    ])
+    def test_oracle_branch_point_not_finite_fails(self, tmp_path, capsys, argv,
+                                                  message):
+        assert run_cli("oracle", *argv, "--out", str(tmp_path)) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["message"]) == ("ValueError", message)
+        assert not list(tmp_path.iterdir())
 
     def test_error_exit_is_machine_readable(self, tmp_path, capsys):
         code = run_cli("ingest-classify", "--input",
@@ -1025,7 +1055,7 @@ class TestCommandFlags:
 
 
 ORACLE_LOOP = ("--circle", "2.6257", "0.6001", "0.05", "--steps", "64")
-SINGLE_POINT = ("--kind", "single-point", "--z0", "2.7", "0.6", "--order", "3")
+SINGLE_POINT = ("--kind", "single-point", "--z0", "2.7", "0.6")
 
 
 class TestModeKeys:
@@ -1050,7 +1080,7 @@ class TestModeKeys:
 
     def test_oracle_single_point(self, tmp_path):
         keys = self.config(tmp_path, "oracle", "--grid", "16x16", *SINGLE_POINT)
-        assert keys == {"kind", "mode", "z0", "order", "window", "grid",
+        assert keys == {"kind", "mode", "z0", "window", "grid",
                         "delta_mode", "out", "command"}
 
     def test_oracle_mode_from_config_file(self, tmp_path):
@@ -1254,7 +1284,7 @@ ROUND_TRIPS = [
     ("project", "--input", "plane.csv"),
     ("ingest-classify", *INGEST, "--modes", "2", "1", "--meta", "n_in=2.74"),
     ("oracle", "--grid", "16x16"),
-    ("oracle", "--kind", "single-point", "--z0", "2.7", "0.6", "--order", "3",
+    ("oracle", "--kind", "single-point", "--z0", "2.7", "0.6",
      "--grid", "16x16", "--window", "2.5", "3.0", "0.45", "0.7"),
     ("oracle", "--mode", "encircle", *ORACLE_LOOP),
     ("oracle", "--mode", "encircle", "--kind", "single-point", "--z0",
@@ -1335,8 +1365,9 @@ class TestConfigContract:
          "{'g_c': 0.043, 'beta': 0.76, 'gamma1': 1.05, 'gamma2': 1.07, "
          "'gc': 0.05}"),
         (("oracle",), {"z1": [2.6]}, "z1 must be a pair of numbers, got [2.6]"),
-        (("oracle", "--kind", "single-point"), {"order": 2.0},
-         "order must be an integer, got 2.0"),
+        (("oracle", "--kind", "single-point"), {"order": 2},
+         "oracle --kind single-point --mode surface does not read "
+         "config key 'order'"),
         (("project",), {"input": 5}, "input must be a string, got 5"),
         (("project",), {"input": "plane.csv", "points": [[5, 6]]},
          "project reads config key 'input' or config key 'points', not both"),

@@ -87,18 +87,14 @@ class TestMatchBranches:
         np.testing.assert_array_equal(fast.branch_b, b)
         assert_ties_keep_sampled_order(fast, pairs, ties)
 
-    def test_overflowed_jumps_keep_the_order_like_the_loop(self):
-        # row 1 swaps; the difference of rows 2 and 3 overflows to inf, so
-        # their distances to the reference are inf or NaN, compare neither
-        # way, and the loop goes back to keeping the order
+    def test_overflowed_difference_fails_naming_the_point(self):
+        # both members of rows 2 and 3 are finite, but their difference
+        # overflows to inf: no distance to it can be compared
         pairs = np.array([[1, 2], [2, 1], [1e308, -1e308], [1e308, -1e308]],
                          dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            fast = match_branches(np.arange(4.0), pairs)
-            a, b, _, _, ties = ref.match_branches(pairs)
-        np.testing.assert_array_equal(fast.branch_a, a)
-        np.testing.assert_array_equal(fast.branch_b, b)
-        assert_ties_keep_sampled_order(fast, pairs, ties)
+        with pytest.raises(ValueError, match=r"^pair difference a - b at scan "
+                           r"point 2 \(t=2\.0\) is not finite: \(inf\+0j\)$"):
+            match_branches(np.arange(4.0), pairs)
 
 
 def entries_near_eps(rng, n):
