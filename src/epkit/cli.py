@@ -30,8 +30,7 @@ import numpy as np
 from . import io as io_mod
 from .core import eigvectors_grid, is_real_number
 from .crossing import beta_transition, classify, overlap_peaks, sweep_toy
-from .epfind import (MIN_SEARCH_GRID, equal_width_eps, grid_ep_search,
-                     toy_ep_roots)
+from .epfind import MIN_SEARCH_GRID, equal_width_eps, grid_ep_search
 from .sphere import lift_cut
 from .surface import (MIN_LOOP_STEPS, AnalyticOracle, CircleLoop, PolylineLoop,
                       build_surface, encircle)
@@ -78,10 +77,7 @@ _DEFAULTS = {
 # The keys only one mode of a command reads, with their defaults. A run
 # records and accepts only the keys of its own modes.
 _MODE_DEFAULTS = {
-    "find-eps": {
-        "--window": {"grid": "48x48"},
-        "without --window": {"alpha_bracket": [0.3, 0.8], "tolerance": 1e-10},
-    },
+    "find-eps": {"--window": {"grid": "48x48"}, "without --window": {}},
     "oracle": {
         "--kind two-point": {"z1": list(CAVITY_EP1), "z2": list(CAVITY_EP2)},
         "--kind single-point": {"z0": [0.0, 0.0]},
@@ -146,13 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--alpha-range", type=float, nargs=2)
     sweep.add_argument("--points", type=int)
 
-    find = _add_command(subs, "find-eps", "EP roots of the toy splitting",
+    find = _add_command(subs, "find-eps", "EPs of the toy model: the closed "
+                        "form for equal widths, or a 2-D grid search",
                         grid=True, params=True)
-    find.add_argument("--tolerance", type=float,
-                      help="EP residual bound of the scan-roots search")
-    find.add_argument("--alpha-bracket", type=float, nargs=2)
     find.add_argument("--window", type=float, nargs=4, metavar=_WINDOW,
-                      help="run the generic 2-D grid search over (alpha, beta)")
+                      help="run the generic 2-D grid search over (alpha, "
+                           "beta); without it, equal widths are required")
 
     _add_sheets(_add_command(subs, "surface", "sheet grid with branch cuts",
                              grid=True, params=True))
@@ -242,6 +237,8 @@ def _then_flagged(check, ok, what):
 _alpha_range = _then_flagged(_range, lambda v: v[0] >= 0, "have lo >= 0")
 _beta_window = _then_flagged(_pair, lambda v: 0 <= v[0] < v[1] <= 1,
                              "satisfy 0 <= lo < hi <= 1")
+_tolerance = _then_flagged(_real, lambda v: 0 < v < math.inf,
+                           "be positive and finite")
 
 
 _steps = _then(_int, lambda v: v >= MIN_LOOP_STEPS,
@@ -321,9 +318,8 @@ _CHECKS = {
     "input": _text,
     "alpha_range": _alpha_range,
     "points": {"toy-sweep": _count, "beta-scan": _count, "project": _points},
-    "alpha_bracket": _alpha_range,
     "beta_window": _beta_window,
-    "tolerance": _real,
+    "tolerance": _tolerance,
     "kind": _choice("two-point", "single-point"),
     "mode": _choice("surface", "encircle"),
     "z1": _pair,
@@ -446,10 +442,12 @@ def _cmd_toy_sweep(cfg):
 def _cmd_find_eps(cfg):
     p = ToyParams(**cfg["params"])
     if cfg["window"] is None:
-        roots = toy_ep_roots(p, tuple(cfg["alpha_bracket"]),
-                             residual_tol=cfg["tolerance"])
-        return "find_eps.json", {"eps": [asdict(e) for e in roots],
-                                 "method": "scan-roots"}
+        if p.gamma1 != p.gamma2:
+            raise ValueError(
+                "find-eps without --window needs gamma1 == gamma2, got "
+                f"{p.gamma1} and {p.gamma2}; pass --window for the grid search")
+        return "find_eps.json", {"eps": [asdict(e) for e in equal_width_eps(p)],
+                                 "method": "closed-form"}
     a0, a1, b0, b1 = cfg["window"]
     coarse_n, n2 = _grid("grid", cfg["grid"])
     if n2 != coarse_n:
@@ -513,11 +511,10 @@ def _cmd_project(cfg):
 
 
 def _cmd_ingest_classify(cfg):
-    dataset = io_mod.ingest_csv(cfg["input"], metadata=cfg["metadata"])
+    dataset = io_mod.ingest_csv(cfg["input"])
     report = classify(dataset.to_trajectory(*(cfg["modes"] or [None, None])))
     return "ingest_classify.json", {"report": asdict(report),
-                                    "scan_name": dataset.scan_name,
-                                    "metadata": dataset.metadata}
+                                    "scan_name": dataset.scan_name}
 
 
 def _cmd_oracle(cfg):

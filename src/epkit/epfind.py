@@ -1,21 +1,19 @@
 """Exceptional-point location, in numpy alone.
 
-Two routes: a dense scan of the toy model's eta^2 along an alpha bracket,
-and a coarse grid over any 2-D eigenvalue-pair sampler. Both seed at the
-minima of the splitting and refine every seed together by Newton steps,
-one batch evaluation per step, on a function with a simple zero at a
-simple EP: eta^2 on the scan line, and on the grid the discriminant
-D = (a - b)^2 of the pair (a, b), which does not depend on their order.
-The gap |a - b| itself only has a square-root kink there. For equal
-widths the toy's EPs also have a closed form (``equal_width_eps``), which
-the tests check against the scan.
+Two routes. For the toy model with equal widths the EPs have a closed form
+(``equal_width_eps``). For any 2-D eigenvalue-pair sampler a coarse grid
+search (``grid_ep_search``) seeds at the minima of the splitting and
+refines every seed together by Newton steps, one batch evaluation per
+step, on the discriminant D = (a - b)^2 of the pair (a, b). D does not
+depend on the order of the pair and has a simple zero at a simple EP; the
+gap |a - b| itself only has a square-root kink there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -24,15 +22,12 @@ from .toymodel import ToyParams, scan_entries
 
 # refined candidates closer than DEDUP_FACTOR * tolerance collapse to one EP
 DEDUP_FACTOR = 10.0
-SCAN_POINTS = 2001  # of the |eta^2| scan that seeds toy_ep_roots
 MIN_SEARCH_GRID = 8  # the coarsest grid_ep_search grid, per axis
 # grid_ep_search accepts a refined gap below both of these bounds
 REFINE_REL = 1e-6  # times the window diagonal
 REJECT_REL = 1e-3  # times the median coarse gap
-# Newton steps per seed. Each step squares the error once it is small, so
-# from a minimum of the SCAN_POINTS-point scan a few steps reach float resolution;
-# a coarse-grid minimum can be a whole cell away and needs up to about 12.
-SCAN_NEWTON_STEPS = 8
+# Newton steps per seed. Each step squares the error once it is small; a
+# coarse-grid minimum can be a whole cell away and needs up to about 12.
 GRID_NEWTON_STEPS = 16
 
 
@@ -47,72 +42,11 @@ class EPLocation:
 
 @dataclass
 class GridSearchResult:
-    """Accepted EPs plus search diagnostics; iterates over the locations."""
+    """Accepted EPs plus search diagnostics."""
 
     locations: list[EPLocation]
     sampler_failures: int = 0
     median_gap: float = 0.0
-    tolerance: float = 0.0
-
-    def __iter__(self) -> Iterator[EPLocation]:
-        return iter(self.locations)
-
-    def __len__(self) -> int:
-        return len(self.locations)
-
-    def __getitem__(self, k) -> EPLocation:
-        return self.locations[k]
-
-
-def _eta_squared(alphas: np.ndarray, p: ToyParams) -> np.ndarray:
-    """eta^2 along an alpha scan; zero exactly at EPs."""
-    return eta_squared(*scan_entries(alphas, p))
-
-
-def toy_ep_roots(p: ToyParams, alpha_bracket: tuple[float, float], *,
-                 residual_tol: float = 1e-10) -> list[EPLocation]:
-    """All alpha in the bracket where the splitting vanishes, at fixed beta.
-
-    Scans |eta^2| at ``SCAN_POINTS`` (2001) evenly spaced alpha and refines
-    all its local minima, either end of the bracket included, together by
-    Newton steps on the complex eta^2: the real step Re(w / w'), w' from
-    central differences (centred at least one difference step above
-    alpha = 0), each iterate clipped to the minimum's neighbouring scan
-    points. Keeps the best iterate of each minimum if its |eta^2| is below
-    ``residual_tol``, which must be positive and finite. An empty list
-    means no EP in the bracket, whose ends must be finite with 0 <= lo < hi.
-    """
-    lo, hi = float(alpha_bracket[0]), float(alpha_bracket[1])
-    if not 0.0 <= lo < hi < math.inf:
-        raise ValueError("alpha_bracket must satisfy 0 <= lo < hi < inf, "
-                         f"got {(lo, hi)!r}")
-    if not 0 < residual_tol < math.inf:
-        raise ValueError(
-            f"residual_tol must be positive and finite, got {residual_tol!r}")
-    grid = np.linspace(lo, hi, SCAN_POINTS)
-    f = np.pad(np.abs(_eta_squared(grid, p)), 1, constant_values=np.inf)
-    k = np.flatnonzero((f[1:-1] <= f[:-2]) & (f[1:-1] < f[2:]))
-    left, right = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, SCAN_POINTS - 1)]
-
-    cur = best = grid[k]
-    best_val = np.full(k.size, np.inf)
-    for _ in range(SCAN_NEWTON_STEPS):
-        h = 1e-7 * (1.0 + np.abs(cur))
-        c = np.maximum(cur, h)  # the difference stencil stays at alpha >= 0
-        w, wp, wm = _eta_squared(np.concatenate([cur, c + h, c - h]),
-                                 p).reshape(3, -1)
-        val = np.abs(w)
-        better = val < best_val
-        best, best_val = np.where(better, cur, best), np.where(better, val, best_val)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = (w / ((wp - wm) / (2.0 * h))).real
-        cur = np.clip(np.where(np.isfinite(step), cur - step, cur), left, right)
-
-    roots = [EPLocation(p1=alpha, p2=p.beta, residual=2.0 * math.sqrt(fmin))
-             for alpha, fmin in zip(best.tolist(), best_val.tolist())
-             if fmin < residual_tol]
-    roots.sort(key=lambda e: (e.p1, e.p2))
-    return roots
 
 
 def equal_width_eps(p: ToyParams) -> list[EPLocation]:
@@ -123,9 +57,8 @@ def equal_width_eps(p: ToyParams) -> list[EPLocation]:
     in either ``lambda_mode``. Bisects the root d0 of d exp(d^2) = 2 g_c
     and maps d = +d0 and -d0 to alpha = s^2, s = sqrt(3 - 2d) - 1, keeping
     the roots with s >= 0: for g_c > e/2, d0 > 1 and only -d0 is left.
-    ``p.beta`` is ignored. The EPs are sorted by alpha (+d0 first), with
-    the residual |lambda_plus - lambda_minus| = 2 sqrt|eta^2| of
-    :func:`toy_ep_roots`.
+    ``p.beta`` is ignored. The EPs are sorted by alpha (+d0 first), each
+    with the residual |lambda_plus - lambda_minus| = 2 sqrt|eta^2| at it.
     """
     if p.gamma1 != p.gamma2:
         raise ValueError(f"equal_width_eps needs gamma1 == gamma2, got "
@@ -281,4 +214,4 @@ def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
             kept.append(cand)
     kept.sort(key=lambda e: (e.p1, e.p2))
     return GridSearchResult(kept, sampler_failures=failures,
-                            median_gap=median_gap, tolerance=tol)
+                            median_gap=median_gap)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
 
@@ -58,7 +58,6 @@ class TrajectoryDataset:
     scan_name: str
     scan_values: np.ndarray
     modes: dict[str, np.ndarray]
-    metadata: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
         self.scan_values = np.asarray(self.scan_values, dtype=float)
@@ -181,7 +180,7 @@ def _read_cells(path, check_header):
             return header, None
 
 
-def ingest_csv(path, metadata: dict | None = None) -> TrajectoryDataset:
+def ingest_csv(path) -> TrajectoryDataset:
     """Parse a trajectory CSV with header ``scan,re_1,im_1,re_2,im_2[,...]``.
 
     Ragged rows, non-numeric or non-finite cells, non-monotone scan columns
@@ -190,7 +189,7 @@ def ingest_csv(path, metadata: dict | None = None) -> TrajectoryDataset:
     """
     header, cells = _read_cells(path, _trajectory_header)
     if cells is None or not _rows_pass(cells, len(header)):
-        return _ingest_rows(path, metadata)
+        return _ingest_rows(path)
     columns = cells.T.copy()
     modes = {}
     for name, re, im in zip(header[1::2], columns[1::2], columns[2::2]):
@@ -198,7 +197,7 @@ def ingest_csv(path, metadata: dict | None = None) -> TrajectoryDataset:
         z.real, z.imag = re, im  # re + 1j*im would turn an im of -0.0 into 0.0
         modes[name[3:]] = z
     return TrajectoryDataset(scan_name=header[0], scan_values=columns[0],
-                             modes=modes, metadata=dict(metadata or {}))
+                             modes=modes)
 
 
 def _rows_pass(cells: np.ndarray, width: int) -> bool:
@@ -209,7 +208,7 @@ def _rows_pass(cells: np.ndarray, width: int) -> bool:
             and ((s[1:] > s[:-1]).all() or (s[1:] < s[:-1]).all()))
 
 
-def _ingest_rows(path, metadata: dict | None) -> TrajectoryDataset:
+def _ingest_rows(path) -> TrajectoryDataset:
     """``ingest_csv`` one cell at a time, raising at the first bad line."""
     with Path(path).open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -247,7 +246,6 @@ def _ingest_rows(path, metadata: dict | None) -> TrajectoryDataset:
         scan_name=header[0],
         scan_values=np.array(scan),
         modes={name: np.array(vals) for name, vals in zip(mode_names, series)},
-        metadata=dict(metadata or {}),
     )
 
 

@@ -33,7 +33,7 @@ def _number(text: str, line_num: int, column: str, finite: bool) -> float:
     return value
 
 
-def ingest_csv(path, metadata: dict | None = None) -> TrajectoryDataset:
+def ingest_csv(path) -> TrajectoryDataset:
     with Path(path).open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -90,7 +90,6 @@ def ingest_csv(path, metadata: dict | None = None) -> TrajectoryDataset:
         scan_name=header[0],
         scan_values=np.array(scan),
         modes={name: np.array(vals) for name, vals in zip(mode_names, series)},
-        metadata=dict(metadata or {}),
     )
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from epkit.cli import main as cli_main
 from epkit.core import eigvalues_grid, eigvectors_grid
 from epkit.crossing import overlap_peaks
-from epkit.epfind import grid_ep_search, toy_ep_roots
+from epkit.epfind import equal_width_eps, grid_ep_search
 from epkit.sphere import PlanePoint, lift_cut, to_plane, to_sphere
 from epkit.surface import (AnalyticOracle, CircleLoop, PolylineLoop,
                            build_surface, connected_components, encircle)
@@ -89,7 +89,7 @@ def test_criterion_4_monodromy():
                       "matching the analytic oracle, stable under 20 "
                       "random perturbations per case; discriminant windings "
                       "+1/-1/0 (toy) and +1/+1/2 (oracle)"):
-        roots = toy_ep_roots(DOUBLE_EP, (0.3, 0.8))
+        roots = equal_width_eps(DOUBLE_EP)
         assert all(r.residual < 1e-3 for r in roots)
         ep1, ep2 = roots[0].p1, roots[1].p1
 
@@ -157,8 +157,7 @@ def test_criterion_4_preset_ep_charges():
 def test_criterion_5_branch_cut_topology():
     with criterion(5, "256x64 surface: real cut joins the EPs (endpoints "
                       "within 2 cells), two imaginary cuts leave outward"):
-        roots = toy_ep_roots(DOUBLE_EP, (0.3, 0.8))
-        ep1, ep2 = roots[0].p1, roots[1].p1
+        ep1, ep2 = (ep.p1 for ep in equal_width_eps(DOUBLE_EP))
         grid = build_surface(eigenpair_sampler(DOUBLE_EP),
                              ((0.3, 0.8), (0.9, 1.0)), 256, 64)
         cell = grid.axis1[1] - grid.axis1[0]
@@ -183,8 +182,7 @@ def test_criterion_5_branch_cut_topology():
 def test_criterion_6_width_bifurcation_structure():
     with criterion(6, "between the EPs Re(lambda) lock within 1e-10, widths "
                       "lock outside, overlap peaks within 0.01 of the roots"):
-        roots = toy_ep_roots(DOUBLE_EP, (0.3, 0.8))
-        ep1, ep2 = roots[0].p1, roots[1].p1
+        ep1, ep2 = (ep.p1 for ep in equal_width_eps(DOUBLE_EP))
 
         inside = np.linspace(ep1 + 1e-5, ep2 - 1e-5, 1000)
         lp, lm = eigvalues_grid(*scan_entries(inside, DOUBLE_EP))
@@ -277,4 +275,4 @@ def test_criterion_9_ingestion_substitute(tmp_path):
         sweep = json.loads((out / "toy_sweep_report.json").read_text())
         ingest = json.loads((out / "ingest_classify.json").read_text())
         assert ingest["report"] == sweep["report"]
-        assert ingest["metadata"]["n_in"] == "2.74"
+        assert ingest["config"]["metadata"]["n_in"] == "2.74"

@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epkit.core import principal_sqrt
-from epkit.epfind import (equal_width_eps, grid_ep_search, sample_points,
-                          toy_ep_roots)
+from epkit.epfind import (REFINE_REL, equal_width_eps, grid_ep_search,
+                          sample_points)
 from epkit.surface import build_surface
 from epkit.toymodel import (FULL_COMPLEX, PRESETS, REAL_PART, ToyParams,
                             eigenpair_sampler)
@@ -31,11 +31,15 @@ def oracle_sampler(z1, z2):
 
 
 def brute_force_gap_minima(p, lo, hi, resolution=1e-6):
-    """Independent scan of the splitting magnitude at fixed resolution."""
+    """Independent scan of the splitting magnitude at fixed resolution:
+    the interior local minima of |eta|, as (alpha, |eta|)."""
     alphas = np.arange(lo, hi, resolution)
     xi1 = (1.0 - 0.5 * alphas) + 1j * p.gamma1
     xi2 = np.sqrt(alphas) + 1j * p.gamma2
-    g = p.g_c * ((1.0 - p.beta) + 1j * p.beta) * np.exp(-((xi1 - xi2) ** 2))
+    diff = xi1 - xi2
+    if p.lambda_mode == REAL_PART:
+        diff = diff.real
+    g = p.g_c * ((1.0 - p.beta) + 1j * p.beta) * np.exp(-(diff ** 2))
     eta_abs = np.abs(np.sqrt(0.25 * (xi1 - xi2) ** 2 + g * g))
     k = np.where((eta_abs[1:-1] <= eta_abs[:-2]) & (eta_abs[1:-1] < eta_abs[2:]))[0] + 1
     return [(float(alphas[i]), float(eta_abs[i])) for i in k]
@@ -44,7 +48,8 @@ def brute_force_gap_minima(p, lo, hi, resolution=1e-6):
 def closed_form_double_ep(g_c):
     """EP alphas of the equal-width beta = 1 model, where eta^2 =
     abar^2/4 - g_c^2 exp(-2 abar^2) with abar = 1 - alpha/2 - sqrt(alpha):
-    bisect d0/2 = g_c exp(-d0^2), then solve abar = +d0 and -d0."""
+    bisect d0/2 = g_c exp(-d0^2), then solve abar = +d0 and -d0 for
+    sqrt(alpha) = sqrt(3 - 2 abar) - 1, keeping the solutions >= 0."""
     lo, hi = 0.0, 2.0 * g_c
     while True:
         mid = 0.5 * (lo + hi)
@@ -54,104 +59,16 @@ def closed_form_double_ep(g_c):
             lo = mid
         else:
             hi = mid
-    return [(math.sqrt(3.0 + s * 2.0 * lo) - 1.0) ** 2 for s in (-1, 1)]
-
-
-class TestToyEpRoots:
-    def test_published_double_ep(self):
-        roots = toy_ep_roots(DOUBLE_EP, (0.3, 0.8))
-        assert len(roots) == 2
-        assert roots[0].p1 == pytest.approx(0.454, abs=1e-3)
-        assert roots[1].p1 == pytest.approx(0.621, abs=1e-3)
-        for r in roots:
-            assert r.p2 == 1.0
-            assert r.residual < 2e-5
-
-    def test_matches_transcendental_relation(self):
-        # abar^2 exp(2 abar^2) = 4 g_c^2 at a root
-        roots = toy_ep_roots(DOUBLE_EP, (0.3, 0.8))
-        for r in roots:
-            abar = 1.0 - 0.5 * r.p1 - math.sqrt(r.p1)
-            assert abs(abar) == pytest.approx(0.09902421253765573, abs=1e-6)
-            residual = abar**2 * math.exp(2 * abar**2) - 4 * 0.05**2
-            assert abs(residual) < 1e-9
-
-    def test_matches_brute_force_scan(self):
-        minima = brute_force_gap_minima(DOUBLE_EP, 0.3, 0.8)
-        deep = [a for a, v in minima if v < 1e-3]
-        roots = toy_ep_roots(DOUBLE_EP, (0.3, 0.8))
-        assert len(deep) == len(roots) == 2
-        for got, expected in zip(roots, sorted(deep)):
-            assert got.p1 == pytest.approx(expected, abs=1e-4)
-
-    def test_real_coupling_has_no_roots(self):
-        p = ToyParams(g_c=0.05, beta=0.0, gamma1=1.05, gamma2=1.05)
-        assert toy_ep_roots(p, (0.3, 0.8)) == []
-
-    def test_interior_beta_has_no_roots(self):
-        p = ToyParams(g_c=0.05, beta=0.5, gamma1=1.05, gamma2=1.05)
-        assert toy_ep_roots(p, (0.01, 2.0)) == []
-
-    def test_empty_bracket_far_from_roots(self):
-        assert toy_ep_roots(DOUBLE_EP, (1.0, 2.0)) == []
-
-    def test_invalid_bracket(self):
-        with pytest.raises(ValueError):
-            toy_ep_roots(DOUBLE_EP, (0.8, 0.3))
-
-    @pytest.mark.parametrize("bracket", [(0.3, math.inf), (math.nan, 0.8),
-                                         (0.3, math.nan)])
-    def test_bracket_end_not_finite(self, bracket):
-        message = f"alpha_bracket must satisfy 0 <= lo < hi < inf, got {bracket}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            toy_ep_roots(DOUBLE_EP, bracket)
-
-    @pytest.mark.parametrize("bracket", [(0.3, 0.6215), (0.4541, 0.8)])
-    def test_finds_an_ep_next_to_either_end(self, bracket):
-        # each bracket ends just past an EP, so that EP's scan minimum is an
-        # end of the scan grid
-        roots = [r.p1 for r in toy_ep_roots(DOUBLE_EP, bracket)]
-        assert roots == pytest.approx([EP1_ALPHA, EP2_ALPHA], abs=1e-9)
-
-    @pytest.mark.parametrize("lo", [0.0, 1e-9])
-    def test_a_minimum_at_alpha_zero_is_refined(self, lo):
-        # for g_c > e/2, |eta^2| rises from alpha = 0, so the first scan
-        # point seeds Newton; its difference stencil stays at alpha >= 0
-        p = ToyParams(g_c=1.5, beta=1.0, gamma1=1.05, gamma2=1.05)
-        roots = toy_ep_roots(p, (lo, 4.0))
-        assert [r.p1 for r in roots] == pytest.approx(
-            [e.p1 for e in equal_width_eps(p)], abs=1e-9)
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
-    def test_rejects_a_bad_residual_tol(self, tol):
-        with pytest.raises(ValueError, match=rf"^residual_tol must be positive"
-                                             rf" and finite, got {tol!r}$"):
-            toy_ep_roots(DOUBLE_EP, (0.3, 0.8), residual_tol=tol)
-
-    def test_exact_alpha_values(self):
-        roots = toy_ep_roots(DOUBLE_EP, (0.3, 0.8))
-        assert roots[0].p1 == pytest.approx(EP1_ALPHA, abs=1e-9)
-        assert roots[1].p1 == pytest.approx(EP2_ALPHA, abs=1e-9)
-
-    @given(st.floats(0.01, 0.4), st.floats(0.5, 2.0))
-    @settings(max_examples=60, deadline=None)
-    def test_equal_widths_match_closed_form(self, g_c, gamma):
-        p = ToyParams(g_c=g_c, beta=1.0, gamma1=gamma, gamma2=gamma)
-        roots = toy_ep_roots(p, (0.01, 4.0))
-        expected = closed_form_double_ep(g_c)
-        assert len(roots) == 2
-        for got, alpha in zip(roots, expected):
-            assert abs(got.p1 - alpha) < 1e-12
-
-
-SCAN_BRACKET = (0.01, 4.0)
+    roots = [math.sqrt(3.0 + s * 2.0 * lo) - 1.0 for s in (-1, 1)
+             if 3.0 + s * 2.0 * lo >= 0.0]
+    return [r * r for r in roots if r >= 0.0]
 
 
 class TestEqualWidthEps:
     @given(st.floats(0.005, 3.0), st.floats(0.0, 2.0), st.floats(0.0, 1.0),
            st.sampled_from([FULL_COMPLEX, REAL_PART]))
     @settings(max_examples=200, deadline=None)
-    def test_matches_the_scan_roots(self, g_c, gamma, beta, mode):
+    def test_matches_the_closed_form_reference(self, g_c, gamma, beta, mode):
         p = ToyParams(g_c=g_c, beta=beta, gamma1=gamma, gamma2=gamma,
                       lambda_mode=mode)
         eps = equal_width_eps(p)
@@ -160,22 +77,34 @@ class TestEqualWidthEps:
         assert len(eps) == (2 if 2.0 * g_c <= math.e else 1)
         assert alphas == sorted(alphas)
         assert all(ep.p2 == 1.0 and ep.residual < 1e-6 for ep in eps)
-        # every scan root is an EP, and the scan finds every EP in its
-        # bracket, next to an end too
-        roots = [r.p1 for r in toy_ep_roots(dataclasses.replace(p, beta=1.0),
-                                              SCAN_BRACKET)]
-        lo, hi = SCAN_BRACKET
-        inside = [a for a in alphas if lo <= a <= hi]
-        assert all(any(abs(a - r) < 1e-12 for a in alphas) for r in roots)
-        assert all(any(abs(a - r) < 1e-12 for r in roots) for a in inside)
+        assert eps == equal_width_eps(dataclasses.replace(p, beta=1.0))
+        expected = closed_form_double_ep(g_c)
+        assert len(expected) == len(alphas)
+        for alpha, ref in zip(alphas, expected):
+            assert abs(alpha - ref) < 1e-12
 
-    @given(st.floats(0.005, 1.35))
+    @given(st.floats(0.005, 3.0), st.floats(0.0, 2.0),
+           st.sampled_from([FULL_COMPLEX, REAL_PART]))
     @settings(max_examples=100, deadline=None)
-    def test_matches_the_closed_form_reference(self, g_c):
-        p = ToyParams(g_c=g_c, beta=1.0, gamma1=1.0, gamma2=1.0)
-        got = [ep.p1 for ep in equal_width_eps(p)]
-        for alpha, expected in zip(got, closed_form_double_ep(g_c)):
-            assert abs(alpha - expected) < 1e-12
+    def test_matches_the_brute_force_minima(self, g_c, gamma, mode):
+        # on beta = 1 every interior minimum of |eta| is an EP, and every EP
+        # away from the scan's first point is such a minimum
+        p = ToyParams(g_c=g_c, beta=1.0, gamma1=gamma, gamma2=gamma,
+                      lambda_mode=mode)
+        step = 1e-5
+        minima = [a for a, _ in brute_force_gap_minima(p, 0.0, 4.0, step)]
+        alphas = [ep.p1 for ep in equal_width_eps(p)]
+        assert all(any(abs(a - m) <= step for a in alphas) for m in minima)
+        assert all(any(abs(a - m) <= step for m in minima)
+                   for a in alphas if a > 2 * step)
+
+    def test_matches_transcendental_relation(self):
+        # abar^2 exp(2 abar^2) = 4 g_c^2 at an EP
+        for ep in equal_width_eps(DOUBLE_EP):
+            abar = 1.0 - 0.5 * ep.p1 - math.sqrt(ep.p1)
+            assert abs(abar) == pytest.approx(0.09902421253765573, abs=1e-6)
+            residual = abar**2 * math.exp(2 * abar**2) - 4 * 0.05**2
+            assert abs(residual) < 1e-9
 
     def test_published_double_ep(self):
         ep1, ep2 = equal_width_eps(DOUBLE_EP)
@@ -183,6 +112,23 @@ class TestEqualWidthEps:
         assert ep2.p1 == pytest.approx(EP2_ALPHA, abs=1e-15)
         assert ep1.p2 == ep2.p2 == 1.0
         assert max(ep1.residual, ep2.residual) < 1e-8
+
+    @pytest.mark.parametrize("mode", [FULL_COMPLEX, REAL_PART])
+    def test_double_ep_is_the_two_deep_gap_minima(self, mode):
+        p = dataclasses.replace(DOUBLE_EP, lambda_mode=mode)
+        deep = [a for a, v in brute_force_gap_minima(p, 0.3, 0.8) if v < 1e-3]
+        eps = equal_width_eps(p)
+        assert len(deep) == len(eps) == 2
+        for got, expected in zip(eps, sorted(deep)):
+            assert got.p1 == pytest.approx(expected, abs=1e-5)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 0.75, 0.9])
+    def test_eps_lie_on_the_beta_1_line_only(self, beta):
+        # off beta = 1 the splitting has no zero: no deep gap minimum
+        p = dataclasses.replace(DOUBLE_EP, beta=beta)
+        assert [a for a, v in brute_force_gap_minima(p, 0.01, 2.0)
+                if v < 1e-3] == []
+        assert equal_width_eps(p) == equal_width_eps(DOUBLE_EP)
 
     def test_strong_coupling_leaves_one_ep(self):
         # 2 g_c = e puts the d = +d0 EP at alpha = 0; above it, at alpha < 0
@@ -193,6 +139,15 @@ class TestEqualWidthEps:
                                           beta=1.0, gamma1=1.0, gamma2=1.0))
         assert ep.p1 == pytest.approx(large.p1, abs=1e-12)
 
+    def test_strong_coupling_ep_is_the_one_gap_minimum(self):
+        # for g_c = 1.5 > e/2, |eta| rises from alpha = 0 up to the -d0 EP
+        p = ToyParams(g_c=1.5, beta=1.0, gamma1=1.05, gamma2=1.05)
+        (ep,) = equal_width_eps(p)
+        ((alpha, _),) = brute_force_gap_minima(p, 0.0, 4.0, 1e-5)
+        assert ep.p1 == pytest.approx(alpha, abs=1e-5)
+        assert ep.p1 == pytest.approx(closed_form_double_ep(1.5)[0], abs=1e-12)
+        assert ep.residual < 1e-6
+
     def test_unequal_widths_rejected(self):
         with pytest.raises(ValueError, match="gamma1 == gamma2, got 1.05 and"
                                              " 1.07"):
@@ -201,31 +156,32 @@ class TestEqualWidthEps:
 
 class TestGridEpSearch:
     def test_recovers_oracle_branch_points(self):
-        res = grid_ep_search(oracle_sampler(Z1, Z2), ((2.5, 3.0), (0.45, 0.7)),
-                             coarse_n=48)
-        assert len(res) == 2
-        assert abs(complex(res[0].p1, res[0].p2) - Z1) < 1e-4
-        assert abs(complex(res[1].p1, res[1].p2) - Z2) < 1e-4
+        eps = grid_ep_search(oracle_sampler(Z1, Z2), ((2.5, 3.0), (0.45, 0.7)),
+                             coarse_n=48).locations
+        assert len(eps) == 2
+        assert abs(complex(eps[0].p1, eps[0].p2) - Z1) < 1e-4
+        assert abs(complex(eps[1].p1, eps[1].p2) - Z2) < 1e-4
 
-    def test_agrees_with_toy_roots(self):
+    def test_agrees_with_the_closed_form(self):
         res = grid_ep_search(eigenpair_sampler(DOUBLE_EP),
                              ((0.3, 0.8), (0.9, 1.0)), coarse_n=48)
-        roots = toy_ep_roots(DOUBLE_EP, (0.3, 0.8))
-        assert len(res) == len(roots) == 2
-        for got, expected in zip(res, roots):
+        eps = equal_width_eps(DOUBLE_EP)
+        assert len(res.locations) == len(eps) == 2
+        for got, expected in zip(res.locations, eps):
             assert got.p1 == pytest.approx(expected.p1, abs=1e-4)
             assert got.p2 == pytest.approx(1.0, abs=1e-4)
 
     def test_constant_gap_finds_nothing(self):
         res = grid_ep_search(lambda a, b: (0.5 + 0j, -0.5 + 0j),
                              ((0.0, 1.0), (0.0, 1.0)), coarse_n=16)
-        assert len(res) == 0
+        assert res.locations == []
 
     def test_residuals_below_documented_tolerance(self):
         res = grid_ep_search(oracle_sampler(Z1, Z2), ((2.5, 3.0), (0.45, 0.7)),
                              coarse_n=32)
-        for ep in res:
-            assert ep.residual < res.tolerance
+        assert len(res.locations) == 2
+        for ep in res.locations:
+            assert ep.residual < REFINE_REL * math.hypot(0.5, 0.25)
             assert ep.residual < 1e-3 * res.median_gap
 
     def test_seed_perturbation_invariance(self):
@@ -235,8 +191,8 @@ class TestGridEpSearch:
         shifted = grid_ep_search(oracle_sampler(Z1, Z2),
                                  ((2.5 + 0.01, 3.0 + 0.01), (0.45, 0.7)),
                                  coarse_n=47)
-        assert len(base) == len(shifted) == 2
-        for a, b in zip(base, shifted):
+        assert len(base.locations) == len(shifted.locations) == 2
+        for a, b in zip(base.locations, shifted.locations):
             assert math.hypot(a.p1 - b.p1, a.p2 - b.p2) < 1e-6
 
     def test_sampler_failures_are_counted_and_skipped(self):
@@ -247,7 +203,7 @@ class TestGridEpSearch:
 
         res = grid_ep_search(flaky, ((2.5, 3.0), (0.45, 0.7)), coarse_n=32)
         assert res.sampler_failures > 0
-        assert len(res) == 2
+        assert len(res.locations) == 2
 
     def test_small_coarse_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -260,7 +216,8 @@ class TestGridEpSearch:
     def test_empty_window_rejected(self, window):
         # the window ((0.3, 0.8), (0.9, 1.1)) holds both branch points
         sample = oracle_sampler(complex(0.4, 0.95), complex(0.6, 1.0))
-        assert len(grid_ep_search(sample, ((0.3, 0.8), (0.9, 1.1)))) == 2
+        found = grid_ep_search(sample, ((0.3, 0.8), (0.9, 1.1))).locations
+        assert len(found) == 2
         with pytest.raises(ValueError, match=r"lo < hi on both axes, got "
                            + re.escape(repr(window))):
             grid_ep_search(sample, window)
@@ -280,15 +237,14 @@ class TestGridEpSearch:
             return complex(gap, 0), 0j
 
         res = grid_ep_search(dipped, ((0.0, 1.0), (0.0, 1.0)), coarse_n=16)
-        assert len(res) == 0
+        assert res.locations == []
 
     def test_eps_outside_the_window_not_returned(self):
         # class2's second EP, near (0.627, 1.240), lies above the window
         sample = eigenpair_sampler(ToyParams(**PRESETS["class2"]["params"]))
-        res = grid_ep_search(sample, ((0.01, 1.5), (0.0, 1.2)))
-        assert len(res) == 1
-        assert res[0].p1 == pytest.approx(0.4813374, abs=1e-6)
-        assert res[0].p2 == pytest.approx(0.7645287, abs=1e-6)
+        (ep,) = grid_ep_search(sample, ((0.01, 1.5), (0.0, 1.2))).locations
+        assert ep.p1 == pytest.approx(0.4813374, abs=1e-6)
+        assert ep.p2 == pytest.approx(0.7645287, abs=1e-6)
 
     @given(st.sampled_from(["class2", "class4", "double-ep", "oracle"]),
            st.floats(0.01, 1.0), st.floats(0.05, 1.5), st.floats(-0.5, 1.5),
@@ -300,7 +256,7 @@ class TestGridEpSearch:
         else:
             sample = eigenpair_sampler(ToyParams(**PRESETS[name]["params"]))
         window = ((a0, a0 + width), (b0, b0 + height))
-        for ep in grid_ep_search(sample, window, n):
+        for ep in grid_ep_search(sample, window, n).locations:
             assert a0 <= ep.p1 <= a0 + width and b0 <= ep.p2 <= b0 + height
 
     @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-1.0, 1.0),
@@ -313,11 +269,12 @@ class TestGridEpSearch:
                   (min(z1.imag, z2.imag) - my, max(z1.imag, z2.imag) + my))
         cell = max(hi - lo for lo, hi in window) / (n - 1)
         assume(abs(z2 - z1) > 4 * cell)  # the grid resolves the two minima
-        res = grid_ep_search(oracle_sampler(z1, z2), window, n)
-        assert len(res) == 2
-        for ep in res:
-            assert ep.residual < res.tolerance
-        found = [complex(ep.p1, ep.p2) for ep in res]
+        eps = grid_ep_search(oracle_sampler(z1, z2), window, n).locations
+        assert len(eps) == 2
+        diagonal = math.hypot(*(hi - lo for lo, hi in window))
+        for ep in eps:
+            assert ep.residual < REFINE_REL * diagonal
+        found = [complex(ep.p1, ep.p2) for ep in eps]
         for z in (z1, z2):
             assert min(abs(f - z) for f in found) < 1e-10
 

@@ -65,7 +65,7 @@ def assert_paper_eps(out, command):
 
 
 @pytest.mark.parametrize("argv", EP_COMMANDS,
-                         ids=["scan-roots", "grid-search", "encircle"])
+                         ids=["closed-form", "grid-search", "encircle"])
 def test_ep_commands_load_no_scipy_and_find_the_paper_eps(tmp_path, argv):
     code, loaded = json.loads(python(tmp_path, RUN_CLI, *argv, "--out", "out"))
     assert code == 0 and not loaded

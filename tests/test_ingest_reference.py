@@ -36,8 +36,7 @@ def outcome(read, path):
     if isinstance(result, np.ndarray):  # the (n, chi) rows of a plane CSV
         return [bits(column) for column in result]
     return (result.scan_name, bits(result.scan_values),
-            [(name, bits(series)) for name, series in result.modes.items()],
-            result.metadata)
+            [(name, bits(series)) for name, series in result.modes.items()])
 
 
 @st.composite

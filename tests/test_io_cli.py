@@ -216,14 +216,13 @@ def test_readme_library_example_runs(capsys):
 NEGATIVE_EXPONENT = [
     (("toy-sweep", "--alpha-range", "-1e-1", "0.5"), "alpha_range "
      "(--alpha-range) must have lo >= 0, got [-0.1, 0.5]"),
-    (("find-eps", "--tolerance", "-1e-3"),
-     "residual_tol must be positive and finite, got -0.001"),
+    (("find-eps", "--g-c", "-1e-2"), "g_c must be positive, got -0.01"),
     (("surface", "--window", "0.3", "0.8", "-1e-1", "-1E-1"),
      "window axis 2 must span a finite, nonzero width, got (-0.1, -0.1)"),
     (("encircle", "--circle", "0.5", "-1e-1", "-5e-2"),
      "radius must be positive and finite, got -0.05"),
     (("beta-scan", "--tolerance", "-1e-3"),
-     "tol must be positive and finite, got -0.001"),
+     "tolerance (--tolerance) must be positive and finite, got -0.001"),
     (("project", "--point", "-1e-1", "-2e+0", "--input", "plane.csv"),
      "project reads --input or --point, not both"),
     (("oracle", "--z1", "-2e0", "0", "--z2", "-2e0", "-0.0"),
@@ -242,13 +241,54 @@ class TestCli:
         assert abs(alphas[0] - 0.454) < 1e-3
         assert abs(alphas[1] - 0.621) < 1e-3
 
-    def test_find_eps_bracket_from_alpha_zero(self, tmp_path):
-        # the one EP left for g_c > e/2, found from a bracket starting at 0
+    def test_find_eps_strong_coupling_leaves_one_ep(self, tmp_path):
+        # for g_c > e/2 the closed form's other EP lies at alpha < 0
         assert run_cli("find-eps", "--preset", "double-ep", "--g-c", "1.5",
-                       "--alpha-bracket", "0", "4", "--out", str(tmp_path)) == 0
+                       "--out", str(tmp_path)) == 0
         payload = json.loads((tmp_path / "find_eps.json").read_text())
+        assert payload["method"] == "closed-form"
         assert [e["p1"] for e in payload["eps"]] == pytest.approx([1.5641],
                                                                   abs=1e-4)
+
+    def test_find_eps_equals_the_eps_encircle_encloses(self, tmp_path):
+        assert run_cli("find-eps", "--preset", "double-ep",
+                       "--out", str(tmp_path)) == 0
+        assert run_cli("encircle", "--rect", "0.40", "0.68", "0.95", "1.05",
+                       "--out", str(tmp_path)) == 0
+        found = json.loads((tmp_path / "find_eps.json").read_text())["eps"]
+        enclosed = json.loads((tmp_path / "encircle.json").read_text())[
+            "enclosed_eps"]
+        assert len(found) == 2
+        # the floats read back from the shortest repr are the written ones
+        assert [[ep[k].hex() for k in ("p1", "p2", "residual")]
+                for ep in found] == [[ep[k].hex() for k in ("p1", "p2",
+                                                             "residual")]
+                                     for ep in enclosed]
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_a_circle_round_each_found_ep_encloses_it(self, tmp_path, index):
+        assert run_cli("find-eps", "--preset", "double-ep",
+                       "--out", str(tmp_path)) == 0
+        ep = json.loads((tmp_path / "find_eps.json").read_text())["eps"][index]
+        assert run_cli("encircle", "--circle", repr(ep["p1"]), repr(ep["p2"]),
+                       "0.05", "--out", str(tmp_path)) == 0
+        loop = json.loads((tmp_path / "encircle.json").read_text())
+        assert loop["enclosed_eps"] == [ep]
+        assert loop["permutation"] == "swap"
+
+    # every preset but double-ep has unequal widths
+    @pytest.mark.parametrize("preset", sorted(
+        name for name, preset in PRESETS.items()
+        if preset["params"]["gamma1"] != preset["params"]["gamma2"]))
+    def test_find_eps_unequal_widths_points_to_the_window(self, tmp_path,
+                                                          capsys, preset):
+        assert run_cli("find-eps", "--preset", preset,
+                       "--out", str(tmp_path / "out")) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValueError"
+        assert "gamma1 == gamma2" in err["message"]
+        assert "--window" in err["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_find_eps_grid_search_window(self, tmp_path):
         assert run_cli("find-eps", "--window", "0.3", "0.8", "0.9", "1.0",
@@ -416,7 +456,8 @@ class TestCli:
         sweep = json.loads((tmp_path / "toy_sweep_report.json").read_text())
         ingest = json.loads((tmp_path / "ingest_classify.json").read_text())
         assert ingest["report"] == sweep["report"]
-        assert ingest["metadata"] == {"n_in": "2.74"}
+        assert ingest["config"]["metadata"] == {"n_in": "2.74"}
+        assert "metadata" not in ingest
 
     def test_oracle_surface_and_loop(self, tmp_path):
         assert run_cli("oracle", "--mode", "encircle", "--circle",
@@ -551,16 +592,14 @@ class TestCli:
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "params": {"g_c": 0.05, "beta": 1.0, "gamma1": 1.05,
+            "params": {"g_c": 1.5, "beta": 1.0, "gamma1": 1.05,
                        "gamma2": 1.05},
-            "alpha_bracket": [0.3, 0.5],
         }))
-        assert run_cli("find-eps", "--config", str(cfg),
-                       "--alpha-bracket", "0.3", "0.8",
+        assert run_cli("find-eps", "--config", str(cfg), "--g-c", "0.05",
                        "--out", str(tmp_path)) == 0
         payload = json.loads((tmp_path / "find_eps.json").read_text())
-        # the flag overrides the config bracket, so both roots are found
-        assert payload["config"]["alpha_bracket"] == [0.3, 0.8]
+        # the flag overrides the config's g_c, so both paper EPs are found
+        assert payload["config"]["params"]["g_c"] == 0.05
         assert len(payload["eps"]) == 2
 
     def test_json_embeds_full_config(self, tmp_path):
@@ -611,20 +650,13 @@ class TestCli:
                                   "pattern; at the beta window end beta=0.7"}
         assert not (tmp_path / "beta_scan.json").exists()
 
-    @pytest.mark.parametrize("argv, message", [
-        (("beta-scan", "--tolerance", "0"), "tol must be positive and finite, "
-                                            "got 0.0"),
-        (("beta-scan", "--tolerance", "-1"), "tol must be positive and "
-                                             "finite, got -1.0"),
-        (("beta-scan", "--tolerance", "nan"), "tol must be positive and "
-                                              "finite, got nan"),
-        (("find-eps", "--tolerance", "-1"), "residual_tol must be positive "
-                                            "and finite, got -1.0"),
-        (("find-eps", "--tolerance", "nan"), "residual_tol must be positive "
-                                             "and finite, got nan"),
-    ])
+    @pytest.mark.parametrize("value", ["0", "-0.0", "-1", "nan", "inf",
+                                       "-inf"])
     def test_rejects_a_bad_tolerance(self, tmp_path, capsys, monkeypatch,
-                                     argv, message):
+                                     value):
+        argv = ("beta-scan", "--tolerance", value)
+        message = ("tolerance (--tolerance) must be positive and finite, "
+                   f"got {float(value)!r}")
         def no_sweep(*args, **kwargs):  # a bisection that ran would hang
             raise AssertionError("swept before checking the tolerance")
 
@@ -636,8 +668,6 @@ class TestCli:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, message", [
-        (("find-eps", "--alpha-bracket", "0.3", "inf"),
-         "alpha_bracket must be finite with lo < hi, got [0.3, inf]"),
         (("toy-sweep", "--alpha-range", "0.2", "inf"),
          "alpha_range must be finite with lo < hi, got [0.2, inf]"),
         (("toy-sweep", "--alpha-range", "nan", "1"),
@@ -657,8 +687,6 @@ class TestCli:
          "alpha_range (--alpha-range) must have lo >= 0, got [-0.1, 1.0]"),
         (("beta-scan", "--alpha-range", "-0.1", "1"),
          "alpha_range (--alpha-range) must have lo >= 0, got [-0.1, 1.0]"),
-        (("find-eps", "--alpha-bracket", "-0.1", "1"),
-         "alpha_bracket (--alpha-bracket) must have lo >= 0, got [-0.1, 1.0]"),
         (("beta-scan", "--beta-window", "0.85", "0.7"),
          "beta_window (--beta-window) must satisfy 0 <= lo < hi <= 1, "
          "got [0.85, 0.7]"),
@@ -813,10 +841,14 @@ class TestCli:
          "tolerance must be a real number, got '1e-3'"),
         (("beta-scan",), {"tolerance": True},
          "tolerance must be a real number, got True"),
-        (("find-eps",), {"tolerance": "1e-3"},
-         "tolerance must be a real number, got '1e-3'"),
-        (("find-eps",), {"tolerance": True},
-         "tolerance must be a real number, got True"),
+        (("beta-scan",), {"tolerance": 0},
+         "tolerance (--tolerance) must be positive and finite, got 0"),
+        (("beta-scan",), {"tolerance": 1e400},
+         "tolerance (--tolerance) must be positive and finite, got inf"),
+        (("beta-scan",), {"tolerance": -1e-3},
+         "tolerance (--tolerance) must be positive and finite, got -0.001"),
+        (("beta-scan",), {"tolerance": -1e400},
+         "tolerance (--tolerance) must be positive and finite, got -inf"),
     ])
     def test_config_rejects_a_mistyped_count_or_tolerance(
             self, tmp_path, capsys, monkeypatch, command, config, message):
@@ -849,7 +881,7 @@ class TestCli:
 # each flag and the commands that read it
 FLAG_COMMANDS = {
     ("--grid", "5x5"): {"surface", "find-eps", "oracle"},
-    ("--tolerance", "3.0"): {"find-eps", "beta-scan"},
+    ("--tolerance", "3.0"): {"beta-scan"},
     ("--preset", "class1"): {"toy-sweep", "find-eps", "surface", "encircle",
                              "beta-scan"},
 }
@@ -1027,13 +1059,18 @@ class TestCommandFlags:
             err = capsys.readouterr().err
             assert f"unrecognized arguments: {' '.join(flag)}" in err
 
-    def test_find_eps_window_rejects_tolerance(self, tmp_path, capsys):
-        assert run_cli("find-eps", "--window", "0.3", "0.8", "0.9", "1.1",
-                       "--tolerance", "1e-3", "--out", str(tmp_path)) == 1
-        err = json.loads(capsys.readouterr().out)["error"]
-        assert err["type"] == "ValueError"
-        assert "--tolerance" in err["message"] and "--window" in err["message"]
-        assert not (tmp_path / "find_eps.json").exists()
+    @pytest.mark.parametrize("mode", [(), ("--window", "0.3", "0.8", "0.9",
+                                           "1.1")], ids=["closed-form",
+                                                         "grid-search"])
+    @pytest.mark.parametrize("flag", [("--alpha-bracket", "0.3", "0.8"),
+                                      ("--tolerance", "1e-3")],
+                             ids=lambda f: f[0])
+    def test_find_eps_has_no_scan_flags(self, mode, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["find-eps", *mode, *flag])
+        assert info.value.code == 2
+        assert (f"unrecognized arguments: {' '.join(flag)}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", [("encircle",),
                                          ("oracle", "--mode", "encircle")])
@@ -1045,13 +1082,6 @@ class TestCommandFlags:
         assert info.value.code == 2
         assert ("argument --rect: not allowed with argument --circle"
                 in capsys.readouterr().err)
-
-    def test_find_eps_scan_roots_records_tolerance(self, tmp_path):
-        assert run_cli("find-eps", "--tolerance", "1e-12",
-                       "--out", str(tmp_path)) == 0
-        payload = json.loads((tmp_path / "find_eps.json").read_text())
-        assert payload["config"]["tolerance"] == 1e-12
-        assert len(payload["eps"]) == 2
 
 
 ORACLE_LOOP = ("--circle", "2.6257", "0.6001", "0.05", "--steps", "64")
@@ -1095,10 +1125,36 @@ class TestModeKeys:
                            "0.9", "1.1", "--grid", "16x16")
         assert keys == {"params", "window", "grid", "out", "command"}
 
-    def test_find_eps_scan_roots(self, tmp_path):
+    def test_find_eps_closed_form(self, tmp_path):
         keys = self.config(tmp_path, "find-eps")
-        assert keys == {"params", "window", "alpha_bracket", "tolerance", "out",
-                        "command"}
+        assert keys == {"params", "window", "out", "command"}
+
+    def test_find_eps_config_with_the_old_scan_keys_fails(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"alpha_bracket": [0.3, 0.8],
+                                    "tolerance": 1e-10}))
+        assert run_cli("find-eps", "--config", str(path),
+                       "--out", str(tmp_path / "out")) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["message"] == ("find-eps without --window does not read "
+                                  "config key 'alpha_bracket', config key "
+                                  "'tolerance'")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [("alpha_bracket", [0.3, 0.8]),
+                                            ("tolerance", 1e-10)])
+    def test_find_eps_window_config_with_an_old_scan_key_fails(
+            self, tmp_path, capsys, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        assert run_cli("find-eps", "--window", "0.3", "0.8", "0.9", "1.1",
+                       "--config", str(path),
+                       "--out", str(tmp_path / "out")) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["message"] == ("find-eps --window does not read config "
+                                  f"key {key!r}")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, message", [
         (("oracle", "--mode", "encircle", "--grid", "5x5"),
@@ -1115,9 +1171,6 @@ class TestModeKeys:
          "oracle --kind two-point --mode surface does not read --z0"),
         (("oracle", "--kind", "single-point", "--z2", "2.7", "0.6"),
          "oracle --kind single-point --mode surface does not read --z2"),
-        (("find-eps", "--window", "0.3", "0.8", "0.9", "1.1",
-          "--alpha-bracket", "0.3", "0.8"),
-         "find-eps --window does not read --alpha-bracket"),
         (("find-eps", "--grid", "16x16"),
          "find-eps without --window does not read --grid"),
     ])
@@ -1339,8 +1392,6 @@ class TestConfigContract:
          "alpha_range must be a pair of numbers, got [0.2]"),
         (("beta-scan",), {"beta_window": [0.7, "0.85"]},
          "beta_window must be a pair of numbers, got [0.7, '0.85']"),
-        (("find-eps",), {"alpha_bracket": 0.3},
-         "alpha_bracket must be a pair of numbers, got 0.3"),
         (("surface",), {"grid": 256}, "grid must look like 256x64, got 256"),
         (("find-eps",), {"window": [0.3, 0.8, 0.9, 1.1], "grid": "48"},
          "grid must look like 256x64, got '48'"),
@@ -1474,8 +1525,8 @@ class TestConfigContract:
         assert run_cli("ingest-classify", *INGEST, "--config", "config.json",
                        "--out", "out") == 0
         text = (tmp_path / "out" / "ingest_classify.json").read_text()
-        assert json.loads(text)["metadata"] == {"flag": True, "off": False,
-                                                "count": 2}
+        assert json.loads(text)["config"]["metadata"] == {
+            "flag": True, "off": False, "count": 2}
         assert '"flag": true' in text and '"count": 2' in text
         io_mod.write_json(tmp_path / "np.json",
                           {"a": np.bool_(True), "b": np.array([True, False])})

@@ -21,7 +21,7 @@ from epkit.crossing import (ScanTrajectory, UnclassifiableScanError,
                             _component_analysis, classify, match_branches,
                             match_grid, overlap_curve, overlap_peaks,
                             sweep_toy)
-from epkit.epfind import toy_ep_roots
+from epkit.epfind import equal_width_eps
 from epkit.toymodel import (FULL_COMPLEX, PRESETS, REAL_PART, ToyParams,
                             coupling, preset, scan_entries, xi)
 
@@ -154,7 +154,7 @@ class TestEigenpairs:
     def test_sweep_matches_loop_through_double_eps(self, g_c, gamma, seed):
         p = ToyParams(g_c=g_c, beta=1.0, gamma1=gamma, gamma2=gamma)
         alphas = list(np.random.default_rng(seed).uniform(0.01, 2.0, 20))
-        for root in toy_ep_roots(p, (0.01, 4.0)):
+        for root in equal_width_eps(p):
             a = root.p1
             for _ in range(4):  # within a few ulps of the EP, |eta| < threshold
                 alphas += [a, 2 * root.p1 - a]
