@@ -2,13 +2,10 @@
 
 from .core import (
     DEGENERACY_THRESHOLD,
-    DiscreteField,
     Hamiltonian2,
     Spectrum2,
     diagonalize,
-    overlap,
     principal_sqrt,
-    shannon_entropy,
     splitting,
 )
 from .crossing import (
@@ -58,7 +55,6 @@ __all__ = [
     "ClassReport",
     "CutSet",
     "DEGENERACY_THRESHOLD",
-    "DiscreteField",
     "EPLocation",
     "GridSearchResult",
     "Hamiltonian2",
@@ -86,11 +82,9 @@ __all__ = [
     "lift_cut",
     "match_branches",
     "oracle_eval",
-    "overlap",
     "overlap_peaks",
     "preset",
     "principal_sqrt",
-    "shannon_entropy",
     "splitting",
     "sweep_toy",
     "to_plane",

@@ -11,7 +11,7 @@ owns all sheet logic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,16 @@ def is_real_number(value) -> bool:
     """Whether ``value`` is a Python or numpy int or float; bools are not."""
     return (isinstance(value, (int, float, np.integer, np.floating))
             and not isinstance(value, bool))
+
+
+def check_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int; raises naming ``name`` unless it is a Python or
+    numpy integer, not a bool, of at least ``minimum``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, "
+                         f"got {value!r}")
+    return int(value)
 
 
 def check_window(window) -> None:
@@ -82,38 +92,6 @@ class Spectrum2:
     v_plus: np.ndarray
     v_minus: np.ndarray
     degenerate: bool = False
-
-
-@dataclass
-class DiscreteField:
-    """Sampled complex field with positive quadrature weights.
-
-    A discretized stand-in for a continuum mode profile; with no weights
-    given, samples are weighted uniformly.
-    """
-
-    samples: np.ndarray
-    weights: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=complex).ravel()
-        if self.samples.size < 1:
-            raise ValueError("field needs at least one sample")
-        if self.weights is None:
-            self.weights = np.ones(self.samples.size)
-        else:
-            self.weights = np.asarray(self.weights, dtype=float).ravel()
-        if self.weights.size != self.samples.size:
-            raise ValueError("samples and weights must have equal length")
-        if not np.all(np.isfinite(self.weights)) or np.any(self.weights <= 0):
-            raise ValueError("weights must be positive and finite")
-        if not np.all(np.isfinite(self.samples.real)) or not np.all(
-            np.isfinite(self.samples.imag)
-        ):
-            raise ValueError("samples must be finite")
-
-    def norm(self) -> float:
-        return math.sqrt(float(np.sum(self.weights * np.abs(self.samples) ** 2)))
 
 
 def principal_sqrt(w: complex) -> complex:
@@ -210,29 +188,3 @@ def diagonalize(h: Hamiltonian2) -> Spectrum2:
     v_plus, v_minus = _eigvectors(h.xi1, h.xi2, h.g, mean, eta)
     return Spectrum2(mean + eta, mean - eta, eta, v_plus, v_minus,
                      degenerate=abs(eta) < DEGENERACY_THRESHOLD)
-
-
-def overlap(f1: DiscreteField, f2: DiscreteField) -> float:
-    """Normalized mode overlap |<f1, f2>| / (||f1|| ||f2||), in [0, 1].
-
-    The inner product is the weighted sum of conj(f1) * f2. Approaches 1
-    as two eigenstates coalesce; raises on a zero-norm field.
-    """
-    if f1.samples.size != f2.samples.size:
-        raise ValueError("fields must have equal sample counts")
-    n1, n2 = f1.norm(), f2.norm()
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("degenerate field")
-    inner = np.sum(f1.weights * np.conj(f1.samples) * f2.samples)
-    return float(abs(inner) / (n1 * n2))
-
-
-def shannon_entropy(f: DiscreteField) -> float:
-    """Entropy (natural log) of the normalized weighted intensity."""
-    intensity = f.weights * np.abs(f.samples) ** 2
-    total = float(np.sum(intensity))
-    if total == 0.0:
-        raise ValueError("degenerate field")
-    rho = intensity / total
-    nz = rho[rho > 0.0]
-    return float(-np.sum(nz * np.log(nz)))

@@ -318,6 +318,15 @@ def overlap_curve(va, vb) -> np.ndarray:
     return np.hypot(re, im) / (na * nb)
 
 
+def entropy_curve(v) -> np.ndarray:
+    """Shannon entropy (natural log) of the normalized intensities |v_k|^2
+    of (N, 2) vector rows; a zero row gives NaN."""
+    p = np.abs(np.asarray(v, dtype=complex)) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = p / np.sum(p, axis=1, keepdims=True)
+        return -np.sum(np.where(p == 0.0, 0.0, p * np.log(p)), axis=1)
+
+
 def overlap_peaks(ts, va, vb) -> list[float]:
     """Scan positions of local maxima of the eigenstate overlap.
 

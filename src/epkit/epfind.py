@@ -2,11 +2,11 @@
 
 Two routes. For the toy model with equal widths the EPs have a closed form
 (``equal_width_eps``). For any 2-D eigenvalue-pair sampler a coarse grid
-search (``grid_ep_search``) seeds at the minima of the splitting and
-refines every seed together by Newton steps, one batch evaluation per
-step, on the discriminant D = (a - b)^2 of the pair (a, b). D does not
-depend on the order of the pair and has a simple zero at a simple EP; the
-gap |a - b| itself only has a square-root kink there.
+search (``grid_ep_search``) seeds where the discriminant D = (a - b)^2 of
+the pair (a, b) winds around a grid cell, and refines every seed together
+by Newton steps on D, one batch evaluation per step. D does not depend on
+the order of the pair and has a simple zero at a simple EP, around which
+it winds once (the EP charge).
 """
 
 from __future__ import annotations
@@ -17,17 +17,15 @@ from typing import Callable
 
 import numpy as np
 
-from .core import abs_diff, check_window, eta_squared
+from .core import abs_diff, check_count, check_window, eta_squared
 from .toymodel import ToyParams, scan_entries
 
 # refined candidates closer than DEDUP_FACTOR * tolerance collapse to one EP
 DEDUP_FACTOR = 10.0
 MIN_SEARCH_GRID = 8  # the coarsest grid_ep_search grid, per axis
-# grid_ep_search accepts a refined gap below both of these bounds
-REFINE_REL = 1e-6  # times the window diagonal
-REJECT_REL = 1e-3  # times the median coarse gap
+REFINE_REL = 1e-6  # the largest accepted refined gap, in window diagonals
 # Newton steps per seed. Each step squares the error once it is small; a
-# coarse-grid minimum can be a whole cell away and needs up to about 12.
+# seed, at the centre of a coarse cell, is up to half a cell from its EP.
 GRID_NEWTON_STEPS = 16
 
 
@@ -46,7 +44,6 @@ class GridSearchResult:
 
     locations: list[EPLocation]
     sampler_failures: int = 0
-    median_gap: float = 0.0
 
 
 def equal_width_eps(p: ToyParams) -> list[EPLocation]:
@@ -114,17 +111,23 @@ def sample_points(sampler, p1: np.ndarray, p2: np.ndarray):
     return va, vb, failed
 
 
-def _local_minima(gaps: np.ndarray) -> list[tuple[int, int]]:
-    """Finite cells with no finite 8-neighbour below them, row-major."""
-    finite = np.isfinite(gaps)
-    padded = np.pad(np.where(finite, gaps, np.nan), 1, constant_values=np.nan)
-    n1, n2 = gaps.shape
-    lower = np.zeros(gaps.shape, dtype=bool)
-    for di in (0, 1, 2):
-        for dj in (0, 1, 2):
-            if (di, dj) != (1, 1):
-                lower |= padded[di:di + n1, dj:dj + n2] < gaps
-    return list(map(tuple, np.argwhere(finite & ~lower).tolist()))
+def cell_winding(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The winding of D = diff**2 around each cell of a grid of pair
+    differences ``diff = a - b`` over (p1, p2): ``(charge, unresolved)``,
+    each (n1 - 1, n2 - 1). ``charge`` is the rounded sum, in turns, of the
+    edge steps ``angle((diff[k+1] / diff[k])**2)`` (as in
+    :func:`~epkit.surface._follow`) counter-clockwise around the cell, and 0
+    where a corner is 0 or not finite or the sum is not finite. A cell is
+    ``unresolved`` where such a corner, or a step above pi/2 or not finite,
+    can alias or hide an EP (one on an edge or a corner of the cell)."""
+    ring = np.stack([diff[:-1, :-1], diff[1:, :-1], diff[1:, 1:], diff[:-1, 1:]])
+    with np.errstate(all="ignore"):
+        steps = np.angle((np.roll(ring, -1, axis=0) / ring) ** 2)
+    bad = ~(np.isfinite(ring) & (ring != 0)).all(axis=0)
+    turns = steps.sum(axis=0) / (2.0 * math.pi)
+    charge = np.rint(np.where(bad | ~np.isfinite(turns), 0.0, turns))
+    unresolved = bad | ~(np.abs(steps) <= math.pi / 2).all(axis=0)
+    return charge.astype(int), unresolved
 
 
 def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
@@ -132,20 +135,18 @@ def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
                    coarse_n: int = 48) -> GridSearchResult:
     """Locate EPs of a generic eigenvalue-pair sampler in a rectangle.
 
-    Coarse-scans the gap on a ``coarse_n`` x ``coarse_n`` grid and refines
-    all local-minimum cells together by Newton steps on D = (a - b)^2, with
-    a 2x2 real Jacobian from central differences: one sampler call per step
-    on five points of every seed, each iterate clipped to the window. A seed
-    is dropped at its first sampler failure. The gap is evaluated again at
-    each seed's best iterate, which is accepted only below both the
-    tolerance ``REFINE_REL`` (1e-6) x window diagonal and ``REJECT_REL``
-    (1e-3) x the median coarse gap (which rejects shallow avoided
-    crossings). Sampler failures are counted in the result. Accepted points
+    Seeds at the centre of each cell of a ``coarse_n`` x ``coarse_n`` grid
+    that :func:`cell_winding` finds charged or unresolved (an avoided
+    crossing, of winding 0, gives none) and refines all seeds together by
+    Newton steps on D = (a - b)^2, with a 2x2 real Jacobian from central
+    differences: one sampler call per step on five points of every seed,
+    each iterate clipped to the window, a seed dropped at its first sampler
+    failure (counted in the result). The gap at each best iterate, sampled
+    again, must be below ``REFINE_REL`` x window diagonal. Accepted points
     are deduplicated and sorted by (p1, p2). A window with lo >= hi on
     either axis, or an axis that is not finite, raises.
     """
-    if coarse_n < MIN_SEARCH_GRID:
-        raise ValueError(f"coarse_n must be >= {MIN_SEARCH_GRID}")
+    coarse_n = check_count("coarse_n", coarse_n, MIN_SEARCH_GRID)
     (p1lo, p1hi), (p2lo, p2hi) = window
     if not (p1lo < p1hi and p2lo < p2hi):
         raise ValueError(
@@ -157,18 +158,19 @@ def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
     p2s = np.linspace(p2lo, p2hi, coarse_n)
     p1, p2 = np.meshgrid(p1s, p2s, indexing="ij")
     va, vb, failed = sample_points(sampler, p1, p2)
-    gaps, failures = abs_diff(va, vb), len(failed)
-    finite = gaps[np.isfinite(gaps)]
-    if finite.size == 0:
+    diff, failures = va - vb, len(failed)
+    missing = np.count_nonzero(~np.isfinite(diff))
+    if missing == diff.size:
         raise RuntimeError("sampler failed on the entire coarse grid")
-    if (gaps.size - finite.size) > 0.5 * gaps.size:
+    if missing > 0.5 * diff.size:
         raise RuntimeError("sampler failed on most of the coarse grid")
-    median_gap = float(np.median(finite))
 
-    # skip cells that clearly sit on a smooth gap plateau
-    i, j = np.array(_local_minima(gaps), dtype=int).reshape(-1, 2).T
-    seed = (gaps[i, j] < 0.5 * median_gap) | (gaps[i, j] < 10 * tol)
-    x = np.stack([p1s[i[seed]], p2s[j[seed]]], axis=1)
+    charge, unresolved = cell_winding(diff)
+    # charged cells first, as dedup keeps the first of equal residuals
+    i, j = np.concatenate([np.argwhere(charge != 0),
+                           np.argwhere((charge == 0) & unresolved)]).T
+    x = np.stack([0.5 * (p1s[i] + p1s[i + 1]), 0.5 * (p2s[j] + p2s[j + 1])],
+                 axis=1)
     lo, hi = np.array([p1lo, p2lo]), np.array([p1hi, p2hi])
     h = 1e-4 * (hi - lo) / (coarse_n - 1)
     # the difference stencil is centred at the iterate moved at least h inside
@@ -201,11 +203,9 @@ def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
     failures += len(failed)
     accepted = [EPLocation(q1, q2, r) for q1, q2, r in
                 zip(best[:, 0].tolist(), best[:, 1].tolist(),
-                    abs_diff(a, b).tolist())
-                if r < tol and r < REJECT_REL * median_gap]
+                    abs_diff(a, b).tolist()) if r < tol]
 
-    # deduplicate: the two sheets share each minimum, and neighboring seeds
-    # converge to the same point
+    # deduplicate: the seeds around one EP converge to the same point
     accepted.sort(key=lambda e: e.residual)
     kept: list[EPLocation] = []
     for cand in accepted:
@@ -213,5 +213,4 @@ def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
                for k in kept):
             kept.append(cand)
     kept.sort(key=lambda e: (e.p1, e.p2))
-    return GridSearchResult(kept, sampler_failures=failures,
-                            median_gap=median_gap)
+    return GridSearchResult(kept, sampler_failures=failures)

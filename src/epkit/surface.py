@@ -24,8 +24,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (_require_finite, abs_diff, check_window, is_real_number,
-                   principal_sqrt_grid)
+from .core import (_require_finite, abs_diff, check_count, check_window,
+                   is_real_number, principal_sqrt_grid)
 from .crossing import match_grid
 from .epfind import sample_points
 
@@ -186,8 +186,7 @@ def build_surface(sampler: Callable[[float, float], tuple[complex, complex]],
     window axis that is not finite or has no width raises; a reversed one
     mirrors the axis.
     """
-    if n1 < 16 or n2 < 16:
-        raise ValueError("grid must be at least 16 x 16")
+    n1, n2 = check_count("n1", n1, 16), check_count("n2", n2, 16)
     if delta_mode not in (RAW, DELTA):
         raise ValueError(f"delta_mode must be '{RAW}' or '{DELTA}'")
     (p1lo, p1hi), (p2lo, p2hi) = window
@@ -397,8 +396,7 @@ def encircle(sampler: Callable[[float, float], tuple[complex, complex]],
     """The ``winding`` of D = (a - b)**2 around a closed loop: the phase
     steps of :func:`_follow` over ``n_steps`` equal steps of t, in turns,
     which must sum to an integer. The pair swaps exactly when it is odd."""
-    if n_steps < MIN_LOOP_STEPS:
-        raise ValueError(f"n_steps must be >= {MIN_LOOP_STEPS}")
+    n_steps = check_count("n_steps", n_steps, MIN_LOOP_STEPS)
     ts, _, phase = _follow(sampler, loop.points, np.linspace(0.0, 1.0, n_steps + 1))
     turns = float(np.sum(phase)) / (2.0 * math.pi)
     winding = round(turns)

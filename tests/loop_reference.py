@@ -17,8 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from epkit.core import (DEGENERACY_THRESHOLD, DiscreteField, Hamiltonian2,
-                        overlap, splitting)
+from epkit.core import DEGENERACY_THRESHOLD, Hamiltonian2, splitting
 from epkit import crossing, surface
 from epkit.crossing import LZ, WB, ClassReport, UnclassifiableScanError
 from epkit.epfind import sample_points
@@ -141,10 +140,14 @@ def match_branches(pairs, vectors=None):
 
 
 def overlap_curve(vectors_a, vectors_b) -> np.ndarray:
-    return np.array([
-        overlap(DiscreteField(va), DiscreteField(vb))
-        for va, vb in zip(vectors_a, vectors_b)
-    ])
+    """|<v_a, v_b>| / (|v_a| |v_b|) of each pair of vectors, one at a time."""
+    out = []
+    for va, vb in zip(vectors_a, vectors_b):
+        va, vb = np.asarray(va, dtype=complex), np.asarray(vb, dtype=complex)
+        na = math.sqrt(float(np.sum(np.abs(va) ** 2)))
+        nb = math.sqrt(float(np.sum(np.abs(vb) ** 2)))
+        out.append(float(abs(np.sum(np.conj(va) * vb)) / (na * nb)))
+    return np.array(out)
 
 
 def overlap_peaks(ts, o, floor: float = 1e-6) -> list[float]:
@@ -231,7 +234,7 @@ def matched_classify(ts, pairs, gap_floor: float = 1e-9,
                        re["cross_points"], im["cross_points"], edges)
 
 
-# ---- 2-D grids: sampling, row-major matching, cut edges, gap minima ----------
+# ---- 2-D grids: sampling, row-major matching, cut edges, cell windings -------
 
 def sample_grid(sampler, axis1, axis2):
     """Point-by-point sampling; returns (va, vb, missing). A point is
@@ -351,29 +354,29 @@ def seam_edges(diff, ok, contact):
     return tuple(seams)
 
 
-def local_minima(gaps):
-    n1, n2 = gaps.shape
-    out = []
-    for i in range(n1):
-        for j in range(n2):
-            v = gaps[i, j]
-            if not np.isfinite(v):
+def cell_winding(diff):
+    """The charge and the unresolved flag of each grid cell, one cell at a
+    time with :mod:`cmath`: the turns of D = diff**2 over the four edge
+    steps counter-clockwise, each the phase of the squared ratio."""
+    n1, n2 = diff.shape
+    charge = np.zeros((n1 - 1, n2 - 1), dtype=int)
+    unresolved = np.zeros((n1 - 1, n2 - 1), dtype=bool)
+    for i in range(n1 - 1):
+        for j in range(n2 - 1):
+            ring = [complex(diff[i, j]), complex(diff[i + 1, j]),
+                    complex(diff[i + 1, j + 1]), complex(diff[i, j + 1])]
+            if any(z == 0 or not cmath.isfinite(z) for z in ring):
+                unresolved[i, j] = True
                 continue
-            ok = True
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    if di == 0 and dj == 0:
-                        continue
-                    a, b = i + di, j + dj
-                    if 0 <= a < n1 and 0 <= b < n2 and np.isfinite(gaps[a, b]):
-                        if gaps[a, b] < v:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
-                out.append((i, j))
-    return out
+            steps = []
+            for p, q in zip(ring, ring[1:] + ring[:1]):
+                r = q / p
+                steps.append(cmath.phase(r * r))
+            unresolved[i, j] = not all(abs(s) <= math.pi / 2 for s in steps)
+            turns = sum(steps) / (2 * math.pi)
+            if math.isfinite(turns):
+                charge[i, j] = round(turns)
+    return charge, unresolved
 
 
 # ---- closed loops: geometry and depth-first continuation ---------------------

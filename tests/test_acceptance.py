@@ -13,7 +13,8 @@ import numpy as np
 from epkit.cli import main as cli_main
 from epkit.core import eigvalues_grid, eigvectors_grid
 from epkit.crossing import overlap_peaks
-from epkit.epfind import equal_width_eps, grid_ep_search
+from epkit.epfind import (cell_winding, equal_width_eps, grid_ep_search,
+                          sample_points)
 from epkit.sphere import PlanePoint, lift_cut, to_plane, to_sphere
 from epkit.surface import (AnalyticOracle, CircleLoop, PolylineLoop,
                            build_surface, connected_components, encircle)
@@ -132,16 +133,29 @@ def test_criterion_4_monodromy():
             assert encircle(oracle, loop, 128).permutation == "identity"
 
 
+def lattice_charges(sampler, window, n=48):
+    """The nonzero cell charges of an n x n grid over ``window``, row-major."""
+    p1, p2 = np.meshgrid(np.linspace(*window[0], n), np.linspace(*window[1], n),
+                         indexing="ij")
+    va, vb, _ = sample_points(sampler, p1, p2)
+    charge, _ = cell_winding(va - vb)
+    return charge[charge != 0].tolist()
+
+
 def test_criterion_4_preset_ep_charges():
     # (alpha, beta) and charge of each EP, as in the README's charge table
     table = {"transition": [((0.4813, 0.7645), 1), ((0.6272, 1.2403), -1)],
              "class4": [((0.4489, 1.2403), 1), ((0.5921, 0.7645), -1)]}
+    window = ((0.3, 0.8), (0.6, 1.4))
     with criterion(4, "over [0.3, 0.8] x [0.6, 1.4] the transition and class4 "
                       "presets have one EP pair of charges +1/-1 (0.02 "
-                      "circles), and a loop around both is the identity"):
+                      "circles, and one charged cell each at 48x48), and a "
+                      "loop around both is the identity; at 48x48 double-ep "
+                      "has cells +1/-1 there and the oracle +1/+1"):
         for name, expected in table.items():
             sampler = eigenpair_sampler(preset(name))
-            eps = grid_ep_search(sampler, ((0.3, 0.8), (0.6, 1.4))).locations
+            assert lattice_charges(sampler, window) == [1, -1], name
+            eps = grid_ep_search(sampler, window).locations
             got = [((round(e.p1, 4), round(e.p2, 4)),
                     encircle(sampler, CircleLoop((e.p1, e.p2), 0.02)).winding)
                    for e in eps]
@@ -152,6 +166,9 @@ def test_criterion_4_preset_ep_charges():
                                  (a2 + 0.05, hi), (a1 - 0.05, hi)))
             res = encircle(sampler, both)
             assert (res.permutation, res.winding) == ("identity", 0), name
+        assert lattice_charges(eigenpair_sampler(DOUBLE_EP), window) == [1, -1]
+        oracle = AnalyticOracle.two_point(0.45 + 1j, 0.62 + 1j).sampler()
+        assert lattice_charges(oracle, ((0.3, 0.8), (0.9, 1.1))) == [1, 1]
 
 
 def test_criterion_5_branch_cut_topology():

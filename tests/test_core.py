@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import sys
 
 import numpy as np
@@ -8,10 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import loop_reference as ref
-from epkit.core import (DiscreteField, Hamiltonian2, diagonalize,
-                        eigvalues_grid, overlap, principal_sqrt,
-                        shannon_entropy, splitting)
+from epkit.core import (Hamiltonian2, diagonalize, eigvalues_grid,
+                        principal_sqrt, splitting)
+from epkit.epfind import grid_ep_search
+from epkit.surface import AnalyticOracle, CircleLoop, build_surface, encircle
 
+ORACLE = AnalyticOracle.two_point(0.45 + 1j, 0.62 + 1j).sampler()
+WINDOW = ((0.3, 0.8), (0.9, 1.1))
 finite_reals = st.floats(min_value=-10, max_value=10, allow_nan=False)
 finite_complex = st.builds(complex, finite_reals, finite_reals)
 
@@ -183,78 +187,24 @@ class TestDiagonalize:
         assert splitting(h.xi1, h.xi2, h.g) == s.eta
 
 
-class TestOverlap:
-    def test_orthogonal(self):
-        assert overlap(DiscreteField([1, 0]), DiscreteField([0, 1])) == 0.0
-
-    def test_self_overlap(self):
-        f = DiscreteField([0.6, 0.8j])
-        assert overlap(f, f) == pytest.approx(1.0, abs=1e-12)
-
-    def test_range(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            f1 = DiscreteField(rng.standard_normal(5) + 1j * rng.standard_normal(5))
-            f2 = DiscreteField(rng.standard_normal(5) + 1j * rng.standard_normal(5))
-            val = overlap(f1, f2)
-            assert 0.0 <= val <= 1.0 + 1e-12
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError, match="degenerate field"):
-            overlap(DiscreteField([0, 0]), DiscreteField([1, 0]))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            overlap(DiscreteField([1, 0]), DiscreteField([1, 0, 0]))
-
-    def test_symmetric(self):
-        f1 = DiscreteField([1 + 2j, 0.5, -0.3j])
-        f2 = DiscreteField([0.2, 1j, 1 - 1j])
-        assert overlap(f1, f2) == pytest.approx(overlap(f2, f1), abs=1e-14)
-
-    @given(st.floats(min_value=-math.pi, max_value=math.pi))
-    @settings(max_examples=50, deadline=None)
-    def test_phase_invariance(self, phase):
-        f1 = DiscreteField([1 + 2j, 0.5, -0.3j])
-        rotated = DiscreteField(f1.samples * cmath.exp(1j * phase))
-        f2 = DiscreteField([0.2, 1j, 1 - 1j])
-        assert overlap(rotated, f2) == pytest.approx(overlap(f1, f2), abs=1e-12)
-
-    def test_weights_enter_norms(self):
-        f1 = DiscreteField([1, 1], weights=[1, 3])
-        f2 = DiscreteField([1, -1], weights=[1, 3])
-        # <f1, f2> = 1 - 3 = -2, norms = 2 each
-        assert overlap(f1, f2) == pytest.approx(0.5, abs=1e-14)
+BAD_COUNTS = [48.0, np.float64(64.0), "48", True, None, 3]
 
 
-class TestShannonEntropy:
-    def test_uniform_is_log_n(self):
-        f = DiscreteField([1, 1, 1, 1])
-        assert shannon_entropy(f) == pytest.approx(math.log(4), abs=1e-12)
+@pytest.mark.parametrize("name, call", [
+    ("coarse_n", lambda n: grid_ep_search(ORACLE, WINDOW, coarse_n=n).locations),
+    ("n1", lambda n: build_surface(ORACLE, WINDOW, n, 16).sheet1.tolist()),
+    ("n2", lambda n: build_surface(ORACLE, WINDOW, 16, n).sheet1.tolist()),
+    ("n_steps", lambda n: encircle(ORACLE, CircleLoop((0.45, 1.0), 0.05),
+                                   n_steps=n)),
+], ids=["coarse_n", "n1", "n2", "n_steps"])
+class TestCounts:
+    @pytest.mark.parametrize("value", BAD_COUNTS, ids=repr)
+    def test_rejected_naming_the_argument(self, name, call, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer "
+                           rf">= \d+, got {re.escape(repr(value))}$"):
+            call(value)
 
-    def test_delta_is_zero(self):
-        assert shannon_entropy(DiscreteField([0, 3j, 0])) == 0.0
+    def test_numpy_integers_accepted(self, name, call):
+        assert call(np.int32(64)) == call(64)
 
-    def test_frozen_two_level_value(self):
-        f = DiscreteField([math.sqrt(0.75), math.sqrt(0.25)])
-        assert shannon_entropy(f) == pytest.approx(0.5623351446188084, abs=1e-12)
 
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError, match="degenerate field"):
-            shannon_entropy(DiscreteField([0.0]))
-
-    @given(st.floats(min_value=0.01, max_value=100),
-           st.floats(min_value=-math.pi, max_value=math.pi))
-    @settings(max_examples=50, deadline=None)
-    def test_scale_and_phase_invariance(self, scale, phase):
-        f = DiscreteField([1 + 1j, 0.3, 2j, -0.7])
-        g = DiscreteField(f.samples * scale * cmath.exp(1j * phase))
-        assert shannon_entropy(g) == pytest.approx(shannon_entropy(f), abs=1e-10)
-
-    def test_bounds(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            n = int(rng.integers(1, 9))
-            f = DiscreteField(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            h = shannon_entropy(f)
-            assert -1e-12 <= h <= math.log(n) + 1e-12

@@ -1,14 +1,19 @@
+import cmath
+import math
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epkit import crossing
 from epkit.crossing import (LZ, WB, ScanTrajectory, UnclassifiableScanError,
-                            beta_transition, classify, match_branches,
-                            overlap_curve, overlap_peaks, sweep_toy)
-from epkit.core import DiscreteField, eigvectors_grid, shannon_entropy
+                            beta_transition, classify, entropy_curve,
+                            match_branches, overlap_curve, overlap_peaks,
+                            sweep_toy)
+from epkit.core import eigvectors_grid
 from epkit.toymodel import ToyParams, preset, scan_entries
 
 DOUBLE_EP = ToyParams(g_c=0.05, beta=1.0, gamma1=1.05, gamma2=1.05)
@@ -305,7 +310,7 @@ class TestOverlapPeaks:
         # overlap peaks
         alphas = np.linspace(0.3, 0.8, 1001)
         vp, vm = eigvectors(DOUBLE_EP, alphas)
-        h = np.array([shannon_entropy(DiscreteField(v)) for v in vp])
+        h = entropy_curve(vp)
         step = alphas[1] - alphas[0]
         plateau = alphas[h >= h.max() - 1e-9]
         for op in overlap_peaks(alphas, vp, vm):
@@ -316,6 +321,68 @@ class TestOverlapPeaks:
         alphas = np.linspace(0.2, 1.0, 1601)
         vp, vm = eigvectors(p, alphas)
         o = overlap_curve(vp, vm)
-        h = np.array([shannon_entropy(DiscreteField(v)) for v in vp])
+        h = entropy_curve(vp)
         step = alphas[1] - alphas[0]
         assert abs(alphas[np.argmax(o)] - alphas[np.argmax(h)]) <= step + 1e-12
+
+
+class TestOverlapCurve:
+    def test_orthogonal(self):
+        assert overlap_curve([[1, 0]], [[0, 1]]).tolist() == [0.0]
+
+    def test_self_overlap(self):
+        v = [[0.6, 0.8j]]
+        assert overlap_curve(v, v)[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_range(self):
+        rng = np.random.default_rng(3)
+        va, vb = (rng.standard_normal((100, 2)) + 1j * rng.standard_normal((100, 2))
+                  for _ in range(2))
+        o = overlap_curve(va, vb)
+        assert np.all((0.0 <= o) & (o <= 1.0 + 1e-12))
+
+    def test_zero_row_is_nan(self):
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(overlap_curve([[0, 0]], [[1, 0]])[0])
+
+    def test_symmetric(self):
+        va, vb = [[1 + 2j, 0.5]], [[0.2, 1 - 1j]]
+        assert overlap_curve(va, vb)[0] == pytest.approx(
+            overlap_curve(vb, va)[0], abs=1e-14)
+
+    @given(st.floats(min_value=-math.pi, max_value=math.pi))
+    @settings(max_examples=50, deadline=None)
+    def test_phase_invariance(self, phase):
+        va, vb = np.array([[1 + 2j, -0.3j]]), [[0.2, 1 - 1j]]
+        rotated = va * cmath.exp(1j * phase)
+        assert overlap_curve(rotated, vb)[0] == pytest.approx(
+            overlap_curve(va, vb)[0], abs=1e-12)
+
+
+class TestEntropyCurve:
+    def test_uniform_is_log_2(self):
+        assert entropy_curve([[1, 1]])[0] == pytest.approx(math.log(2), abs=1e-12)
+
+    def test_delta_is_zero(self):
+        assert entropy_curve([[0, 3j], [-2, 0]]).tolist() == [0.0, 0.0]
+
+    def test_frozen_two_level_value(self):
+        h = entropy_curve([[math.sqrt(0.75), math.sqrt(0.25)]])[0]
+        assert h == pytest.approx(0.5623351446188084, abs=1e-12)
+
+    def test_zero_row_is_nan(self):
+        assert np.isnan(entropy_curve([[0, 0]])[0])
+
+    @given(st.floats(min_value=0.01, max_value=100),
+           st.floats(min_value=-math.pi, max_value=math.pi))
+    @settings(max_examples=50, deadline=None)
+    def test_scale_and_phase_invariance(self, scale, phase):
+        v = np.array([[1 + 1j, 0.3], [2j, -0.7]])
+        h = entropy_curve(v * scale * cmath.exp(1j * phase))
+        np.testing.assert_allclose(h, entropy_curve(v), rtol=0, atol=1e-10)
+
+    def test_bounds(self):
+        rng = np.random.default_rng(5)
+        h = entropy_curve(rng.standard_normal((50, 2))
+                          + 1j * rng.standard_normal((50, 2)))
+        assert np.all((-1e-12 <= h) & (h <= math.log(2) + 1e-12))

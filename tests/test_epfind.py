@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epkit.core import principal_sqrt
-from epkit.epfind import (REFINE_REL, equal_width_eps, grid_ep_search,
-                          sample_points)
-from epkit.surface import build_surface
+from epkit.epfind import (REFINE_REL, cell_winding, equal_width_eps,
+                          grid_ep_search, sample_points)
+from epkit.surface import AnalyticOracle, PolylineLoop, build_surface, encircle
 from epkit.toymodel import (FULL_COMPLEX, PRESETS, REAL_PART, ToyParams,
                             eigenpair_sampler)
 
@@ -182,7 +182,6 @@ class TestGridEpSearch:
         assert len(res.locations) == 2
         for ep in res.locations:
             assert ep.residual < REFINE_REL * math.hypot(0.5, 0.25)
-            assert ep.residual < 1e-3 * res.median_gap
 
     def test_seed_perturbation_invariance(self):
         # shifting the coarse grid by about one cell must not move the roots
@@ -238,6 +237,25 @@ class TestGridEpSearch:
 
         res = grid_ep_search(dipped, ((0.0, 1.0), (0.0, 1.0)), coarse_n=16)
         assert res.locations == []
+
+    def test_close_pair_gives_both_eps(self):
+        # 0.036 apart, under two cells: one 8-neighbour gap minimum served
+        # both, but each EP winds D around a cell of its own
+        z1, z2 = 0.759 + 0.702j, 0.785 + 0.676j
+        sample = AnalyticOracle.two_point(z1, z2).sampler()
+        eps = grid_ep_search(sample, ((0.359, 1.334), (0.173, 1.187))).locations
+        assert len(eps) == 2
+        for ep, z in zip(eps, (z1, z2)):
+            assert abs(complex(ep.p1, ep.p2) - z) < 1e-10
+
+    @pytest.mark.parametrize("corner", [0j, 47 + 0j, 47j, 47 + 47j])
+    def test_branch_point_on_a_window_corner_found(self, corner):
+        # D = 0 at the corner node, which leaves the one cell there
+        # unresolved rather than charged
+        sample = AnalyticOracle.single_point(corner).sampler()
+        (ep,) = grid_ep_search(sample, ((0.0, 47.0), (0.0, 47.0))).locations
+        assert complex(ep.p1, ep.p2) == corner
+        assert ep.residual == 0.0
 
     def test_eps_outside_the_window_not_returned(self):
         # class2's second EP, near (0.627, 1.240), lies above the window
@@ -316,3 +334,35 @@ class TestNegativeAlpha:
         assert fast.missing == slow.missing == [(0, j) for j in range(16)]
         np.testing.assert_array_equal(fast.sheet1, slow.sheet1)
         assert fast.cut_cells == slow.cut_cells
+
+
+class TestCellWinding:
+    @given(st.lists(st.tuples(st.integers(0, 10), st.integers(0, 10),
+                              st.floats(0.2, 0.8), st.floats(0.2, 0.8)),
+                    min_size=1, max_size=2),
+           st.integers(0, 10), st.integers(1, 11), st.integers(0, 10),
+           st.integers(1, 11))
+    @settings(max_examples=60, deadline=None)
+    def test_rectangle_charge_is_its_loop_winding(self, points, i0, i1, j0,
+                                                  j1):
+        # branch points at least 0.2 cells off the grid lines and 3 cells
+        # apart, so D turns by less than pi along every grid edge: the cell
+        # charges, resolved or not, sum to the turns around any rectangle
+        assume(i0 < i1 and j0 < j1)
+        if len(points) == 2:
+            (a, b, _, _), (c, d, _, _) = points
+            assume(max(abs(a - c), abs(b - d)) >= 3)
+        axis1, axis2 = np.linspace(-1.0, 1.2, 12), np.linspace(0.5, 2.7, 12)
+        cell = axis1[1] - axis1[0]
+        zs = [complex(axis1[i] + fi * cell, axis2[j] + fj * cell)
+              for i, j, fi, fj in points]
+        oracle = (AnalyticOracle.single_point(*zs) if len(zs) == 1
+                  else AnalyticOracle.two_point(*zs))
+        sample = oracle.sampler()
+        va, vb, _ = sample_points(sample, *np.meshgrid(axis1, axis2,
+                                                       indexing="ij"))
+        charge, _ = cell_winding(va - vb)
+        x0, x1, y0, y1 = axis1[i0], axis1[i1], axis2[j0], axis2[j1]
+        loop = PolylineLoop(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
+        assert (int(charge[i0:i1, j0:j1].sum())
+                == encircle(sample, loop, 64).winding)

@@ -162,10 +162,10 @@ class TestScanStructure:
     def test_eigenvectors_coalesce_near_ep(self):
         # at the published EP1 position the two eigenstates are nearly
         # parallel; overlap approaches 1 at coalescence
-        from epkit.core import DiscreteField, diagonalize, overlap
+        from epkit.core import diagonalize
+        from epkit.crossing import overlap_curve
         s = diagonalize(build_hamiltonian(0.454, DOUBLE_EP))
-        value = overlap(DiscreteField(s.v_plus), DiscreteField(s.v_minus))
-        assert value >= 0.99
+        assert overlap_curve([s.v_plus], [s.v_minus])[0] >= 0.99
 
     def test_sampler_matches_scan_and_allows_beta_above_one(self):
         samp = eigenpair_sampler(DOUBLE_EP)
