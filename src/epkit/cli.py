@@ -29,11 +29,12 @@ import numpy as np
 
 from . import io as io_mod
 from .core import eigvectors_grid, is_real_number
-from .crossing import beta_transition, classify, overlap_peaks, sweep_toy
+from .crossing import (MIN_SCAN_POINTS, beta_transition, classify,
+                       overlap_peaks, sweep_toy)
 from .epfind import MIN_SEARCH_GRID, equal_width_eps, grid_ep_search
 from .sphere import lift_cut
-from .surface import (MIN_LOOP_STEPS, AnalyticOracle, CircleLoop, PolylineLoop,
-                      build_surface, encircle)
+from .surface import (MIN_GRID, MIN_LOOP_STEPS, AnalyticOracle, CircleLoop,
+                      PolylineLoop, build_surface, encircle)
 from .toymodel import PRESETS, ToyParams, eigenpair_sampler, scan_entries
 
 CAVITY_EP1 = (2.6257, 0.6001)
@@ -215,7 +216,7 @@ def _then(check, ok, what):
 _int = _checker(lambda v: isinstance(v, int) and not isinstance(v, bool),
                 "an integer")
 _count = _checker(lambda v: isinstance(v, int) and not isinstance(v, bool)
-                  and v >= 3, "an integer >= 3")
+                  and v >= MIN_SCAN_POINTS, f"an integer >= {MIN_SCAN_POINTS}")
 _real = _checker(is_real_number, "a real number")
 _pair = _checker(_numbers(2), "a pair of numbers")
 _range = _then(_pair, lambda v: -math.inf < v[0] < v[1] < math.inf,
@@ -271,8 +272,9 @@ def _grid(key, value) -> tuple[int, int]:
         raise ValueError(f"{key} must look like 256x64, got {value!r}") from None
 
 
-_search_grid = _then(_grid, lambda v: min(_grid("grid", v)) >= MIN_SEARCH_GRID,
-                     f"at least {MIN_SEARCH_GRID}x{MIN_SEARCH_GRID}")
+def _grid_floor(n):
+    """``_grid``, then a check that both sizes are at least ``n``."""
+    return _then(_grid, lambda v: min(_grid("grid", v)) >= n, f"at least {n}x{n}")
 
 
 _LOOP_KEYS = {"circle": ("center", "radius"), "rect": ("window",),
@@ -326,7 +328,8 @@ _CHECKS = {
     "z2": _pair,
     "z0": _pair,
     "window": _window,
-    "grid": {"find-eps": _search_grid, "surface": _grid, "oracle": _grid},
+    "grid": {"find-eps": _grid_floor(MIN_SEARCH_GRID),
+             "surface": _grid_floor(MIN_GRID), "oracle": _grid_floor(MIN_GRID)},
     "delta_mode": _choice("raw", "delta"),
     "loop": _loop,
     "steps": _steps,

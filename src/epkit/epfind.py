@@ -136,15 +136,16 @@ def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
     """Locate EPs of a generic eigenvalue-pair sampler in a rectangle.
 
     Seeds at the centre of each cell of a ``coarse_n`` x ``coarse_n`` grid
-    that :func:`cell_winding` finds charged or unresolved (an avoided
-    crossing, of winding 0, gives none) and refines all seeds together by
-    Newton steps on D = (a - b)^2, with a 2x2 real Jacobian from central
-    differences: one sampler call per step on five points of every seed,
-    each iterate clipped to the window, a seed dropped at its first sampler
-    failure (counted in the result). The gap at each best iterate, sampled
-    again, must be below ``REFINE_REL`` x window diagonal. Accepted points
-    are deduplicated and sorted by (p1, p2). A window with lo >= hi on
-    either axis, or an axis that is not finite, raises.
+    that :func:`cell_winding` finds charged, or unresolved with a corner
+    where ``a - b`` is finite (an avoided crossing, of winding 0, gives
+    none) and refines all seeds together by Newton steps on D = (a - b)^2,
+    with a 2x2 real Jacobian from central differences: one sampler call per
+    step on five points of every seed, each iterate clipped to the window, a
+    seed dropped at its first sampler failure (counted in the result). The
+    gap at each best iterate, sampled again, must be below ``REFINE_REL`` x
+    window diagonal. Accepted points are deduplicated and sorted by
+    (p1, p2). A window with lo >= hi on either axis, or an axis that is not
+    finite, raises.
     """
     coarse_n = check_count("coarse_n", coarse_n, MIN_SEARCH_GRID)
     (p1lo, p1hi), (p2lo, p2hi) = window
@@ -159,16 +160,18 @@ def grid_ep_search(sampler: Callable[[float, float], tuple[complex, complex]],
     p1, p2 = np.meshgrid(p1s, p2s, indexing="ij")
     va, vb, failed = sample_points(sampler, p1, p2)
     diff, failures = va - vb, len(failed)
-    missing = np.count_nonzero(~np.isfinite(diff))
+    fin = np.isfinite(diff)
+    missing = np.count_nonzero(~fin)
     if missing == diff.size:
         raise RuntimeError("sampler failed on the entire coarse grid")
     if missing > 0.5 * diff.size:
         raise RuntimeError("sampler failed on most of the coarse grid")
 
     charge, unresolved = cell_winding(diff)
+    live = fin[:-1, :-1] | fin[1:, :-1] | fin[1:, 1:] | fin[:-1, 1:]
     # charged cells first, as dedup keeps the first of equal residuals
     i, j = np.concatenate([np.argwhere(charge != 0),
-                           np.argwhere((charge == 0) & unresolved)]).T
+                           np.argwhere((charge == 0) & unresolved & live)]).T
     x = np.stack([0.5 * (p1s[i] + p1s[i + 1]), 0.5 * (p2s[j] + p2s[j + 1])],
                  axis=1)
     lo, hi = np.array([p1lo, p2lo]), np.array([p1hi, p2hi])

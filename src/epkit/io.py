@@ -281,10 +281,10 @@ def write_trajectory_csv(path, traj: ScanTrajectory) -> None:
 def write_sheetgrid_csv(path, grid: SheetGrid) -> None:
     """Long-format grid export, one row per node.
 
-    Raw mode writes ``p1,p2,re1,im1,re2,im2,is_cut_edge``. Delta mode writes
-    ``p1,p2,re1,im1,is_cut_edge``: there sheet2 == -sheet1 by definition,
-    which the manifest's ``delta_mode`` records. A written sheet whose
-    shape is not ``(axis1.size, axis2.size)`` raises ``ValueError``.
+    Raw mode writes ``p1,p2,re1,im1,re2,im2``. Delta mode writes
+    ``p1,p2,re1,im1``: there sheet2 == -sheet1 by definition, which the
+    manifest's ``delta_mode`` records; its ``cut_edges`` holds the cuts.
+    A sheet not of shape ``(axis1.size, axis2.size)`` raises ``ValueError``.
     """
     n1, n2 = grid.axis1.size, grid.axis2.size
     sheets = ((grid.sheet1,) if grid.delta_mode == DELTA
@@ -296,14 +296,10 @@ def write_sheetgrid_csv(path, grid: SheetGrid) -> None:
                              f" = {(n1, n2)}, got {np.shape(sheet)}")
         header += [f"re{k}", f"im{k}"]
         columns += [_reprs(sheet.real), _reprs(sheet.imag)]
-    flagged = np.zeros((n1, n2), dtype=int)
-    nodes = np.array(grid.cut_cells.all_edges(), dtype=int).reshape(-1, 2)
-    flagged[nodes[:, 0], nodes[:, 1]] = 1
     # each axis value is formatted once
     p1 = chain.from_iterable(map(repeat, _reprs(grid.axis1), repeat(n2)))
     p2 = list(_reprs(grid.axis2)) * n1
-    _write_csv(path, [*header, "is_cut_edge"], p1, p2, *columns,
-               _reprs(flagged))
+    _write_csv(path, header, p1, p2, *columns)
 
 
 def read_plane_csv(path) -> tuple[np.ndarray, np.ndarray]:

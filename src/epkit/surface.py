@@ -42,18 +42,19 @@ MAX_STEP_PHASE = math.pi / 4  # radians, per accepted loop step
 MAX_STEP_SHIFT = 0.2  # mean and half-gap move per accepted step, in gaps
 MATCHED_CUT_JUMP = 10.0  # edge jump, in medians of the jumps along its axis
 SEAM_CONTACT = 1e-3  # |component| of a - b, in its max over the grid
+MIN_GRID = 16  # the fewest nodes per axis of a sheet grid
+MAX_MISSING_FRAC = 0.01  # the largest share of grid cells that may fail
 MIN_LOOP_STEPS = 64  # the fewest steps encircle starts from
 MAX_HALVINGS = 40  # the most a step of a followed path is halved
 
 
 @dataclass
 class CutSet:
+    """Cut edges by kind as ``(i, j)`` node pairs; on disk, the manifest's."""
+
     matched: list[Edge] = field(default_factory=list)
     re: list[Edge] = field(default_factory=list)
     im: list[Edge] = field(default_factory=list)
-
-    def all_edges(self) -> list[Edge]:
-        return list(dict.fromkeys(self.matched + self.re + self.im))
 
 
 @dataclass
@@ -63,7 +64,8 @@ class SheetGrid:
     ``sheet1[i, j]`` lives at (axis1[i], axis2[j]). In delta mode the
     sheets are the half-differences relative to the sheet average, so
     sheet2 == -sheet1 exactly, and the sheet CSV holds sheet1 alone
-    (:func:`~epkit.io.write_sheetgrid_csv`).
+    (:func:`~epkit.io.write_sheetgrid_csv`). ``cut_cells`` goes to the
+    manifest, not to the sheet CSV.
     """
 
     axis1: np.ndarray
@@ -175,18 +177,17 @@ def _seam_edges(diff, ok):
 
 def build_surface(sampler: Callable[[float, float], tuple[complex, complex]],
                   window: tuple[tuple[float, float], tuple[float, float]],
-                  n1: int, n2: int, delta_mode: str = DELTA, *,
-                  max_missing_frac: float = 0.01) -> SheetGrid:
+                  n1: int, n2: int, delta_mode: str = DELTA) -> SheetGrid:
     """Sample, match, and cut-extract the two eigenvalue sheets.
 
     The sampler is called once on the whole grid (see
     :func:`~epkit.epfind.sample_points`). A cell where it fails or returns
     a value that is not finite is missing (skipped by matching and cut
-    extraction); more than ``max_missing_frac`` missing cells aborts. A
+    extraction); more than ``MAX_MISSING_FRAC`` missing cells aborts. A
     window axis that is not finite or has no width raises; a reversed one
     mirrors the axis.
     """
-    n1, n2 = check_count("n1", n1, 16), check_count("n2", n2, 16)
+    n1, n2 = check_count("n1", n1, MIN_GRID), check_count("n2", n2, MIN_GRID)
     if delta_mode not in (RAW, DELTA):
         raise ValueError(f"delta_mode must be '{RAW}' or '{DELTA}'")
     (p1lo, p1hi), (p2lo, p2hi) = window
@@ -198,7 +199,7 @@ def build_surface(sampler: Callable[[float, float], tuple[complex, complex]],
                                                      indexing="ij"))
     ok = np.isfinite(va) & np.isfinite(vb)  # a failed cell is NaN
     missing = list(map(tuple, np.argwhere(~ok).tolist()))
-    if len(missing) > max_missing_frac * n1 * n2:
+    if len(missing) > MAX_MISSING_FRAC * n1 * n2:
         raise RuntimeError(
             f"{len(missing)} of {n1 * n2} cells failed to sample"
         )
@@ -425,9 +426,6 @@ class AnalyticOracle:
     @classmethod
     def single_point(cls, z0: complex) -> "AnalyticOracle":
         return cls((_require_finite("z0", z0),))
-
-    def branch_points(self) -> list[complex]:
-        return list(self.points)
 
     def sampler(self) -> Callable[[float, float], tuple[complex, complex]]:
         """Sampler of the oracle pair; two equal-shape arrays give two arrays."""

@@ -29,15 +29,12 @@ def write_trajectory_csv(path, traj: ScanTrajectory) -> None:
 def write_sheetgrid_csv(path, grid: SheetGrid) -> None:
     """Long-format grid export, one row per node.
 
-    Raw mode writes ``p1,p2,re1,im1,re2,im2,is_cut_edge``. Delta mode writes
-    ``p1,p2,re1,im1,is_cut_edge``: there sheet2 == -sheet1 by definition,
-    which the manifest's ``delta_mode`` records.
+    Raw mode writes ``p1,p2,re1,im1,re2,im2``. Delta mode writes
+    ``p1,p2,re1,im1``: there sheet2 == -sheet1 by definition, which the
+    manifest's ``delta_mode`` records. The cuts are the manifest's alone.
     """
     sheets = ((grid.sheet1,) if grid.delta_mode == DELTA
               else (grid.sheet1, grid.sheet2))
-    flagged = np.zeros(grid.sheet1.shape, dtype=int)
-    nodes = np.array(grid.cut_cells.all_edges(), dtype=int).reshape(-1, 2)
-    flagged[nodes[:, 0], nodes[:, 1]] = 1
     # each axis value is formatted once; repr is most of the cost
     p1 = [f"{x!r}," for x in grid.axis1.tolist()]
     p2 = [f"{y!r}," for y in grid.axis2.tolist()]
@@ -45,11 +42,11 @@ def write_sheetgrid_csv(path, grid: SheetGrid) -> None:
     for k, sheet in enumerate(sheets, start=1):
         names += [f"re{k}", f"im{k}"]
         columns += [sheet.real, sheet.imag]
-    rows = map(("{}" + "{!r}," * len(names) + "{}\n").format,
+    rows = map(("{}" + ",".join(["{!r}"] * len(names)) + "\n").format,
                (a + b for a in p1 for b in p2),
-               *(np.ravel(c).tolist() for c in (*columns, flagged)))
+               *(np.ravel(c).tolist() for c in columns))
     with Path(path).open("w", newline="\n", encoding="utf-8") as handle:
-        handle.write(",".join(["p1", "p2", *names, "is_cut_edge"]) + "\n")
+        handle.write(",".join(["p1", "p2", *names]) + "\n")
         handle.writelines(rows)
 
 

@@ -44,7 +44,7 @@ def oracle_eval(o, z: complex) -> tuple[complex, complex]:
     principal square root of the product of (z - z_k) over its branch
     points."""
     z = complex(z)
-    first, *rest = o.branch_points()
+    first, *rest = o.points
     w = z - first
     for zk in rest:
         w *= z - zk

@@ -1,15 +1,17 @@
 import dataclasses
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from epkit import surface
 from epkit.core import principal_sqrt
-from epkit.epfind import (REFINE_REL, cell_winding, equal_width_eps,
-                          grid_ep_search, sample_points)
+from epkit.epfind import (REFINE_REL, EPLocation, cell_winding,
+                          equal_width_eps, grid_ep_search, sample_points)
 from epkit.surface import AnalyticOracle, PolylineLoop, build_surface, encircle
 from epkit.toymodel import (FULL_COMPLEX, PRESETS, REAL_PART, ToyParams,
                             eigenpair_sampler)
@@ -204,6 +206,16 @@ class TestGridEpSearch:
         assert res.sampler_failures > 0
         assert len(res.locations) == 2
 
+    def test_cells_without_a_sampled_corner_get_no_seed(self):
+        # alpha < 0 fails to sample: the first 6 of 48 alpha nodes, so 288
+        # coarse-grid failures and no seed in the 5 x 47 cells between them
+        res = grid_ep_search(eigenpair_sampler(DOUBLE_EP),
+                             ((-0.1, 0.8), (0.9, 1.1)), coarse_n=48)
+        assert res.sampler_failures == 6 * 48
+        assert res.locations == [
+            EPLocation(0.45414538284923417, 1.0, 2.9451006078318187e-09),
+            EPLocation(0.6214307910107969, 1.0, 4.165001232792065e-09)]
+
     def test_small_coarse_grid_rejected(self):
         with pytest.raises(ValueError):
             grid_ep_search(oracle_sampler(Z1, Z2), ((2.5, 3.0), (0.45, 0.7)),
@@ -329,8 +341,9 @@ class TestNegativeAlpha:
     def test_surface_missing_cells_unchanged(self):
         sample = eigenpair_sampler(DOUBLE_EP)
         window = ((-0.01, 0.8), (0.9, 1.1))  # one row of nodes at alpha < 0
-        fast, slow = (build_surface(s, window, 64, 16, max_missing_frac=0.05)
-                      for s in (sample, scalar_only(sample)))
+        with mock.patch.object(surface, "MAX_MISSING_FRAC", 0.05):
+            fast, slow = [build_surface(s, window, 64, 16)
+                          for s in (sample, scalar_only(sample))]
         assert fast.missing == slow.missing == [(0, j) for j in range(16)]
         np.testing.assert_array_equal(fast.sheet1, slow.sheet1)
         assert fast.cut_cells == slow.cut_cells

@@ -143,7 +143,8 @@ class TestMatchAndCuts:
         n1, n2 = va.shape
         table = table_sampler(va, vb, ok, batch)
         window = ((0.0, 1.0), (0.0, 1.0))
-        grid = build_surface(table, window, n1, n2, "raw", max_missing_frac=1.0)
+        with mock.patch.object(surface, "MAX_MISSING_FRAC", 1.0):
+            grid = build_surface(table, window, n1, n2, "raw")
         axis = np.linspace(0.0, 1.0, n1), np.linspace(0.0, 1.0, n2)
         sa, sb, missing = ref.sample_grid(table, *axis)
         assert grid.missing == missing
@@ -159,9 +160,10 @@ class TestMatchAndCuts:
 
         # the seams do not depend on the sampler's order at any cell
         swap = np.random.default_rng(seed).random((n1, n2)) < 0.5
-        swapped = build_surface(table_sampler(np.where(swap, vb, va),
-                                              np.where(swap, va, vb), ok, batch),
-                                window, n1, n2, "raw", max_missing_frac=1.0)
+        with mock.patch.object(surface, "MAX_MISSING_FRAC", 1.0):
+            swapped = build_surface(
+                table_sampler(np.where(swap, vb, va), np.where(swap, va, vb),
+                              ok, batch), window, n1, n2, "raw")
         assert (swapped.cut_cells.re, swapped.cut_cells.im) == seams
 
     def test_matched_pair_rule_agrees_on_the_default_toy_window(self):
@@ -220,7 +222,7 @@ class TestBatchSamplers:
         rng = np.random.default_rng(seed)
         p1 = rng.uniform(-2.0, 2.0, (20, 12))
         p2 = rng.uniform(-2.0, 2.0, (20, 12))
-        z = oracle.branch_points()[0]
+        z = oracle.points[0]
         p1[3, 4], p2[3, 4] = z.real, z.imag  # one node on a branch point
         sample = oracle.sampler()
         la, lb = sample(p1, p2)

@@ -347,7 +347,7 @@ class TestCli:
     def test_surface_artifacts(self, tmp_path):
         assert run_cli("surface", "--grid", "32x16", "--out", str(tmp_path)) == 0
         header = (tmp_path / "surface.csv").read_text().splitlines()[0]
-        assert header == "p1,p2,re1,im1,is_cut_edge"
+        assert header == "p1,p2,re1,im1"
         payload = json.loads((tmp_path / "surface.json").read_text())
         assert payload["delta_mode"] == "delta"
         assert len(payload["axis1"]) == 32
@@ -912,9 +912,9 @@ class TestSheetCsv:
         (grid,) = grids
         assert grid.delta_mode == "delta"
         lines = (tmp_path / name).read_text().splitlines()
-        assert lines[0] == "p1,p2,re1,im1,is_cut_edge"
+        assert lines[0] == "p1,p2,re1,im1"
         cells = [line.split(",") for line in lines[1:]]
-        assert {len(row) for row in cells} == {5}
+        assert {len(row) for row in cells} == {4}
         # repr round-trips, so equal reprs are equal bits (and both NaN)
         sheet1 = np.ravel(grid.sheet1)
         for part, column in ((sheet1.real, 2), (sheet1.imag, 3)):
@@ -924,11 +924,14 @@ class TestSheetCsv:
         assert sum(row[2:4] == ["nan", "nan"] for row in cells) == n_missing
 
     def test_raw_mode_golden_bytes(self, tmp_path):
-        # golden bytes from before delta mode dropped re2,im2; raw keeps them
+        # golden bytes from before delta mode dropped re2,im2 (raw keeps
+        # them) and while each row still ended in an is_cut_edge cell
         golden = Path(__file__).parent / "data" / "surface_raw_16x16.csv"
         assert run_cli("surface", "--grid", "16x16", "--delta-mode", "raw",
                        "--out", str(tmp_path)) == 0
-        assert (tmp_path / "surface.csv").read_bytes() == golden.read_bytes()
+        expected = b"".join(line.rpartition(b",")[0] + b"\n"
+                            for line in golden.read_bytes().splitlines())
+        assert (tmp_path / "surface.csv").read_bytes() == expected
 
     @pytest.mark.parametrize("delta_mode, shape1, shape2", [
         ("delta", (4, 2), (4, 2)),
@@ -967,7 +970,9 @@ class TestSphereCsv:
 # SHA-256 of the matched exports, recorded with numpy 2.4.6: at the command
 # defaults while scans and grids still had separate matchers, and the raw
 # sheets while the keep/swap rule still summed the jumps of both members.
-# The CSVs embed no path, so the digests hold for any --out.
+# The sheet CSVs then ended each row in an is_cut_edge cell, which
+# _with_cut_flags rebuilds from the manifest. The CSVs embed no path, so
+# the digests hold for any --out.
 MATCHED_EXPORT_DIGESTS = {
     ("toy-sweep", "--preset", "class1"):
         "dbefa7f4d9de7ab4d34eaeedf784e4665342b577cf3d34036a5ec58583cff8b4",
@@ -1002,8 +1007,26 @@ EXPORT_NAMES = {"toy-sweep": "toy_sweep.csv", "surface": "surface.csv",
                          ids=" ".join)
 def test_matched_export_digests(tmp_path, argv):
     assert run_cli(*argv, "--out", str(tmp_path)) == 0
-    data = (tmp_path / EXPORT_NAMES[argv[0]]).read_bytes()
+    path = tmp_path / EXPORT_NAMES[argv[0]]
+    data = path.read_bytes()
+    if argv[0] != "toy-sweep":
+        data = _with_cut_flags(data, json.loads(
+            path.with_suffix(".json").read_text()))
     assert hashlib.sha256(data).hexdigest() == MATCHED_EXPORT_DIGESTS[argv]
+
+
+def _with_cut_flags(data, manifest):
+    """The sheet CSV ``data`` with the is_cut_edge column it once had: 1 at
+    a node on any matched, re or im edge of the manifest, row-major."""
+    flags = np.zeros((len(manifest["axis1"]), len(manifest["axis2"])), int)
+    for edges in manifest["cut_edges"].values():
+        for edge in edges:
+            for i, j in edge:
+                flags[i, j] = 1
+    header, *rows = data.decode().splitlines()
+    return "".join(f"{row},{flag}\n" for row, flag in zip(
+        [header, *rows], ["is_cut_edge", *flags.ravel().tolist()],
+        strict=True)).encode()
 
 
 # SHA-256 of the crossing reports and beta_c, recorded with numpy 2.4.6
@@ -1393,6 +1416,9 @@ class TestConfigContract:
         (("beta-scan",), {"beta_window": [0.7, "0.85"]},
          "beta_window must be a pair of numbers, got [0.7, '0.85']"),
         (("surface",), {"grid": 256}, "grid must look like 256x64, got 256"),
+        (("surface",), {"grid": "8x8"}, "grid must be at least 16x16, got '8x8'"),
+        (("oracle",), {"grid": "256x0"},
+         "grid must be at least 16x16, got '256x0'"),
         (("find-eps",), {"window": [0.3, 0.8, 0.9, 1.1], "grid": "48"},
          "grid must look like 256x64, got '48'"),
         (("surface",), {"window": [0.3, 0.8, 0.9]},

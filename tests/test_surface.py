@@ -156,7 +156,7 @@ class TestBuildSurface:
             oracle = AnalyticOracle.two_point(complex(*CAVITY_EP1),
                                               complex(*CAVITY_EP2))
             sampler, window = oracle.sampler(), ((2.5, 3.0), (0.45, 0.7))
-            eps = [(z.real, z.imag) for z in oracle.branch_points()]
+            eps = [(z.real, z.imag) for z in oracle.points]
         grid = build_surface(sampler, window, n1, n2)
         h1, h2 = grid.axis1[1] - grid.axis1[0], grid.axis2[1] - grid.axis2[0]
         for edges, count in zip((grid.cut_cells.re, grid.cut_cells.im), counts):
