@@ -474,8 +474,8 @@ def _sheets(cfg, sampler, name):
         "axis1": grid.axis1,
         "axis2": grid.axis2,
         "delta_mode": grid.delta_mode,
-        "cut_edges": {kind: [[list(u), list(v)]
-                             for u, v in getattr(grid.cut_cells, kind)]
+        "cut_edges": {kind: np.array(getattr(grid.cut_cells, kind),
+                                     dtype=np.int64).reshape(-1, 2, 2)
                       for kind in ("matched", "re", "im")},
         "missing": [list(n) for n in grid.missing],
     }

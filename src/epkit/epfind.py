@@ -83,6 +83,7 @@ def equal_width_eps(p: ToyParams) -> list[EPLocation]:
             for alpha, r in zip(alphas.tolist(), residuals.tolist())]
 
 
+@np.errstate(all="ignore")
 def sample_points(sampler, p1: np.ndarray, p2: np.ndarray):
     """Eigenvalue pairs (va, vb) of ``sampler`` at the points (p1, p2).
 
@@ -90,7 +91,10 @@ def sample_points(sampler, p1: np.ndarray, p2: np.ndarray):
     returns a non-finite value are sampled again, one call per point with
     floats, and so is every point if it raises or returns another shape. A
     point whose own call raises is NaN; ``failed`` maps the row-major (flat)
-    index of each such point to its exception, in index order.
+    index of each such point to its exception, in index order. The sampler
+    runs with numpy's floating-point warnings off: a value that is not
+    finite is an outcome (a missing cell, an event of a followed path),
+    returned, not warned of.
     """
     try:
         va, vb = (np.array(v, dtype=complex) for v in sampler(p1, p2))

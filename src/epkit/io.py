@@ -16,10 +16,14 @@ array values into Python floats one block at a time.
 
 ``write_json`` writes JSON in one recursive pass (``_encode``), in the
 layout of ``json.dumps(indent=2, sort_keys=True)``, turning numpy values,
-complex numbers and non-finite floats into JSON on the way. The stdlib's
-C encoder cannot stand in: on Python 3.11 it ignores ``indent``, so
-``json.dumps(indent=2)`` runs the pure-Python encoder, and that only after
-a first walk has made the payload plain Python values.
+complex numbers and non-finite floats into JSON on the way. A non-empty
+integer or float array whose values are all finite is one ``%`` of a
+template of its shape (``_layout``, one ``%r`` per value) and its values
+as Python numbers, so a manifest's thousands of cut edges cost no call
+per bracket or int. The stdlib's C encoder cannot stand in: on Python
+3.11 it ignores ``indent``, so ``json.dumps(indent=2)`` runs the
+pure-Python encoder, and that only after a first walk has made the
+payload plain Python values.
 
 The two readers, ``ingest_csv`` and ``read_plane_csv``, check the header
 with ``csv.reader``, then read every data cell in one ``np.loadtxt`` call
@@ -350,7 +354,11 @@ def _encode(obj, pad: str) -> str:
     ``pad``: each dict sorted by ``str(key)``, numpy scalars and arrays
     as Python values, a complex as ``{"im", "re"}``, NaN and infinities
     as null. Plain floats and ints, most of the leaves, are looked up by
-    exact type.
+    exact type. A non-empty ndarray of one or more dims, of ints or of
+    floats up to float64 that are all finite, fills the ``_layout`` of its
+    shape with the ``repr`` of its ``tolist()`` values (a numpy scalar's
+    own ``repr`` is ``np.float64(...)``); any other array (0-d, empty,
+    bool, complex, or with NaN or infinities) is walked as its ``tolist()``.
     """
     kind = type(obj)
     if kind is float:
@@ -380,12 +388,27 @@ def _encode(obj, pad: str) -> str:
     if isinstance(obj, (np.integer, int)):
         return int.__repr__(int(obj))
     if isinstance(obj, np.ndarray):
+        dtype = obj.dtype
+        if (type(obj) is np.ndarray and obj.ndim and obj.size
+                and (dtype.kind in "iu" or dtype.kind == "f"
+                     and dtype.itemsize <= 8 and np.isfinite(obj).all())):
+            return _layout(obj.shape, pad) % tuple(obj.ravel().tolist())
         return _encode(obj.tolist(), pad)
     if isinstance(obj, complex):
         return _encode({"re": obj.real, "im": obj.imag}, pad)
     if obj is None:
         return "null"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _layout(shape, pad: str) -> str:
+    """The ``_encode`` layout at ``pad`` of a nested list of ``shape``,
+    no side 0, with one ``%r`` per leaf."""
+    if not shape:
+        return "%r"
+    inner = pad + "  "
+    return ("[\n" + inner + (",\n" + inner).join(
+        [_layout(shape[1:], inner)] * shape[0]) + "\n" + pad + "]")
 
 
 def write_json(path, payload: dict) -> None:

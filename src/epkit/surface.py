@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,6 +37,11 @@ DELTA = "delta"
 
 IDENTITY = "identity"
 SWAP = "swap"
+
+STEP_FLOOR = "step floor"  # the kinds of a FollowEvent
+ZERO_GAP = "D = 0"
+SAMPLER_ERROR = "sampler error"
+NON_FINITE = "non-finite pair"
 
 MAX_STEP_PHASE = math.pi / 4  # radians, per accepted loop step
 MAX_STEP_SHIFT = 0.2  # mean and half-gap move per accepted step, in gaps
@@ -328,10 +333,20 @@ class LoopResult:
     max_step_phase: float  # peak |phase step| of the discriminant, radians
 
 
+class FollowEvent(NamedTuple):
+    """Where :func:`_follow` stops: the ``index`` in its ``ts`` of the point
+    the event names, its ``kind``, and a sampler error's exception."""
+
+    index: int
+    kind: str  # STEP_FLOOR, ZERO_GAP, SAMPLER_ERROR or NON_FINITE
+    error: Exception | None = None
+
+
 def _follow(sampler, path, ts: np.ndarray):
     """The pair differences a - b at the points ``ts`` of ``path`` (an
-    array of t -> the p1 and p2 arrays), refined, and the phase step of
-    D = (a - b)**2 over each step: ``(ts, diff, phase)``.
+    array of t -> the p1 and p2 arrays), refined, the phase step of
+    D = (a - b)**2 over each step, and the first event along the path:
+    ``(ts, diff, phase, event)``.
 
     D does not depend on the order of the pair, so nothing is matched. All
     ``ts`` are sampled in one call (:func:`~epkit.epfind.sample_points`).
@@ -343,10 +358,14 @@ def _follow(sampler, path, ts: np.ndarray):
     followed. The midpoints of all other steps are sampled in one call per
     round, until none is left (the points of depth-first halving).
 
-    A rejected step at ``2**-MAX_HALVINGS`` of the mean step of ``ts``, or
-    with no float between its ends, raises (the path passes too close to
-    an EP to follow), as do a point with D = 0 and a sampler error
-    (re-raised with a note naming t): the first along the path."""
+    ``event`` is None, or a :class:`FollowEvent` for the first of: a point
+    where the sampler raised (``SAMPLER_ERROR``, with its exception) or
+    whose a - b or mean is not finite (``NON_FINITE``), the start of a step
+    with D = 0 there (``ZERO_GAP``), or of a rejected step at
+    ``2**-MAX_HALVINGS`` of the mean step of ``ts`` or with no float
+    between its ends (``STEP_FLOOR``: the path passes too close to an EP
+    to follow). Every step before the event is accepted; the points after
+    it are as first sampled."""
     n_steps = ts.size - 1
     floor_dt = ((ts[-1] - ts[0]) / n_steps) * 0.5 ** MAX_HALVINGS
 
@@ -354,11 +373,12 @@ def _follow(sampler, path, ts: np.ndarray):
         a, b, failed = sample_points(sampler, *path(t))
         errors = np.full(t.size, None)
         errors[list(failed)] = list(failed.values())
-        return a - b, 0.5 * (a + b), errors
+        with np.errstate(all="ignore"):
+            return a - b, 0.5 * (a + b), errors
 
     diff, mean, errors = sample(ts)
     while True:
-        with np.errstate(all="ignore"):  # 0 and NaN differences reject
+        with np.errstate(all="ignore"):  # 0 differences reject
             phase = np.angle((diff[1:] / diff[:-1]) ** 2)
             gap = np.abs(diff)
             shift = np.maximum(np.abs(np.diff(mean)), 0.5 * np.abs(np.diff(gap)))
@@ -366,13 +386,13 @@ def _follow(sampler, path, ts: np.ndarray):
                   & (shift <= MAX_STEP_SHIFT * gap[:-1]))
         mid = 0.5 * (ts[:-1] + ts[1:])
         floor = (np.diff(ts) <= floor_dt) | (mid == ts[:-1]) | (mid == ts[1:])
-        # a sampler error at either end (the start's only counts for the
-        # first step), D = 0 at the start, or a rejected step at the floor
-        event = (errors[:-1].astype(bool) | errors[1:].astype(bool)
-                 | (diff[:-1] == 0) | (~accept & floor))
-        first = int(np.argmax(event)) if event.any() else event.size
-        # at most n_steps per round, leftmost first: where many steps fail
-        # (NaN samples), the first reaches its floor without all doubling
+        bad = ~(np.isfinite(diff) & np.isfinite(mean))  # sampler errors too
+        # a bad point at either end (the start's only counts for the first
+        # step), D = 0 at the start, or a rejected step at the floor
+        stop = bad[:-1] | bad[1:] | (diff[:-1] == 0) | (~accept & floor)
+        first = int(np.argmax(stop)) if stop.any() else stop.size
+        # at most n_steps per round, leftmost first: where many steps fail,
+        # the first reaches its floor without all doubling
         redo = np.flatnonzero(~accept[:first])[:n_steps]
         if redo.size == 0:
             break
@@ -380,25 +400,49 @@ def _follow(sampler, path, ts: np.ndarray):
         ts, diff, mean, errors = (np.insert(v, redo + 1, m) for v, m in
                                   zip((ts, diff, mean, errors), mids))
 
-    if first < event.size:
-        for k in (first, first + 1):
-            if errors[k] is not None:
-                errors[k].add_note(f"the sampler failed at loop point t={ts[k]}")
-                raise errors[k]
-        if diff[first] == 0:
-            raise RuntimeError(f"loop passes through an EP at t={ts[first]}")
-        raise RuntimeError("loop too close to EP: step floor reached at "
-                           f"t={ts[first]} without continuity")
-    return ts, diff, phase
+    event = None
+    if first < stop.size:
+        ends = (first, first + 1)
+        error = next((k for k in ends if errors[k] is not None), None)
+        if error is not None:
+            event = FollowEvent(error, SAMPLER_ERROR, errors[error])
+        elif diff[first] == 0:
+            event = FollowEvent(first, ZERO_GAP)
+        elif bad[first] or bad[first + 1]:
+            event = FollowEvent(first if bad[first] else first + 1,
+                                NON_FINITE)
+        else:
+            event = FollowEvent(first, STEP_FLOOR)
+    return ts, diff, phase, event
+
+
+def _event_error(ts, diff, event: FollowEvent) -> Exception:
+    """The error :func:`encircle` raises for an event of :func:`_follow`,
+    naming the loop point t of the event."""
+    t = ts[event.index]
+    if event.kind == SAMPLER_ERROR:
+        event.error.add_note(f"the sampler failed at loop point t={t}")
+        return event.error
+    if event.kind == ZERO_GAP:
+        return RuntimeError(f"loop passes through an EP at t={t}")
+    if event.kind == NON_FINITE:
+        return RuntimeError(f"non-finite pair at loop point t={t}: "
+                            f"a - b = {complex(diff[event.index])!r}")
+    return RuntimeError("loop too close to EP: step floor reached at "
+                        f"t={t} without continuity")
 
 
 def encircle(sampler: Callable[[float, float], tuple[complex, complex]],
              loop, n_steps: int = 256) -> LoopResult:
     """The ``winding`` of D = (a - b)**2 around a closed loop: the phase
     steps of :func:`_follow` over ``n_steps`` equal steps of t, in turns,
-    which must sum to an integer. The pair swaps exactly when it is odd."""
+    which must sum to an integer. The pair swaps exactly when it is odd.
+    An event of the loop raises (:func:`_event_error`)."""
     n_steps = check_count("n_steps", n_steps, MIN_LOOP_STEPS)
-    ts, _, phase = _follow(sampler, loop.points, np.linspace(0.0, 1.0, n_steps + 1))
+    ts, diff, phase, event = _follow(sampler, loop.points,
+                                     np.linspace(0.0, 1.0, n_steps + 1))
+    if event is not None:
+        raise _event_error(ts, diff, event)
     turns = float(np.sum(phase)) / (2.0 * math.pi)
     winding = round(turns)
     if abs(turns - winding) > 1e-6:

@@ -404,14 +404,22 @@ END_MATCH_TOL = 1e-8
 JUMP_FACTOR = 0.2
 
 
+def check_finite(t: float, d: complex, m: complex) -> None:
+    """Raise as the library does where the pair difference ``d`` or mean
+    ``m`` at loop point t is not finite."""
+    if not (cmath.isfinite(d) and cmath.isfinite(m)):
+        raise RuntimeError(f"non-finite pair at loop point t={t}: "
+                           f"a - b = {complex(d)!r}")
+
+
 def encircle(sampler, loop, n_steps: int = 256, *,
              max_halvings: int = 40) -> str:
     """Loop continuation one point at a time, halving depth-first.
 
     Each step keeps or swaps the pair, whichever jumps less; steps where
     the jump exceeds ``JUMP_FACTOR`` times the current gap are halved, and
-    hitting the step floor raises. Returns the permutation, read from the
-    matched pair at the end.
+    hitting the step floor raises, as does a pair that is not finite.
+    Returns the permutation, read from the matched pair at the end.
     """
     if n_steps < 64:
         raise ValueError("n_steps must be >= 64")
@@ -441,6 +449,8 @@ def encircle(sampler, loop, n_steps: int = 256, *,
             gap = abs(cur_a - cur_b)
             if gap == 0.0:
                 raise RuntimeError(f"loop passes through an EP at t={t_cur}")
+            for t, x, y in ((t_cur, cur_a, cur_b), (t_next, la, lb)):
+                check_finite(t, x - y, 0.5 * (x + y))
             keep = abs(la - cur_a) + abs(lb - cur_b)
             swap = abs(lb - cur_a) + abs(la - cur_b)
             na, nb = (lb, la) if swap < keep else (la, lb)
@@ -469,7 +479,8 @@ def encircle(sampler, loop, n_steps: int = 256, *,
 def follow(sampler, path, ts):
     """The refined points, pair differences and phase steps of
     D = (a - b)**2 along ``path`` from ``ts[0]`` to ``ts[-1]``, halving
-    depth-first one step at a time; raises as the library's follower does.
+    depth-first one step at a time; raises, in the texts of ``encircle``,
+    at the event the library's follower returns.
 
     A step is accepted when its phase step is at most ``MAX_STEP_PHASE``
     and the pair mean and half-gap each move by at most ``MAX_STEP_SHIFT``
@@ -477,7 +488,8 @@ def follow(sampler, path, ts):
     the step is at most 2**-MAX_HALVINGS of the mean step of ``ts`` or has
     no float between its ends. Each point is sampled, and each step
     tested, on one-element arrays, which numpy rounds as it does the
-    library's longer ones.
+    library's longer ones. A point whose a - b or mean is not finite
+    raises when its step is tested, after D = 0 at the step's start.
     """
     floor_dt = ((ts[-1] - ts[0]) / (len(ts) - 1)) * 0.5 ** surface.MAX_HALVINGS
 
@@ -486,7 +498,8 @@ def follow(sampler, path, ts):
         for exc in failed.values():
             exc.add_note(f"the sampler failed at loop point t={t}")
             raise exc
-        return a - b, 0.5 * (a + b)
+        with np.errstate(all="ignore"):
+            return a - b, 0.5 * (a + b)
 
     cur = float(ts[0])
     d0, m0 = sample(cur)
@@ -498,6 +511,8 @@ def follow(sampler, path, ts):
             d1, m1 = sample(nxt)
             if d0[0] == 0:
                 raise RuntimeError(f"loop passes through an EP at t={cur}")
+            for t, d, m in ((cur, d0, m0), (nxt, d1, m1)):
+                check_finite(t, d[0], m[0])
             with np.errstate(all="ignore"):
                 phase = np.angle((d1 / d0) ** 2)
                 shift = np.maximum(np.abs(m1 - m0),

@@ -508,6 +508,22 @@ class TestEncircle:
         assert info.value.__notes__ == [
             "the sampler failed at loop point t=0.265625"]
 
+    def test_non_finite_pair_ends_the_loop_in_one_round(self):
+        # the toy overflows at every point of a circle of radius 1e300, or
+        # raises at alpha < 0: the loop ends at its start, before any step
+        # is halved
+        calls = []
+
+        def counted(p1, p2):
+            calls.append(np.ndim(p1))
+            return BASES["toy"](p1, p2)
+
+        with pytest.raises(RuntimeError) as info:
+            encircle(counted, CircleLoop((0.2, 1.0), 1e300), 64)
+        assert str(info.value) == ("non-finite pair at loop point t=0.0: "
+                                   "a - b = (inf+0j)")
+        assert calls.count(1) == 1
+
     def test_floor_below_float_resolution_raises(self):
         # 2**-60 of a step is below the spacing of floats near t = 1/4, so
         # the step floor is where no float lies between a step's ends
@@ -552,6 +568,14 @@ def followed(fn, *args):
     return outcome(lambda: tuple(bits(v).tolist() for v in fn(*args)))
 
 
+def follow_or_raise(sampler, path, ts):
+    """``surface._follow``, raising at its event as ``encircle`` does."""
+    ts, diff, phase, event = surface._follow(sampler, path, ts)
+    if event is not None:
+        raise surface._event_error(ts, diff, event)
+    return ts, diff, phase
+
+
 @st.composite
 def scan_segments(draw):
     """The toy's scan line at a beta within 0.05 of 1, over an alpha range
@@ -573,21 +597,54 @@ class TestFollow:
     """The array follower of D on open paths against halving one step at a
     time (loop_reference.follow)."""
 
-    @given(scan_segments(), st.sampled_from([4, 16, 64]))
+    @given(scan_segments(), st.sampled_from([4, 16, 64]),
+           st.sampled_from(["plain", "nan", "raises"]), st.floats(0.3, 0.8))
     @SETTINGS
-    def test_open_path_matches_depth_first_halving(self, base_path, n_steps):
+    def test_open_path_matches_depth_first_halving(self, base_path, n_steps,
+                                                   mode, cut):
         base, path = base_path
+        sampler = with_mode(BASES[base], mode, cut)
         ts = np.linspace(0.0, 1.0, n_steps + 1)
-        assert (followed(surface._follow, BASES[base], path, ts)
-                == followed(ref.follow, BASES[base], path, ts))
+        assert (followed(follow_or_raise, sampler, path, ts)
+                == followed(ref.follow, sampler, path, ts))
 
     def test_scan_line_through_an_ep_reaches_the_floor_there(self):
         # on beta = 1 the half-gap shrinks to 0 at the EP, so accepted
         # steps close in on it until one is at the step floor
         ep = equal_width_eps(DOUBLE_EP)[0]
         path, ts = segment((0.3, 1.0), (0.5, 1.0)), np.linspace(0.0, 1.0, 65)
-        for fn in (surface._follow, ref.follow):
-            with pytest.raises(RuntimeError, match="step floor reached") as info:
-                fn(BASES["toy"], path, ts)
-            t = float(re.search(r"t=(\S+)", str(info.value)).group(1))
-            assert path(t)[0] == pytest.approx(ep.p1, abs=1e-12)
+        refined, _, _, event = surface._follow(BASES["toy"], path, ts)
+        assert event.kind == surface.STEP_FLOOR and event.error is None
+        with pytest.raises(RuntimeError, match="step floor reached") as info:
+            ref.follow(BASES["toy"], path, ts)
+        t = float(re.search(r"t=(\S+)", str(info.value)).group(1))
+        assert t == refined[event.index]
+        assert path(t)[0] == pytest.approx(ep.p1, abs=1e-12)
+
+    def test_path_without_an_event(self):
+        path, ts = segment((0.3, 1.05), (0.5, 1.05)), np.linspace(0.0, 1.0, 17)
+        refined, diff, phase, event = surface._follow(BASES["toy"], path, ts)
+        assert event is None
+        assert refined.size == diff.size == phase.size + 1 >= ts.size
+
+    @pytest.mark.parametrize("mode, kind", [("nan", surface.NON_FINITE),
+                                            ("raises", surface.SAMPLER_ERROR)])
+    def test_a_bad_point_stops_the_path_in_one_round(self, mode, kind):
+        # the first point past p1 = 0.42 of 16 equal steps over [0.3, 0.5]
+        # is at t = 10/16, and it is the event: no step before it is
+        # halved, and no step towards it either
+        calls = []
+
+        def counted(p1, p2):
+            calls.append(np.ndim(p1))
+            return with_mode(BASES["toy"], mode, 0.42)(p1, p2)
+
+        path, ts = segment((0.3, 1.05), (0.5, 1.05)), np.linspace(0.0, 1.0, 17)
+        refined, diff, _, event = surface._follow(counted, path, ts)
+        assert (event.index, event.kind) == (10, kind)
+        assert refined[event.index] == 0.625
+        assert calls.count(1) == 1  # one batch round, then single points
+        if mode == "nan":
+            assert event.error is None and np.isnan(diff[event.index])
+        else:
+            assert isinstance(event.error, ValueError)

@@ -568,6 +568,24 @@ class TestCli:
             "ValueError", "pair difference a - b at scan point 2 (t=1.0) is "
                           "not finite: (inf+1j)")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("encircle", "--circle", "0.2", "1.0", "1e300", "--steps", "64"),
+         "non-finite pair at loop point t=0.0: a - b = (inf+0j)"),
+        (("oracle", "--mode", "surface", "--window", "0", "1e300", "0",
+          "1e300", "--grid", "16x16"), "255 of 256 cells failed to sample"),
+    ], ids=["encircle", "oracle"])
+    def test_overflowing_samples_fail_without_warnings(self, tmp_path, capsys,
+                                                       argv, message):
+        # the sampler overflows; numpy used to warn of it on stderr before
+        # the error JSON
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(*argv, "--out", str(tmp_path)) == 1
+        out, err = capsys.readouterr()
+        assert (caught, err) == ([], "")
+        assert json.loads(out)["error"] == {
+            "command": argv[0], "message": message, "type": "RuntimeError"}
+
     def test_ingest_two_rows_fails_at_the_boundary(self, tmp_path, capsys):
         # was "a scan needs at least 3 points" from inside the classifier
         short = tmp_path / "short.csv"
@@ -1065,6 +1083,29 @@ def test_report_digests(tmp_path, monkeypatch, argv):
     assert run_cli(*argv, "--out", "out") == 0
     data = (tmp_path / "out" / REPORT_NAMES[argv[0]]).read_bytes()
     assert hashlib.sha256(data).hexdigest() == REPORT_DIGESTS[argv]
+
+
+# SHA-256 of the surface manifests, recorded with numpy 2.4.6 while the
+# cut edges reached the JSON writer as nested lists; runs as above.
+MANIFEST_DIGESTS = {
+    ("surface",):
+        "c8b1ff267432771d4e6ad7fc2e51359ebc2b8e9536f4861a9933f0f54182687f",
+    ("oracle",):
+        "63d8de1f4031ff519cfd687d7fd4a3568c0d8d97437c8682035d1dc68b73058d",
+    ("surface", "--delta-mode", "raw"):
+        "86ee3c438018d4bb30c2d1473b33955bed0145c12f434a3e46c78ecb0ee4a55e",
+    ("oracle", "--delta-mode", "raw"):
+        "d0d58d49440f7411d5ede060ea7d06de21ae70f9fd4ac2bf509f175f7d3f9f2e",
+}
+MANIFEST_NAMES = {"surface": "surface.json", "oracle": "oracle_surface.json"}
+
+
+@pytest.mark.parametrize("argv", MANIFEST_DIGESTS, ids=" ".join)
+def test_manifest_digests(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--out", "out") == 0
+    data = (tmp_path / "out" / MANIFEST_NAMES[argv[0]]).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == MANIFEST_DIGESTS[argv]
 
 
 class TestCommandFlags:
