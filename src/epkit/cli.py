@@ -437,7 +437,9 @@ def _cmd_toy_sweep(cfg):
     traj = sweep_toy(p, alphas)
     report = classify(traj)
     io_mod.write_trajectory_csv(_outdir(cfg) / "toy_sweep.csv", traj)
-    peaks = overlap_peaks(alphas, *eigvectors_grid(*scan_entries(alphas, p)))
+    with np.errstate(all="ignore"):
+        vectors = eigvectors_grid(*scan_entries(alphas, p))
+    peaks = overlap_peaks(alphas, *vectors)
     return "toy_sweep_report.json", {"report": asdict(report),
                                      "overlap_peaks": peaks}
 

@@ -159,7 +159,8 @@ def match_branches(ts, pairs) -> ScanTrajectory:
 def sweep_toy(p: ToyParams, alphas) -> ScanTrajectory:
     """Scan the toy model over alpha: matched branches."""
     alphas = np.asarray(alphas, dtype=float)
-    pairs = np.stack(eigvalues_grid(*scan_entries(alphas, p)), axis=1)
+    with np.errstate(all="ignore"):  # match_branches names a non-finite point
+        pairs = np.stack(eigvalues_grid(*scan_entries(alphas, p)), axis=1)
     return match_branches(alphas, pairs)
 
 
@@ -270,7 +271,8 @@ def beta_transition(p: ToyParams, beta_window: tuple[float, float], *,
     alphas = np.linspace(a0, a1, n_alpha)
 
     def label_at(beta: float) -> str:
-        pair = eigvalues_grid(*scan_entries(alphas, p, beta=beta))
+        with np.errstate(all="ignore"):  # classify names a non-finite point
+            pair = eigvalues_grid(*scan_entries(alphas, p, beta=beta))
         return classify(ScanTrajectory(alphas, *pair)).label
 
     def end_label(beta: float) -> str:

@@ -2,17 +2,19 @@
 
 Trajectory CSVs carry one scan column followed by re_<name>/im_<name>
 pairs, one pair per mode. Grids are exported in long format with one row
-per node. All writers format floats with ``repr`` (shortest round-trip)
-and sort JSON keys, so identical inputs produce byte-identical files.
+per node. All writers format floats as their ``repr`` (shortest
+round-trip) and sort JSON keys, so identical inputs give byte-identical
+files.
 
 The three CSV writers each hand a header and a list of columns to one row
-writer, ``_write_csv``. A column is an iterable of cell strings; floats
-enter it as ``repr`` strings, column by column (``_reprs``). Each row is
-one C-level ``",".join`` of its cells, and the rows go out ``CSV_BLOCK``
-at a time, one joined string per block. Blocks keep the write calls few
-without holding the whole file as one string, which would add several MB
-to peak RSS on a 256x128 grid; for the same reason ``_reprs`` turns
-array values into Python floats one block at a time.
+writer, ``_write_csv``. A column is the ``(chars, lengths)`` of its floats
+from ``_reprs``, a numpy kernel that makes the bytes of each ``repr`` from
+the float64 bits with no Python call per float: Schubfach's shortest
+digits (Giulietti, "The Schubfach way to render doubles", 2020) in integer
+array arithmetic, then one column gather per layout class (the sign and
+the place of the decimal point). It runs ``_REPR_BLOCK`` values at a time,
+so its temporaries stay small. The writer lays out ``CSV_BLOCK`` rows at a
+time in one byte buffer and writes the bytes that the cell lengths keep.
 
 ``write_json`` writes JSON in one recursive pass (``_encode``), in the
 layout of ``json.dumps(indent=2, sort_keys=True)``, turning numpy values,
@@ -37,10 +39,11 @@ bitwise the same arrays.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +52,14 @@ from .crossing import MIN_SCAN_POINTS, ScanTrajectory
 from .surface import DELTA, SheetGrid
 
 CSV_BLOCK = 1024  # rows per write
+_REPR_BLOCK = 4096  # values per pass of the repr kernel
+_CELL = 24  # bytes of the longest float repr, -1.2345678901234567e-308
+_KEEP = np.arange(_CELL + 1) < np.arange(_CELL + 1)[:, None]
+_KEEP[:, _CELL] = True  # row n: the n bytes of a cell, then its separator
+_K_MIN = -324  # the least decimal exponent of the Schubfach table
+_POW10 = 10 ** np.arange(19, dtype=np.uint64)
+_ONE, _INF = 0x3FF0000000000000, 0x7FF0000000000000  # float64 bits
+_SPECIALS = np.frombuffer(b"0.0 -0.0inf -infnan ", np.uint8).reshape(5, 4)
 
 
 class IngestError(ValueError):
@@ -253,33 +264,193 @@ def _ingest_rows(path) -> TrajectoryDataset:
     )
 
 
+@functools.cache
+def _tables():
+    """The kernel's tables, built at its first call. ``g(k) = floor(10**-k
+    2**-r) + 1``, ``r = floor(-k log2 10) - 125``, for k from ``_K_MIN``
+    to 292 as five uint64 rows: ``g >> 63``, its 32-bit halves and those
+    of ``g mod 2**63``. The source column in ``[18 digits, '0', '.', '-']``
+    of each cell byte, per layout: ``2 * (decpt + 3) + neg`` for fixed
+    notation, ``40 + neg`` for exponents. The ``e±XX`` of each exponent
+    from -324 to 308."""
+    g = []
+    for k in range(_K_MIN, 293):
+        r = (-k * 913124641741 >> 38) - 125
+        gk = (10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1
+        g.append([gk >> 63, gk >> 95, gk >> 63 & 2**32 - 1,
+                  gk >> 32 & 2**31 - 1, gk & 2**32 - 1])
+    layouts = []
+    for decpt in [*range(-3, 17), 1]:
+        body = ([18, 19] + [18] * -decpt + list(range(18)) if decpt <= 0
+                else [*range(decpt), 19, *range(decpt, 18)])
+        layouts += [([20] * neg + body + [18] * _CELL)[:_CELL] for neg in (0, 1)]
+    suffixes = np.array([f"e{x:+03d}" for x in range(-324, 309)], "S5")
+    return (np.array(g, np.uint64).T.copy(), np.array(layouts, np.intp),
+            suffixes.view(np.uint8).reshape(-1, 5))
+
+
+def _mulhi(a1, a0, b1, b0):
+    """The high 64 bits of ``a b`` for ``a < 2**63``, ``b < 2**59``,
+    given as 32-bit halves (the middle sum cannot carry out)."""
+    return a1 * b1 + ((a0 * b1 + a1 * b0 + (a0 * b0 >> 32)) >> 32)
+
+
+def _rop(g, cp):
+    """The round-to-odd of ``g cp 2**-127`` as the JDK's ``rop`` makes it
+    from ``g = g1 2**63 + g0``: the floor, its lowest bit set where the 63
+    bits below it are not all 0."""
+    g1, g11, g10, g01, g00 = g
+    c1, c0 = cp >> 32, cp & 2**32 - 1
+    z = (g1 * cp >> 1) + _mulhi(g01, g00, c1, c0)
+    return (_mulhi(g11, g10, c1, c0) + (z >> 63)) | (z << 1 != 0)
+
+
+def _shortest(mag):
+    """Schubfach (Giulietti 2020, figure 7) on the bits ``mag`` of positive
+    finite float64s: the decimal ``f 10**k`` nearest to each value (ties
+    to even ``f``) among the shortest that read back as it, ``f < 10**18``.
+    Python's ``repr`` is shortest, not at least two digits, so the JDK's
+    ``s >= 100`` guard and its subnormal ``c *= 10`` are left out."""
+    t = mag & 2**52 - 1
+    bq = (mag >> 52).view(np.int64)
+    c = t | 2**52
+    subnormal = bq == 0
+    if subnormal.any():
+        c[subnormal] = t[subnormal]
+        bq = np.maximum(bq, 1)
+    q = bq - 1075
+    irregular = (t == 0) & (bq > 1)  # the spacing halves below c = 2**52
+    # floor(log10(2**q)), or floor(log10(3/4 2**q)) where irregular
+    k = (q * 661971961083 - irregular * 274743187321) >> 41
+    h = (q + (k * -913124641741 >> 38) + 2).view(np.uint64)
+    g = _tables()[0].take(k - _K_MIN, axis=1)
+    out = c & 1
+    cb = c << 2
+    vb = _rop(g, cb << h)
+    low = _rop(g, (cb - 2 + irregular) << h) + out
+    high = _rop(g, (cb + 2) << h) - out
+    s = vb >> 2
+    sp10 = s // 10 * 10
+    # the one decimal of the coarser grid 10**(k + 1) in the interval,
+    # else the one of s, s + 1 in it, else the nearer of the two
+    upin = low <= sp10 << 2
+    wpin = (sp10 << 2) + 40 <= high
+    uin = low <= s << 2
+    win = (s + 1) << 2 <= high
+    mid = (s << 2) + 2
+    up = (uin != win) & win | (uin == win) & ((vb > mid) | (vb == mid) & (
+        s & 1 != 0))
+    f = np.where(upin != wpin, sp10 + wpin * np.uint64(10), s + up)
+    return f, k, subnormal
+
+
+def _repr_block(v):
+    """``_reprs`` of one float64 block."""
+    g, layouts, suffixes = _tables()
+    bits = v.view(np.uint64)
+    neg = (bits >> 63).view(np.int64)
+    mag = bits & 2**63 - 1
+    special = mag - 1 >= _INF - 1  # ±0.0, ±inf and NaN
+    f, k, subnormal = _shortest(np.where(special, _ONE, mag))
+    # f has n digits: 16 to 18 for a normal value (s has 16 or 17)
+    n = 16 + (f >= _POW10[16]).view(np.int8) + (f >= _POW10[17])
+    if subnormal.any():
+        n[subnormal] = np.searchsorted(_POW10, f[subnormal], side="right")
+    scaled = (f * _POW10[18 - n]).view(np.int64)
+    top = scaled // 10**9
+    halves = np.stack([top, scaled - top * 10**9]).astype(np.int32)
+    src = np.empty((21, len(v)), np.uint8)  # transposed source rows
+    digits = src[:18].reshape(2, 9, -1)
+    for j in range(8, -1, -1):
+        quotient = halves // 10
+        digits[:, j] = halves - quotient * 10
+        halves = quotient
+    places = np.arange(1, 19, dtype=np.uint8)[:, None]
+    nd = np.max((src[:18] != 0) * places, axis=0)  # to the last nonzero
+    src[:18] += ord("0")
+    src[18:] = np.frombuffer(b"0.-", np.uint8)[:, None]
+    decpt = n + k  # the value is 0.d1d2... 10**decpt
+    fixed = (decpt > -4) & (decpt <= 16)
+    layout = (np.where(fixed, 2 * decpt + 6, 40) + neg).astype(np.int8)
+    # one column gather per class, its rows a run in layout order
+    order = np.argsort(layout, kind="stable")
+    src = src.T.take(order, axis=0)
+    ends = np.bincount(layout, minlength=len(layouts)).cumsum()
+    chars = np.empty((len(v), _CELL), np.uint8)
+    for cls in np.flatnonzero(np.diff(ends, prepend=0)):
+        run = slice(ends[cls - 1] if cls else 0, ends[cls])
+        chars[run] = src[run, layouts[cls]]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(v))
+    chars = chars.take(rank, axis=0)
+    d = np.where(fixed, decpt, 1)
+    lengths = neg + np.where(d <= 0, 2 - d + nd, d + 1 + np.maximum(nd - d, 1))
+    rows = np.flatnonzero(~fixed)
+    if rows.size:  # exponent notation: d1[.d2...]e±XX
+        x = decpt[rows] - 1
+        at = neg[rows] + np.where(nd[rows] == 1, 1, nd[rows] + 1)
+        chars[rows[:, None], at[:, None] + np.arange(5)] = suffixes[x + 324]
+        lengths[rows] = at + 4 + (np.abs(x) >= 100)
+    rows = np.flatnonzero(special)
+    if rows.size:  # 0.0, -0.0, inf, -inf, nan (also for a negative NaN)
+        kind = (mag[rows] >= _INF) + (mag[rows] > _INF).view(np.int8)
+        kind = np.minimum(2 * kind + neg[rows], 4)
+        chars[rows, :4] = _SPECIALS[kind]
+        lengths[rows] = 3 + kind % 2
+    return chars, lengths
+
+
 def _reprs(values):
-    """The shortest round-trip ``repr`` of each value, in C order. The
-    values become Python objects ``CSV_BLOCK`` at a time, as the rows
-    are written, so no column is held as a list of floats."""
-    flat = np.ravel(values)
-    return chain.from_iterable(map(repr, flat[i:i + CSV_BLOCK].tolist())
-                               for i in range(0, flat.size, CSV_BLOCK))
+    """``(chars, lengths)``: row ``i`` of the ``(N, _CELL)`` uint8 ``chars``
+    starts with the ``lengths[i]`` bytes of ``repr(float(v))`` for the
+    ``i``-th value ``v`` of ``values`` in C order, made ``_REPR_BLOCK``
+    values at a time, so the kernel's temporaries stay small."""
+    flat = np.ascontiguousarray(np.ravel(values), dtype=np.float64)
+    chars = np.empty((flat.size, _CELL), np.uint8)
+    lengths = np.empty(flat.size, np.uint8)
+    for i in range(0, flat.size, _REPR_BLOCK):
+        block = slice(i, i + _REPR_BLOCK)
+        chars[block], lengths[block] = _repr_block(flat[block])
+    return chars, lengths
 
 
 def _write_csv(path, header, *columns) -> None:
     """Write ``header`` and one row per cell of the equal-length
-    ``columns`` of cell strings, ``CSV_BLOCK`` rows per write.
+    ``columns``, each a ``(chars, lengths)`` pair from ``_reprs``. Each
+    block of ``CSV_BLOCK`` rows is one write of a ``(rows, columns, _CELL +
+    1)`` buffer of cells, each ending in its ``,`` or ``\n``: the bytes
+    that ``_KEEP`` picks by cell length.
 
-    A column of another length raises ``ValueError`` from ``zip``.
+    A column of another length raises ``ValueError`` naming it.
     """
-    rows = map(",".join, zip(*columns, strict=True))
-    with Path(path).open("w", newline="\n", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        while block := list(islice(rows, CSV_BLOCK)):
-            handle.write("\n".join(block) + "\n")
+    n = max(len(chars) for chars, _ in columns)
+    for name, (chars, _) in zip(header, columns):
+        if len(chars) != n:
+            raise ValueError(f"column {name!r} has {len(chars)} cells, not {n}")
+    seps = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
+    with Path(path).open("wb") as handle:
+        handle.write((",".join(header) + "\n").encode())
+        for i in range(0, n, CSV_BLOCK):
+            block = slice(i, i + CSV_BLOCK)
+            rows = min(CSV_BLOCK, n - i)
+            buf = np.empty((rows, len(columns), _CELL + 1), np.uint8)
+            buf[:, :, _CELL] = seps
+            ends = np.empty((rows, len(columns)), np.uint8)
+            for j, (chars, lengths) in enumerate(columns):
+                buf[:, j, :_CELL] = chars[block]
+                ends[:, j] = lengths[block]
+            handle.write(buf[_KEEP[ends]].tobytes())
 
 
 def write_trajectory_csv(path, traj: ScanTrajectory) -> None:
-    """Write a matched trajectory so it round-trips through ingest_csv."""
-    _write_csv(path, ("scan", "re_1", "im_1", "re_2", "im_2"), _reprs(traj.ts),
-               _reprs(traj.branch_a.real), _reprs(traj.branch_a.imag),
-               _reprs(traj.branch_b.real), _reprs(traj.branch_b.imag))
+    """Write a matched trajectory so it round-trips through ingest_csv;
+    its five columns go through one ``_reprs`` call."""
+    columns = [np.ravel(c) for c in (traj.ts, traj.branch_a.real,
+                                     traj.branch_a.imag, traj.branch_b.real,
+                                     traj.branch_b.imag)]
+    ends = np.cumsum([c.size for c in columns[:-1]])
+    _write_csv(path, ("scan", "re_1", "im_1", "re_2", "im_2"), *zip(
+        *(np.split(a, ends) for a in _reprs(np.concatenate(columns)))))
 
 
 def write_sheetgrid_csv(path, grid: SheetGrid) -> None:
@@ -301,8 +472,9 @@ def write_sheetgrid_csv(path, grid: SheetGrid) -> None:
         header += [f"re{k}", f"im{k}"]
         columns += [_reprs(sheet.real), _reprs(sheet.imag)]
     # each axis value is formatted once
-    p1 = chain.from_iterable(map(repeat, _reprs(grid.axis1), repeat(n2)))
-    p2 = list(_reprs(grid.axis2)) * n1
+    (chars1, lengths1), (chars2, lengths2) = map(_reprs, (grid.axis1, grid.axis2))
+    p1 = np.repeat(chars1, n2, axis=0), np.repeat(lengths1, n2)
+    p2 = np.tile(chars2, (n1, 1)), np.tile(lengths2, n1)
     _write_csv(path, header, p1, p2, *columns)
 
 
@@ -342,7 +514,8 @@ def write_sphere_csv(path, points: np.ndarray) -> None:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"points must have shape (N, 3), got {points.shape}")
-    _write_csv(path, ("tn", "tchi", "txi"), *map(_reprs, points.T))
+    _write_csv(path, ("tn", "tchi", "txi"),
+               *zip(*(np.split(a, 3) for a in _reprs(points.T))))
 
 
 _encode_str = json.encoder.encode_basestring_ascii

@@ -1,7 +1,8 @@
 """The ``str.format`` CSV writers of earlier versions, kept as a reference.
 
 ``epkit.io`` writes its three CSV kinds through one block-streamed row
-writer (``_write_csv``) that joins per-column ``repr`` strings;
+writer (``_write_csv``) whose cells come from a numpy shortest-``repr``
+kernel (``_reprs``, Schubfach digits from the float64 bits);
 test_csv_reference.py checks it byte for byte against the straightforward
 code here, which formats each row with one ``str.format`` call.
 """

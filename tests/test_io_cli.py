@@ -1,8 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -1106,6 +1109,57 @@ def test_manifest_digests(tmp_path, monkeypatch, argv):
     assert run_cli(*argv, "--out", "out") == 0
     data = (tmp_path / "out" / MANIFEST_NAMES[argv[0]]).read_bytes()
     assert hashlib.sha256(data).hexdigest() == MANIFEST_DIGESTS[argv]
+
+
+# SHA-256 of the CSVs, recorded with numpy 2.4.6 while every cell was a
+# per-float repr call; runs as above. The project CSV holds the north pole
+# of an infinite and of an overflowing point.
+CSV_DIGESTS = {
+    ("surface",):
+        "7a6635d7738a6899ccaa70975bc7d1fb9e15e2cb3613c6b23a1a9ebe02cf3100",
+    ("surface", "--delta-mode", "raw"):
+        "37941b272be716afb5843c8b875737881e01df75d61f5e8dc740b64c39022457",
+    ("oracle",):
+        "627a9121b52d65df666758b6e23886f06b8beac4b921e6ac0f068071b109a252",
+    ("oracle", "--delta-mode", "raw"):
+        "3392b2b0d6f73b7fe55afae4f9b4da5c56f21bc51cdd6527317a0e8edd1e7c85",
+    ("toy-sweep", "--preset", "class1"):
+        "dbefa7f4d9de7ab4d34eaeedf784e4665342b577cf3d34036a5ec58583cff8b4",
+    ("toy-sweep", "--preset", "double-ep"):
+        "832510cf917aa6bc3364ce594422e3baadefb1e892bb055b6fecc699860ff391",
+    ("project", "--point", "0.5", "-2", "--point", "inf", "0",
+     "--point", "1e-300", "3e200"):
+        "d9db06f985d6d0bb1d938f967b2bc7bc038825240e1c79ae5090b4c68f1c06e6",
+}
+CSV_NAMES = {"surface": "surface.csv", "oracle": "oracle_surface.csv",
+             "toy-sweep": "toy_sweep.csv", "project": "sphere.csv"}
+
+
+@pytest.mark.parametrize("argv", CSV_DIGESTS, ids=" ".join)
+def test_csv_digests(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--out", "out") == 0
+    data = (tmp_path / "out" / CSV_NAMES[argv[0]]).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == CSV_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("command", ["toy-sweep", "beta-scan"])
+def test_overflowing_sweep_fails_without_warnings(tmp_path, command):
+    # a fresh interpreter, where a numpy RuntimeWarning goes to stderr
+    env = dict(os.environ, PYTHONWARNINGS="always")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH"))
+        if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "epkit.cli", command, "--alpha-range", "0",
+         "1e200", "--points", "64", "--out", "out"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    err = json.loads(proc.stdout)["error"]
+    assert (err["command"], err["type"]) == (command, "ValueError")
+    assert err["message"] == ("pair difference a - b at scan point 1 "
+                              "(t=1.5873015873015872e+198) is not finite: "
+                              "(inf+0j)")
 
 
 class TestCommandFlags:
