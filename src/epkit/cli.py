@@ -28,14 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from . import io as io_mod
-from .core import eigvectors_grid, is_real_number
-from .crossing import (MIN_SCAN_POINTS, beta_transition, classify,
-                       overlap_peaks, sweep_toy)
+from .core import is_real_number
+from .crossing import MIN_SCAN_POINTS, _toy_sweep, beta_transition, classify
 from .epfind import MIN_SEARCH_GRID, equal_width_eps, grid_ep_search
 from .sphere import lift_cut
 from .surface import (MIN_GRID, MIN_LOOP_STEPS, AnalyticOracle, CircleLoop,
                       PolylineLoop, build_surface, encircle)
-from .toymodel import PRESETS, ToyParams, eigenpair_sampler, scan_entries
+from .toymodel import PRESETS, ToyParams, eigenpair_sampler
 
 CAVITY_EP1 = (2.6257, 0.6001)
 CAVITY_EP2 = (2.9036, 0.5372)
@@ -434,12 +433,9 @@ def _outdir(cfg) -> Path:
 def _cmd_toy_sweep(cfg):
     p = ToyParams(**cfg["params"])
     alphas = np.linspace(*cfg["alpha_range"], cfg["points"])
-    traj = sweep_toy(p, alphas)
+    traj, peaks = _toy_sweep(p, alphas)
     report = classify(traj)
     io_mod.write_trajectory_csv(_outdir(cfg) / "toy_sweep.csv", traj)
-    with np.errstate(all="ignore"):
-        vectors = eigvectors_grid(*scan_entries(alphas, p))
-    peaks = overlap_peaks(alphas, *vectors)
     return "toy_sweep_report.json", {"report": asdict(report),
                                      "overlap_peaks": peaks}
 
@@ -476,8 +472,7 @@ def _sheets(cfg, sampler, name):
         "axis1": grid.axis1,
         "axis2": grid.axis2,
         "delta_mode": grid.delta_mode,
-        "cut_edges": {kind: np.array(getattr(grid.cut_cells, kind),
-                                     dtype=np.int64).reshape(-1, 2, 2)
+        "cut_edges": {kind: getattr(grid.cut_cells, kind)
                       for kind in ("matched", "re", "im")},
         "missing": [list(n) for n in grid.missing],
     }

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import abs_diff, eigvalues_grid
+from .core import _eigvectors, _mean_eta, abs_diff, eigvalues_grid
 from .toymodel import ToyParams, scan_entries
 
 LZ = "LZ"
@@ -98,7 +98,11 @@ def match_grid(d, ok):
     the one above, else it is a seed; a seed, and a cell whose pairings
     tie, keeps the sampled order and starts a run. Along a run, a cell is
     swapped by the parity of the flips of :func:`pairing` since the run
-    start; only runs that start from the cell above depend on that row.
+    start, xor the swap of the run start: 0 unless it continues from the
+    cell above, else its flip from above xor that cell's final swap, which
+    is that cell's parity xor the swap of its own run start. So run starts
+    chain up the grid to a seed or a tie, and pointer doubling (Hillis &
+    Steele, CACM 29, 1170 (1986)) resolves the chains in ceil(log2 n1) rounds.
     """
     left = np.zeros_like(ok)
     left[:, 1:] = ok[:, 1:] & ok[:, :-1]
@@ -107,20 +111,24 @@ def match_grid(d, ok):
     flip[:, 1:], tie = pairing(d[:, :-1], d[:, 1:])
     restart[:, 1:] |= tie
     runs = np.flatnonzero(restart)  # flat; each row starts with a run
-    start = np.repeat(runs, np.diff(runs, append=ok.size)).reshape(ok.shape)
+    lengths = np.diff(runs, append=ok.size)
+    start = np.repeat(runs, lengths).reshape(ok.shape)
     parity = np.logical_xor.accumulate(flip, axis=1)
     swapped = parity ^ parity.take(start)
 
-    above = ok[1:] & ok[:-1] & ~left[1:]  # row r of it is grid row r + 1
-    i, j = np.nonzero(above)
+    i, j = np.nonzero(ok[1:] & ok[:-1] & ~left[1:])  # run starts in row i + 1
     if i.size:
-        up_flip = np.zeros_like(above)
-        up_flip[i, j], tie = pairing(d[i, j], d[i + 1, j])
-        above[i[tie], j[tie]] = False  # a tie keeps the sampled order
-        base = np.zeros_like(ok)  # the swap of a run start from above
-        for r in np.flatnonzero(above.any(axis=1)).tolist():
-            base[r + 1] = above[r] & (swapped[r] ^ up_flip[r])
-            swapped[r + 1] ^= base.take(start[r + 1])
+        up_flip, tie = pairing(d[i, j], d[i + 1, j])
+        up = (i * ok.shape[1] + j)[~tie]  # a tie keeps the sampled order
+        # run k continues from run ptr[k], with the swap val[k] relative to it
+        ptr, val = np.arange(runs.size), np.zeros(runs.size, dtype=bool)
+        k = np.searchsorted(runs, up + ok.shape[1])
+        ptr[k] = np.searchsorted(runs, start.flat[up])
+        val[k] = up_flip[~tie] ^ swapped.flat[up]
+        while not np.array_equal(nxt := ptr[ptr], ptr):
+            val ^= val[ptr]
+            ptr = nxt
+        swapped ^= np.repeat(val, lengths).reshape(ok.shape)
     return swapped
 
 
@@ -156,12 +164,21 @@ def match_branches(ts, pairs) -> ScanTrajectory:
     return ScanTrajectory(ts, np.where(swapped, b, a), np.where(swapped, a, b))
 
 
-def sweep_toy(p: ToyParams, alphas) -> ScanTrajectory:
-    """Scan the toy model over alpha: matched branches."""
+def _toy_sweep(p: ToyParams, alphas):
+    """:func:`sweep_toy`, and the :func:`overlap_peaks` of the eigenvector
+    pairs from the same entries, mean and eta."""
     alphas = np.asarray(alphas, dtype=float)
     with np.errstate(all="ignore"):  # match_branches names a non-finite point
-        pairs = np.stack(eigvalues_grid(*scan_entries(alphas, p)), axis=1)
-    return match_branches(alphas, pairs)
+        entries = scan_entries(alphas, p)
+        mean, eta = _mean_eta(*entries)
+        pairs = np.stack((mean + eta, mean - eta), axis=1)
+        vectors = _eigvectors(*entries, mean, eta)
+    return match_branches(alphas, pairs), overlap_peaks(alphas, *vectors)
+
+
+def sweep_toy(p: ToyParams, alphas) -> ScanTrajectory:
+    """Scan the toy model over alpha: matched branches."""
+    return _toy_sweep(p, alphas)[0]
 
 
 def _component_analysis(ts: np.ndarray, d: np.ndarray, gap_floor: float) -> dict:

@@ -18,6 +18,7 @@ Neither depends on the delta mode.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -53,13 +54,22 @@ MIN_LOOP_STEPS = 64  # the fewest steps encircle starts from
 MAX_HALVINGS = 40  # the most a step of a followed path is halved
 
 
+_no_edges = functools.partial(np.zeros, (0, 2, 2), dtype=np.int64)
+
+
 @dataclass
 class CutSet:
-    """Cut edges by kind as ``(i, j)`` node pairs; on disk, the manifest's."""
+    """Cut edges by kind as ``(E, 2, 2)`` int64 arrays, edge ``k`` joining
+    the ``(i, j)`` nodes ``kind[k, 0]`` and ``kind[k, 1]``; on disk, the
+    manifest's ``cut_edges``. Sets are equal when their arrays are."""
 
-    matched: list[Edge] = field(default_factory=list)
-    re: list[Edge] = field(default_factory=list)
-    im: list[Edge] = field(default_factory=list)
+    matched: np.ndarray = field(default_factory=_no_edges)
+    re: np.ndarray = field(default_factory=_no_edges)
+    im: np.ndarray = field(default_factory=_no_edges)
+
+    def __eq__(self, other):
+        return isinstance(other, CutSet) and all(
+            map(np.array_equal, vars(self).values(), vars(other).values()))
 
 
 @dataclass
@@ -69,8 +79,8 @@ class SheetGrid:
     ``sheet1[i, j]`` lives at (axis1[i], axis2[j]). In delta mode the
     sheets are the half-differences relative to the sheet average, so
     sheet2 == -sheet1 exactly, and the sheet CSV holds sheet1 alone
-    (:func:`~epkit.io.write_sheetgrid_csv`). ``cut_cells`` goes to the
-    manifest, not to the sheet CSV.
+    (:func:`~epkit.io.write_sheetgrid_csv`). ``cut_cells`` holds the cuts
+    as ``(E, 2, 2)`` arrays of node indices, for the manifest, not the CSV.
     """
 
     axis1: np.ndarray
@@ -82,16 +92,17 @@ class SheetGrid:
     missing: list[Node] = field(default_factory=list)
 
 
-def connected_components(edges: Sequence[Edge]) -> list[set[Node]]:
-    """Node sets of connected cut-edge groups.
+def connected_components(edges: np.ndarray | Sequence[Edge]) -> list[set[Node]]:
+    """Node sets of connected cut-edge groups, from an ``(E, 2, 2)`` array
+    of node indices (a :class:`CutSet` kind) or a sequence of node pairs.
 
     Two cut edges belong to the same component when they share a node or
     border the same grid plaquette: a seam crossing a column of cells flags
     one parallel edge per row, and plaquette adjacency chains those into
     one curve.
     """
-    edges = list(edges)
-    parent = list(range(len(edges)))
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2, 2)
+    parent = list(range(len(e)))
 
     def find(k: int) -> int:
         while parent[k] != k:
@@ -104,42 +115,34 @@ def connected_components(edges: Sequence[Edge]) -> list[set[Node]]:
         if ra != rb:
             parent[ra] = rb
 
-    def plaquettes(u: Node, v: Node) -> list[Node]:
-        (i1, j1), (i2, j2) = u, v
-        if j1 == j2:  # edge along axis1: borders cells (i, j-1) and (i, j)
-            i = min(i1, i2)
-            return [(i, j1 - 1), (i, j1)]
-        i = i1  # edge along axis2: borders cells (i-1, j) and (i, j)
-        return [(i - 1, min(j1, j2)), (i, min(j1, j2))]
-
-    by_node: dict[Node, int] = {}
-    by_cell: dict[Node, int] = {}
-    for k, (u, v) in enumerate(edges):
-        for node in (u, v):
-            if node in by_node:
-                union(k, by_node[node])
-            by_node[node] = k
-        for cell in plaquettes(u, v):
-            if cell in by_cell:
-                union(k, by_cell[cell])
-            by_cell[cell] = k
+    # an edge borders the plaquettes of its lower node and of the node one
+    # step across it: (i, j - 1) along axis 1, (i - 1, j) along axis 2
+    lo = e.min(axis=1)
+    across = np.where((e[:, 0, 1] == e[:, 1, 1])[:, None], [0, 1], [1, 0])
+    keys = np.stack((e[:, 0], e[:, 1], lo - across, lo), axis=1).tolist()
+    first: dict[tuple, int] = {}  # the first edge at each node and cell
+    for k, row in enumerate(keys):
+        for kind, key in zip("nncc", row):  # two nodes, two cells
+            union(k, first.setdefault((kind, *key), k))
 
     groups: dict[int, set[Node]] = {}
-    for k, (u, v) in enumerate(edges):
-        groups.setdefault(find(k), set()).update((u, v))
+    for k, (u, v, *_) in enumerate(keys):
+        groups.setdefault(find(k), set()).update((tuple(u), tuple(v)))
     return sorted(groups.values(), key=lambda s: sorted(s)[0])
 
 
-def _edges_where(ok, rule) -> list[Edge]:
-    """Edges between two ok nodes where ``rule(u, v)`` holds, in the order
-    of rows, then columns, then the axis-1 edge of a node before its axis-2
-    edge. ``rule`` gets the node slices of all edges along one axis."""
+def _edges_where(ok, rule) -> np.ndarray:
+    """Edges between two ok nodes where ``rule(u, v)`` holds, as an
+    ``(E, 2, 2)`` int64 array of their node indices, in the order of rows,
+    then columns, then the axis-1 edge of a node before its axis-2 edge.
+    ``rule`` gets the node slices of all edges along one axis."""
     flags = np.zeros(ok.shape + (2,), dtype=bool)
     for k, (u, v) in enumerate(((np.s_[:-1, :], np.s_[1:, :]),
                                 (np.s_[:, :-1], np.s_[:, 1:]))):
         flags[u + (k,)] = ok[u] & ok[v] & rule(u, v)
-    return [((i, j), (i + 1, j)) if k == 0 else ((i, j), (i, j + 1))
-            for i, j, k in np.argwhere(flags).tolist()]
+    i, j, k = np.nonzero(flags)
+    node = np.stack((i, j), axis=1, dtype=np.int64)
+    return np.stack((node, node + np.stack((1 - k, k), axis=1)), axis=1)
 
 
 def _matched_cut_edges(e, ok):
@@ -170,7 +173,7 @@ def _seam_edges(diff, ok):
         mag = np.abs(part)
         scale = float(np.max(mag[ok])) if ok.any() else 0.0
         if scale <= 0.0:
-            return []
+            return _no_edges()
 
         def seam(u, v):
             return ((np.minimum(mag[u], mag[v]) <= SEAM_CONTACT * scale)

@@ -1,8 +1,10 @@
 """Per-point loop implementations of the scan, grid and loop paths and of
 the path follower, :mod:`cmath` and :mod:`math` versions of the scalar
 square-root, oracle and loop-geometry kernels, and the crossing label as
-read from matched branches, kept as references; and a sampler of a root
-pair that is not closed under a loop, :func:`root_pair`.
+read from matched branches, kept as references; a sampler of a root pair
+that is not closed under a loop, :func:`root_pair`; and
+:func:`node_pairs`, the library's cut-edge arrays as the lists of node
+pairs the loops here return.
 
 The library computes these quantities with array operations; the tests in
 test_reference_oracles.py, test_grid_reference.py, test_core.py and
@@ -284,6 +286,38 @@ def grid_edges(n1, n2):
                 yield (i, j), (i + 1, j)
             if j + 1 < n2:
                 yield (i, j), (i, j + 1)
+
+
+def node_pairs(edges) -> list:
+    """An ``(E, 2, 2)`` int64 cut-edge array as its list of
+    ``((i, j), (i', j'))`` node pairs, in order; anything else raises."""
+    assert isinstance(edges, np.ndarray), type(edges)
+    assert edges.dtype == np.int64 and edges.shape[1:] == (2, 2), (
+        edges.dtype, edges.shape)
+    return [(tuple(u), tuple(v)) for u, v in edges.tolist()]
+
+
+def connected_components(pairs):
+    """The node sets of the groups of cut edges ``pairs``, grown one edge
+    at a time: two edges join when they share a node or border the same
+    grid plaquette."""
+    def cells(u, v):
+        (i1, j1), (i2, j2) = u, v
+        i, j = min(i1, i2), min(j1, j2)
+        return {(i, j - 1), (i, j)} if j1 == j2 else {(i - 1, j), (i, j)}
+
+    def touch(e, f):
+        return bool(set(e) & set(f) or cells(*e) & cells(*f))
+
+    groups, todo = [], list(pairs)
+    while todo:
+        group = [todo.pop(0)]
+        for e in group:  # grows while it is walked
+            near = [f for f in todo if touch(e, f)]
+            group += near
+            todo = [f for f in todo if f not in near]
+        groups.append(set().union(*group))
+    return sorted(groups, key=lambda s: sorted(s)[0])
 
 
 def matched_cut_edges(e, ok, theta):

@@ -22,6 +22,7 @@ from epkit.core import abs_diff
 from epkit.crossing import match_grid
 from epkit.epfind import (cell_winding, equal_width_eps, grid_ep_search,
                           sample_points)
+from epkit.io import write_json
 from epkit.surface import (MATCHED_CUT_JUMP, SEAM_CONTACT, AnalyticOracle,
                            CircleLoop, PolylineLoop, _matched_cut_edges,
                            _seam_edges, build_surface, encircle)
@@ -31,7 +32,8 @@ from epkit.toymodel import (FULL_COMPLEX, PRESETS, REAL_PART, ToyParams,
 SETTINGS = settings(max_examples=60, deadline=None)
 
 # small lattice values make exact ties (va == vb, |d - r| == |d + r|) likely
-lattice = st.sampled_from([0, 1, -1, 1j, -1j, 1 + 1j, 2, 0.5j, -2 + 1j])
+LATTICE = [0, 1, -1, 1j, -1j, 1 + 1j, 2, 0.5j, -2 + 1j]
+lattice = st.sampled_from(LATTICE)
 floats = st.floats(min_value=-10, max_value=10, allow_nan=False)
 values = st.one_of(lattice, st.builds(complex, floats, floats))
 
@@ -72,6 +74,44 @@ def fields(draw, min_side=1, max_side=12):
     return va, vb, ok
 
 
+def seam_pairs(d, ok):
+    """The ``re`` and ``im`` seams of :func:`_seam_edges` as node pairs."""
+    return tuple(map(ref.node_pairs, _seam_edges(d, ok)))
+
+
+@st.composite
+def tall_fields(draw):
+    """(va, vb, ok) up to 300 rows tall and at most 4 wide, with holes and
+    ties, so chains of run starts that continue from the cell above run up
+    to 300 rows. A seeded generator gives the values: hypothesis cannot
+    draw that many."""
+    n1, n2 = draw(st.integers(2, 300)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        va, vb = (np.array(LATTICE)[rng.integers(0, len(LATTICE), (n1, n2))]
+                  for _ in range(2))
+    else:
+        va, vb = (rng.standard_normal((n1, n2))
+                  + 1j * rng.standard_normal((n1, n2)) for _ in range(2))
+    tie = rng.random((n1, n2)) < draw(st.sampled_from([0.0, 0.01, 0.1]))
+    vb[tie] = va[tie]
+    ok = rng.random((n1, n2)) >= draw(st.sampled_from([0.0, 0.005, 0.05]))
+    if draw(st.booleans()):
+        ok[:, 0] = False  # every run of column 1 starts from above
+    va[~ok] = vb[~ok] = np.nan
+    return va, vb, ok
+
+
+def assert_matches_loop(va, vb, ok):
+    """Assert that :func:`match_grid` orders the pairs bitwise as the loop
+    does; returns where it swaps them and the loop's (a, b) fields."""
+    swapped = match_grid(va - vb, ok)
+    ra, rb = ref.match_grid(va, vb, ok)
+    np.testing.assert_array_equal(bits(np.where(swapped, vb, va)), bits(ra))
+    np.testing.assert_array_equal(bits(np.where(swapped, va, vb)), bits(rb))
+    return swapped, ra, rb
+
+
 def table_sampler(va, vb, ok, batch=True):
     """A sampler of the field (va, vb) on the unit square that raises on the
     holes; its batch call raises when the grid has one, so those grids go
@@ -96,19 +136,39 @@ class TestMatchAndCuts:
     @SETTINGS
     def test_matching_and_cuts_match_loop(self, field, jump):
         va, vb, ok = field
-        swapped = match_grid(va - vb, ok)
-        a, b = np.where(swapped, vb, va), np.where(swapped, va, vb)
-        ra, rb = ref.match_grid(va, vb, ok)
-        np.testing.assert_array_equal(bits(a), bits(ra))
-        np.testing.assert_array_equal(bits(b), bits(rb))
-
+        _, ra, rb = assert_matches_loop(va, vb, ok)
         e = 0.5 * (ra - rb)
         with mock.patch.object(surface, "MATCHED_CUT_JUMP", jump):
-            assert _matched_cut_edges(e, ok) == ref.matched_cut_edges(e, ok, jump)
+            assert (ref.node_pairs(_matched_cut_edges(e, ok))
+                    == ref.matched_cut_edges(e, ok, jump))
         for contact in (SEAM_CONTACT, 0.5, 1.0):  # 1.0: lo == tau
             with mock.patch.object(surface, "SEAM_CONTACT", contact):
-                assert (_seam_edges(va - vb, ok)
+                assert (seam_pairs(va - vb, ok)
                         == ref.seam_edges(va - vb, ok, contact))
+
+    @pytest.mark.parametrize("n1, n2, tie", [(600, 2, False), (300, 5, False),
+                                             (600, 2, True)])
+    def test_chains_as_tall_as_the_grid(self, n1, n2, tie):
+        # column 0 fails on every row, so every run of column 1 starts from
+        # the cell above it: one chain of n1 run starts, or two split by an
+        # exact tie half-way down
+        rng = np.random.default_rng(n1 * n2)
+        va, vb = (rng.standard_normal((n1, n2))
+                  + 1j * rng.standard_normal((n1, n2)) for _ in range(2))
+        ok = np.ones((n1, n2), dtype=bool)
+        ok[:, 0] = False
+        va[:, 0] = vb[:, 0] = np.nan
+        mid = n1 // 2
+        if tie:  # d = 1j below d = 1 (or -1): |d - r| == |d + r|
+            va[mid - 1:mid + 1, 1], vb[mid - 1:mid + 1, 1] = (1.0, 1j), 0.0
+        swapped, _, _ = assert_matches_loop(va, vb, ok)
+        if tie:
+            assert not swapped[mid, 1]  # a tie keeps the sampled order
+
+    @given(tall_fields())
+    @settings(max_examples=40, deadline=None)
+    def test_tall_thin_fields_match_loop(self, field):
+        assert_matches_loop(*field)
 
     def test_abs_diff_rounds_like_abs(self):
         # the loops compare abs() of complex scalars; np.abs would not match
@@ -124,16 +184,21 @@ class TestMatchAndCuts:
         d = np.ones((16, 16), dtype=complex)
         d[5, 5:7] = SEAM_CONTACT
         ok = np.ones((16, 16), dtype=bool)
-        seams = _seam_edges(d, ok)
+        seams = seam_pairs(d, ok)
         assert seams == ref.seam_edges(d, ok, SEAM_CONTACT)
         assert ((5, 5), (5, 6)) in seams[0] and len(seams[0]) == 7
         assert seams[1] == []
 
-    def test_all_zero_component_has_no_seams(self):
+    def test_all_zero_component_has_no_seams(self, tmp_path):
         # scale == 0: every node coincides, and no seam is reported
         d = np.zeros((16, 16), dtype=complex)
         ok = np.ones((16, 16), dtype=bool)
-        assert _seam_edges(d, ok) == ref.seam_edges(d, ok, SEAM_CONTACT) == ([], [])
+        assert seam_pairs(d, ok) == ref.seam_edges(d, ok, SEAM_CONTACT) == ([], [])
+        seams = _seam_edges(d, ok)
+        assert [kind.shape for kind in seams] == [(0, 2, 2)] * 2
+        path = tmp_path / "seams.json"
+        write_json(path, dict(zip(("re", "im"), seams)))
+        assert path.read_text() == '{\n  "im": [],\n  "re": []\n}\n'
 
     @given(fields(min_side=16, max_side=18), st.booleans(),
            st.integers(0, 2**32 - 1))
@@ -153,9 +218,10 @@ class TestMatchAndCuts:
         np.testing.assert_array_equal(bits(grid.sheet1), bits(ra))
         np.testing.assert_array_equal(bits(grid.sheet2), bits(rb))
         e = 0.5 * (ra - rb)
-        assert grid.cut_cells.matched == ref.matched_cut_edges(e, ok,
-                                                               MATCHED_CUT_JUMP)
-        seams = (grid.cut_cells.re, grid.cut_cells.im)
+        assert (ref.node_pairs(grid.cut_cells.matched)
+                == ref.matched_cut_edges(e, ok, MATCHED_CUT_JUMP))
+        seams = (ref.node_pairs(grid.cut_cells.re),
+                 ref.node_pairs(grid.cut_cells.im))
         assert seams == ref.seam_edges(sa - sb, ok, SEAM_CONTACT)
 
         # the seams do not depend on the sampler's order at any cell
@@ -164,7 +230,8 @@ class TestMatchAndCuts:
             swapped = build_surface(
                 table_sampler(np.where(swap, vb, va), np.where(swap, va, vb),
                               ok, batch), window, n1, n2, "raw")
-        assert (swapped.cut_cells.re, swapped.cut_cells.im) == seams
+        assert (ref.node_pairs(swapped.cut_cells.re),
+                ref.node_pairs(swapped.cut_cells.im)) == seams
 
     def test_matched_pair_rule_agrees_on_the_default_toy_window(self):
         # the seams used to come from the matched sheets, with a veto on
@@ -174,9 +241,9 @@ class TestMatchAndCuts:
             **PRESETS["double-ep"]["params"])), ((0.3, 0.8), (0.9, 1.0)), 256, 64)
         e = grid.sheet1
         ok = np.ones(e.shape, dtype=bool)
-        assert grid.cut_cells.re == ref.component_seam_edges(
+        assert ref.node_pairs(grid.cut_cells.re) == ref.component_seam_edges(
             2.0 * e.real, ok, SEAM_CONTACT, 0.05)
-        assert grid.cut_cells.im == ref.component_seam_edges(
+        assert ref.node_pairs(grid.cut_cells.im) == ref.component_seam_edges(
             2.0 * e.imag, ok, SEAM_CONTACT, 0.05)
         assert (len(grid.cut_cells.re), len(grid.cut_cells.im)) == (314, 574)
 

@@ -170,6 +170,39 @@ class TestBuildSurface:
                 on_edge = np.any((i == 0) | (i == n1 - 1) | (j == 0) | (j == n2 - 1))
                 assert (min(cells) if on_edge else max(cells)) <= 1.0
 
+    @pytest.mark.parametrize("kind", ["toy", "oracle"])
+    def test_cut_kinds_are_int64_edge_arrays(self, kind):
+        # each kind holds E edges as (E, 2, 2) node indices, one grid step
+        # apart, whose groups are those of its node pairs
+        if kind == "toy":
+            sampler = eigenpair_sampler(DOUBLE_EP)
+        else:
+            sampler = AnalyticOracle.two_point(complex(EP1_ALPHA, 1.0),
+                                               complex(EP2_ALPHA, 1.0)).sampler()
+        grid = build_surface(sampler, TOY_WINDOW, 64, 32)
+        for name in ("matched", "re", "im"):
+            edges = getattr(grid.cut_cells, name)
+            assert type(edges) is np.ndarray and edges.dtype == np.int64
+            assert edges.ndim == 3 and edges.shape[1:] == (2, 2)
+            assert name == "matched" or len(edges) > 0
+            assert set(map(tuple, (edges[:, 1] - edges[:, 0]).tolist())) <= {
+                (0, 1), (1, 0)}
+            assert ((edges >= 0) & (edges < (64, 32))).all()
+            pairs = ref.node_pairs(edges)
+            assert (connected_components(edges) == connected_components(pairs)
+                    == ref.connected_components(pairs))
+
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
+                              st.booleans(), st.booleans()), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_components_of_an_edge_array_are_those_of_its_pairs(self, raw):
+        # (i, j), an axis and an orientation per edge; repeats allowed
+        pairs = [((i, j), (i + 1, j) if along1 else (i, j + 1))[::1 - 2 * flip]
+                 for i, j, along1, flip in raw]
+        edges = np.array(pairs, dtype=np.int64).reshape(-1, 2, 2)
+        assert (connected_components(edges) == connected_components(pairs)
+                == ref.connected_components(pairs))
+
     def test_delta_sheets_are_exact_negatives(self):
         grid = build_surface(eigenpair_sampler(DOUBLE_EP), TOY_WINDOW, 32, 16,
                              DELTA)
@@ -220,7 +253,8 @@ class TestBuildSurface:
         for n in (32, 64, 128):
             grid = build_surface(oracle.sampler(), window, n, n)
             spacing = grid.axis1[1] - grid.axis1[0]
-            nodes = {node for edge in grid.cut_cells.re for node in edge}
+            nodes = {node for edge in ref.node_pairs(grid.cut_cells.re)
+                     for node in edge}
             assert nodes
             worst = max(
                 locus_distance(complex(grid.axis1[i], grid.axis2[j]))
@@ -267,10 +301,12 @@ class TestBuildSurface:
         cuts = build_surface(holed, TOY_WINDOW, 256, 64)
         assert cuts.missing == [(3, 3)]
         cuts = cuts.cut_cells
-        assert cuts.matched == clean.matched and len(cuts.matched) == 7
+        assert (ref.node_pairs(cuts.matched) == ref.node_pairs(clean.matched)
+                and len(cuts.matched) == 7)
         for kind in ("re", "im"):
-            assert getattr(cuts, kind) == [
-                edge for edge in getattr(clean, kind) if (3, 3) not in edge]
+            assert ref.node_pairs(getattr(cuts, kind)) == [
+                edge for edge in ref.node_pairs(getattr(clean, kind))
+                if (3, 3) not in edge]
 
     @pytest.mark.parametrize("window", [((-1e308, 1e308), (0.9, 1.0)),
                                         ((0.3, 0.8), (-math.inf, 1.0)),
